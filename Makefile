@@ -25,6 +25,9 @@
 #                                           NEW=benchdata/BENCHALL_<date>.json
 #   make build         - compile everything
 #   make vet           - static analysis only
+#   make bench-check   - compile and self-test the separate bench/ module
+#                        (`cd bench && go test ./...`), which the root
+#                        `go test ./...` never builds (runs inside make test)
 #   make docs-check    - verify docs/README references (flags, make targets,
 #                        CUBIE_* env vars, serve API routes and config keys)
 #                        against the code, both directions for the serve API
@@ -58,8 +61,9 @@ TOLERANCE ?= 0.10
 ALLOC_TOLERANCE ?= 0.10
 ROLLING ?=
 
-.PHONY: all build vet test race bench bench-all bench-compare bench-trend \
-	bench-trend-check docs-check serve-smoke dist-smoke bench-dist clean
+.PHONY: all build vet test race bench bench-all bench-check bench-compare \
+	bench-trend bench-trend-check docs-check serve-smoke dist-smoke bench-dist \
+	clean
 
 all: test
 
@@ -72,8 +76,14 @@ vet:
 docs-check:
 	$(GO) run ./cmd/docscheck
 
-test: vet docs-check bench-trend-check serve-smoke dist-smoke
+test: vet docs-check bench-trend-check bench-check serve-smoke dist-smoke
 	$(GO) test ./...
+
+# bench/ is its own module (replace repro => ../) that calls internal
+# packages such as sparse.Corpus; the root module's test run never
+# compiles it, so an API change there would only surface in the benchmark.
+bench-check:
+	cd bench && $(GO) test ./...
 
 # End-to-end daemon smoke: boot on a random port (the --addr-file
 # handshake), probe liveness, fetch one run-free figure, check the server's

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strings"
 
 	"repro/internal/device"
 	"repro/internal/graph"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/runcache"
 	"repro/internal/sim"
 	"repro/internal/sparse"
+	"repro/internal/trace"
 )
 
 // CoveragePoint is one projected sample of a Figure 10/11 scatter.
@@ -99,9 +101,9 @@ func figure10Matrices(corpusSize int, seed int64, rc *runcache.Cache) (*Coverage
 	feats, err := cachedFeatures(rc, fmt.Sprintf("matrix-corpus|%d|%d", corpusSize, seed),
 		func() ([][]float64, error) {
 			var feats [][]float64
-			for _, m := range sparse.Corpus(corpusSize, seed) {
+			sparse.CorpusEach(corpusSize, seed, func(m *sparse.CSR) {
 				feats = append(feats, sparse.ExtractFeatures(m).Vector())
-			}
+			})
 			return feats, nil
 		})
 	if err != nil {
@@ -131,13 +133,17 @@ func figure10Matrices(corpusSize int, seed int64, rc *runcache.Cache) (*Coverage
 // cachedFeatures memoizes a feature matrix in the run cache. Feature
 // extraction is deterministic (synthesis is seeded), so a cached matrix is
 // bit-identical to a recomputed one; with no cache attached the compute
-// function just runs.
+// function just runs, inside a "coverage" host span named by the key's
+// first "|" field.
 func cachedFeatures(rc *runcache.Cache, key string, compute func() ([][]float64, error)) ([][]float64, error) {
 	var feats [][]float64
 	if rc.Get(runcache.KindFeatures, key, &feats) {
 		return feats, nil
 	}
+	name, _, _ := strings.Cut(key, "|")
+	endSpan := trace.HostSpan("coverage", name)
 	feats, err := compute()
+	endSpan()
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package fft
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -45,7 +46,7 @@ func TestPlanMatchesDirectDFT1D(t *testing.T) {
 		}
 		wantRe := append([]float64(nil), re...)
 		wantIm := append([]float64(nil), im...)
-		directDFT(wantRe, wantIm)
+		directDFT(wantRe, wantIm, newTwiddles(l))
 		newPlanMMA(l).transform(re, im)
 		for i := 0; i < l; i++ {
 			scale := math.Abs(wantRe[i]) + math.Abs(wantIm[i]) + 1
@@ -67,13 +68,91 @@ func TestRadix2MatchesDirectDFT(t *testing.T) {
 	}
 	wantRe := append([]float64(nil), re...)
 	wantIm := append([]float64(nil), im...)
-	directDFT(wantRe, wantIm)
+	directDFT(wantRe, wantIm, newTwiddles(l))
 	radix2(re, im)
 	for i := 0; i < l; i++ {
 		scale := math.Abs(wantRe[i]) + math.Abs(wantIm[i]) + 1
 		if math.Abs(re[i]-wantRe[i])/scale > 1e-11 {
 			t.Fatalf("radix2 deviates at %d", i)
 		}
+	}
+}
+
+// directDFTPerTerm is the reference DFT as it was before the twiddle
+// tables: math.Cos and math.Sin evaluated inside the loop for every term.
+// It is the bitwise oracle for directDFT and direct2D.
+func directDFTPerTerm(re, im []float64) {
+	n := len(re)
+	oRe := make([]float64, n)
+	oIm := make([]float64, n)
+	for k := 0; k < n; k++ {
+		var sr, si float64
+		for j := 0; j < n; j++ {
+			ang := -2 * math.Pi * float64(j*k) / float64(n)
+			cr, ci := math.Cos(ang), math.Sin(ang)
+			sr += re[j]*cr - im[j]*ci
+			si += re[j]*ci + im[j]*cr
+		}
+		oRe[k], oIm[k] = sr, si
+	}
+	copy(re, oRe)
+	copy(im, oIm)
+}
+
+func testSignal(n int, seed float64) (re, im []float64) {
+	re = make([]float64, n)
+	im = make([]float64, n)
+	for i := range re {
+		re[i] = math.Sin(seed*float64(i)) + 0.3
+		im[i] = math.Cos(0.7*seed*float64(i)) - 0.1
+	}
+	return re, im
+}
+
+func sameBits(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s: element %d is %v, per-term oracle %v", what, i, got[i], want[i])
+		}
+	}
+}
+
+func TestDirectDFTMatchesPerTerm(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 8, 17, 256} {
+		re, im := testSignal(n, 0.13)
+		wantRe := append([]float64(nil), re...)
+		wantIm := append([]float64(nil), im...)
+		directDFTPerTerm(wantRe, wantIm)
+		directDFT(re, im, newTwiddles(n))
+		sameBits(t, fmt.Sprintf("n=%d re", n), re, wantRe)
+		sameBits(t, fmt.Sprintf("n=%d im", n), im, wantIm)
+	}
+}
+
+func TestDirect2DMatchesPerTerm(t *testing.T) {
+	for _, d := range [][2]int{{1, 1}, {8, 8}, {3, 17}, {17, 8}} {
+		r, c := d[0], d[1]
+		re, im := testSignal(r*c, 0.29)
+		wantRe := append([]float64(nil), re...)
+		wantIm := append([]float64(nil), im...)
+		for i := 0; i < r; i++ {
+			directDFTPerTerm(wantRe[i*c:(i+1)*c], wantIm[i*c:(i+1)*c])
+		}
+		colRe := make([]float64, r)
+		colIm := make([]float64, r)
+		for j := 0; j < c; j++ {
+			for i := 0; i < r; i++ {
+				colRe[i], colIm[i] = wantRe[i*c+j], wantIm[i*c+j]
+			}
+			directDFTPerTerm(colRe, colIm)
+			for i := 0; i < r; i++ {
+				wantRe[i*c+j], wantIm[i*c+j] = colRe[i], colIm[i]
+			}
+		}
+		direct2D(re, im, r, c)
+		sameBits(t, fmt.Sprintf("%dx%d re", r, c), re, wantRe)
+		sameBits(t, fmt.Sprintf("%dx%d im", r, c), im, wantIm)
 	}
 }
 

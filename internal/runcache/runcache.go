@@ -13,8 +13,9 @@
 // An entry is only served back to a process whose fingerprint matches the
 // writer's. The fingerprint hashes (1) the executable image — Go builds
 // are reproducible, so the binary's bytes are a content address for the
-// code — and (2) the behavior-changing CUBIE_* knobs (currently
-// CUBIE_NO_PANEL; CUBIE_WORKERS is excluded because results are
+// code — and (2) the behavior-changing CUBIE_* knobs (the knobs slice:
+// CUBIE_NO_PANEL, CUBIE_NO_PACKCACHE, CUBIE_NO_PRESTAGE and
+// CUBIE_SPGEMM_DENSE; CUBIE_WORKERS is excluded because results are
 // bit-identical for every worker count). Recompiling changed code or
 // toggling a knob therefore misses cleanly and re-runs. When the
 // executable cannot be read, runtime/debug build info stands in.

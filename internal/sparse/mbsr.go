@@ -39,13 +39,14 @@ var (
 // introduced for elements outside the matrix or absent from the pattern —
 // the data-structure change Key Observation 1 describes.
 //
-// The build is a counted two-pass: pass 1 counts distinct block columns per
-// block row against a pooled stamp directory (stamp i+1 for block row i),
-// sizing RowPtr and one exact Blocks allocation; pass 2 re-discovers each
-// row's columns under a fresh stamp (-(i+1), so the passes never collide),
-// sorts them, and scatters values straight into the assigned slots. The
-// map-of-heap-blocks version this replaces allocated a map, a block, and
-// repeated slice growth per block row — ~37k objects per Mycielskian build.
+// The build is a counted two-pass: pass 1 (countBlocks) counts distinct
+// block columns per block row against a pooled stamp directory (stamp i+1
+// for block row i), sizing RowPtr and one exact Blocks allocation; pass 2
+// re-discovers each row's columns under a fresh stamp (-(i+1), so the
+// passes never collide), sorts them, and scatters values straight into the
+// assigned slots. The map-of-heap-blocks version this replaces allocated a
+// map, a block, and repeated slice growth per block row — ~37k objects per
+// Mycielskian build.
 func ToMBSR(m *CSR) *MBSR {
 	br := (m.Rows + BlockSize - 1) / BlockSize
 	bc := (m.Cols + BlockSize - 1) / BlockSize
@@ -56,26 +57,7 @@ func ToMBSR(m *CSR) *MBSR {
 	}
 	stamp := mbsrStampScratch.Get(bc)
 	defer mbsrStampScratch.Put(stamp)
-	clear(stamp)
-	// Pass 1: count distinct block columns per block row.
-	total := 0
-	for i := 0; i < br; i++ {
-		g := int32(i + 1)
-		for di := 0; di < BlockSize; di++ {
-			r := i*BlockSize + di
-			if r >= m.Rows {
-				break
-			}
-			for k := m.RowPtr[r]; k < m.RowPtr[r+1]; k++ {
-				b := m.ColIdx[k] / BlockSize
-				if stamp[b] != g {
-					stamp[b] = g
-					total++
-				}
-			}
-		}
-		out.RowPtr[i+1] = total
-	}
+	total := countBlocks(m, stamp, out.RowPtr)
 	// Pass 2: fill the exactly-sized block slab (fresh allocation, so block
 	// values start zeroed).
 	out.Blocks = make([]MBSRBlock, total)
@@ -123,17 +105,57 @@ func ToMBSR(m *CSR) *MBSR {
 	return out
 }
 
+// countBlocks is ToMBSR's pass 1: it counts the distinct block columns of
+// every block row against stamp (length BlockCols, cleared here, left
+// stamped i+1 for block row i) and returns the total. A non-nil rowPtr
+// receives the running counts in rowPtr[1:].
+func countBlocks(m *CSR, stamp []int32, rowPtr []int) int {
+	clear(stamp)
+	total := 0
+	br := (m.Rows + BlockSize - 1) / BlockSize
+	for i := 0; i < br; i++ {
+		g := int32(i + 1)
+		for di := 0; di < BlockSize; di++ {
+			r := i*BlockSize + di
+			if r >= m.Rows {
+				break
+			}
+			for k := m.RowPtr[r]; k < m.RowPtr[r+1]; k++ {
+				b := m.ColIdx[k] / BlockSize
+				if stamp[b] != g {
+					stamp[b] = g
+					total++
+				}
+			}
+		}
+		if rowPtr != nil {
+			rowPtr[i+1] = total
+		}
+	}
+	return total
+}
+
+// blockFill is ToMBSR(m).FillRatio(m.NNZ()) from the block count alone,
+// without building the blocks.
+func blockFill(m *CSR) float64 {
+	stamp := mbsrStampScratch.Get((m.Cols + BlockSize - 1) / BlockSize)
+	defer mbsrStampScratch.Put(stamp)
+	return fillRatio(m.NNZ(), countBlocks(m, stamp, nil))
+}
+
 // BlockNNZ returns the number of stored 4×4 blocks.
 func (m *MBSR) BlockNNZ() int { return len(m.Blocks) }
 
 // FillRatio returns stored-nonzero density inside the stored blocks — the
 // fraction of MMA input actually carrying payload (Observation 2's partial
 // utilization measure for SpGEMM).
-func (m *MBSR) FillRatio(nnz int) float64 {
-	if len(m.Blocks) == 0 {
+func (m *MBSR) FillRatio(nnz int) float64 { return fillRatio(nnz, len(m.Blocks)) }
+
+func fillRatio(nnz, blocks int) float64 {
+	if blocks == 0 {
 		return 0
 	}
-	return float64(nnz) / float64(len(m.Blocks)*BlockSize*BlockSize)
+	return float64(nnz) / float64(blocks*BlockSize*BlockSize)
 }
 
 // ToCSR expands the mBSR matrix back to CSR (explicit zeros dropped).

@@ -3,6 +3,7 @@ package sparse
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/lcg"
 )
@@ -77,14 +78,15 @@ func synthesizeClass(d Dataset, g *lcg.Generator) *CSR {
 
 // banded generates a symmetric-pattern band matrix with half-bandwidth hb.
 // Each in-band entry is kept with probability keep; mixedSign makes the
-// matrix indefinite.
+// matrix indefinite. Entries are drawn row by row in ascending column
+// order, which is CSR order, so they append straight into the output; the
+// slices are clipped to their length once the keep draws have fixed it.
 func banded(rows, hb int, keep float64, mixedSign bool, g *lcg.Generator) *CSR {
-	coo := NewCOO(rows, rows)
+	m := &CSR{Rows: rows, Cols: rows, RowPtr: make([]int, rows+1)}
+	colIdx := make([]int32, 0, rows*(2*hb+1))
+	vals := make([]float64, 0, rows*(2*hb+1))
 	for i := 0; i < rows; i++ {
-		for j := i - hb; j <= i+hb; j++ {
-			if j < 0 || j >= rows {
-				continue
-			}
+		for j := max(i-hb, 0); j <= min(i+hb, rows-1); j++ {
 			if j != i && g.Uniform() > keep {
 				continue
 			}
@@ -95,23 +97,38 @@ func banded(rows, hb int, keep float64, mixedSign bool, g *lcg.Generator) *CSR {
 			if j == i {
 				v += float64(2 * hb) // diagonal weight for realism
 			}
-			coo.Add(i, j, v)
+			colIdx = append(colIdx, int32(j))
+			vals = append(vals, v)
 		}
+		m.RowPtr[i+1] = len(colIdx)
 	}
-	return coo.ToCSR()
+	m.ColIdx, m.Vals = slices.Clip(colIdx), slices.Clip(vals)
+	return m
 }
 
 // blockBanded generates a block-banded matrix of dense bs×bs blocks with
 // blocksPerRow block-columns per block-row centered on the diagonal.
+// Every row of block row bi spans the same column range, so row lengths
+// come from the block geometry alone; each entry, drawn block by block,
+// lands at its row's offset of its column inside that range.
 func blockBanded(rows, bs, blocksPerRow int, g *lcg.Generator) *CSR {
-	coo := NewCOO(rows, rows)
 	brows := (rows + bs - 1) / bs
 	half := blocksPerRow / 2
+	// colRange returns the first column of block row bi's band and one past
+	// its last.
+	colRange := func(bi int) (lo, hi int) {
+		return max(bi-half, 0) * bs, min(min(bi+half, brows-1)*bs+bs, rows)
+	}
+	m := &CSR{Rows: rows, Cols: rows, RowPtr: make([]int, rows+1)}
+	for i := 0; i < rows; i++ {
+		lo, hi := colRange(i / bs)
+		m.RowPtr[i+1] = m.RowPtr[i] + hi - lo
+	}
+	m.ColIdx = make([]int32, m.RowPtr[rows])
+	m.Vals = make([]float64, m.RowPtr[rows])
 	for bi := 0; bi < brows; bi++ {
-		for bj := bi - half; bj <= bi+half; bj++ {
-			if bj < 0 || bj >= brows {
-				continue
-			}
+		lo, _ := colRange(bi)
+		for bj := max(bi-half, 0); bj <= min(bi+half, brows-1); bj++ {
 			for di := 0; di < bs; di++ {
 				for dj := 0; dj < bs; dj++ {
 					i, j := bi*bs+di, bj*bs+dj
@@ -122,12 +139,14 @@ func blockBanded(rows, bs, blocksPerRow int, g *lcg.Generator) *CSR {
 					if i == j {
 						v += float64(bs * blocksPerRow)
 					}
-					coo.Add(i, j, v)
+					k := m.RowPtr[i] + j - lo
+					m.ColIdx[k] = int32(j)
+					m.Vals[k] = v
 				}
 			}
 		}
 	}
-	return coo.ToCSR()
+	return m
 }
 
 // latticeQCD generates a Wilson-Dirac-style matrix: a 4D periodic lattice
@@ -247,9 +266,11 @@ func lattice4D(dims [4]int, g *lcg.Generator) *CSR {
 						cols = append(cols, int32(idx(nb)))
 					}
 					// On small lattices distinct offsets can wrap onto the
-					// same site, so sort and dedupe for CSR validity. The
-					// Table 4 instance (16×16×16×12) never collides and
-					// keeps exactly 39 nonzeros per row.
+					// same site, so sort and dedupe for CSR validity.
+					// Offsets move at most 2 along an axis, so only an
+					// extent below 5 collides, and Corpus draws extents
+					// down to 2. (Table 4's QCD matrix comes from
+					// latticeQCD, not from here.)
 					insertionSortInt32(cols)
 					cols = dedupeSortedInt32(cols)
 					for _, j := range cols {
@@ -341,7 +362,7 @@ func ExtractFeatures(m *CSR) Features {
 	if nnz > 0 && n > 1 {
 		f.BandFraction = distSum / nnz / (n - 1)
 	}
-	f.BlockFill = ToMBSR(m).FillRatio(m.NNZ())
+	f.BlockFill = blockFill(m)
 	return f
 }
 
@@ -359,11 +380,21 @@ func FeatureNames() []string {
 // Corpus generates n synthetic matrices spanning the structural classes
 // above (banded, block, lattice, scale-free rows) across a log-uniform size
 // range, standing in for the 2893-matrix SuiteSparse sweep of Figure 10b.
+// It collects CorpusEach, so it holds the whole corpus at once.
 func Corpus(n int, seed int64) []*CSR {
-	g := lcg.New(seed)
 	out := make([]*CSR, 0, n)
+	CorpusEach(n, seed, func(m *CSR) { out = append(out, m) })
+	return out
+}
+
+// CorpusEach synthesizes Corpus(n, seed) one matrix at a time and hands
+// each to fn in corpus order. A matrix fn does not keep is garbage as soon
+// as fn returns, so a caller that only reduces each matrix (Figure 10b's
+// feature extraction) never holds more than one.
+func CorpusEach(n int, seed int64, fn func(*CSR)) {
+	g := lcg.New(seed)
 	for i := 0; i < n; i++ {
-		// Log-uniform rows in [256, 64Ki], mirroring the collection's
+		// Log-uniform rows in [256, 128Ki), mirroring the collection's
 		// size spread so the Table 4 instances land inside the cloud.
 		rows := 256 << g.Intn(9)
 		rows += g.Intn(rows)
@@ -372,25 +403,17 @@ func Corpus(n int, seed int64) []*CSR {
 		// scattered (power-law) patterns.
 		switch i % 8 {
 		case 0, 1, 2:
-			out = append(out, banded(rows, 1+g.Intn(6), 0.6+0.4*g.Uniform(), i%6 == 0, g))
+			fn(banded(rows, 1+g.Intn(6), 0.6+0.4*g.Uniform(), i%6 == 0, g))
 		case 3, 4, 5:
 			bs := 2 + g.Intn(7)
-			out = append(out, blockBanded(rows, bs, 3+g.Intn(7), g))
+			fn(blockBanded(rows, bs, 3+g.Intn(7), g))
 		case 6:
 			d := 4 + g.Intn(13)
-			out = append(out, lattice4D([4]int{d, d, d, 2 + g.Intn(5)}, g))
+			fn(lattice4D([4]int{d, d, d, 2 + g.Intn(5)}, g))
 		default:
-			out = append(out, powerLawRows(min(rows, 16384), 2+g.Intn(12), g))
+			fn(powerLawRows(min(rows, 16384), 2+g.Intn(12), g))
 		}
 	}
-	return out
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // powerLawRows generates a matrix whose row degrees follow a heavy-tailed

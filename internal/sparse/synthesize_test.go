@@ -1,8 +1,12 @@
 package sparse
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
+
+	"repro/internal/lcg"
 )
 
 func TestTable4Metadata(t *testing.T) {
@@ -170,5 +174,174 @@ func TestCorpusDiversity(t *testing.T) {
 	}
 	if max < 4*min {
 		t.Errorf("corpus band fractions too uniform: [%v, %v]", min, max)
+	}
+}
+
+// bandedCOO and blockBandedCOO are the COO + ToCSR builders banded and
+// blockBanded replaced: the same draws in the same order, sorted and
+// deduplicated by ToCSR. They are the bitwise oracles for the direct CSR
+// builders.
+func bandedCOO(rows, hb int, keep float64, mixedSign bool, g *lcg.Generator) *CSR {
+	coo := NewCOO(rows, rows)
+	for i := 0; i < rows; i++ {
+		for j := i - hb; j <= i+hb; j++ {
+			if j < 0 || j >= rows {
+				continue
+			}
+			if j != i && g.Uniform() > keep {
+				continue
+			}
+			v := g.Symmetric()
+			if !mixedSign && v < 0 {
+				v = -v
+			}
+			if j == i {
+				v += float64(2 * hb)
+			}
+			coo.Add(i, j, v)
+		}
+	}
+	return coo.ToCSR()
+}
+
+func blockBandedCOO(rows, bs, blocksPerRow int, g *lcg.Generator) *CSR {
+	coo := NewCOO(rows, rows)
+	brows := (rows + bs - 1) / bs
+	half := blocksPerRow / 2
+	for bi := 0; bi < brows; bi++ {
+		for bj := bi - half; bj <= bi+half; bj++ {
+			if bj < 0 || bj >= brows {
+				continue
+			}
+			for di := 0; di < bs; di++ {
+				for dj := 0; dj < bs; dj++ {
+					i, j := bi*bs+di, bj*bs+dj
+					if i >= rows || j >= rows {
+						continue
+					}
+					v := g.Symmetric()
+					if i == j {
+						v += float64(bs * blocksPerRow)
+					}
+					coo.Add(i, j, v)
+				}
+			}
+		}
+	}
+	return coo.ToCSR()
+}
+
+// oracleClass is synthesizeClass with the COO oracles in place of banded
+// and blockBanded.
+func oracleClass(d Dataset, g *lcg.Generator) *CSR {
+	switch d.Class {
+	case "banded-indefinite":
+		return bandedCOO(d.Rows, 3, 0.96, true, g)
+	case "banded-seismic":
+		return bandedCOO(d.Rows, 4, 0.93, false, g)
+	case "block-fluid":
+		return blockBandedCOO(d.Rows, 8, 9, g)
+	case "block-stiffness":
+		return blockBandedCOO(d.Rows, 6, 8, g)
+	}
+	return synthesizeClass(d, g)
+}
+
+// oracleCorpus is CorpusEach with the COO oracles, collected.
+func oracleCorpus(n int, seed int64) []*CSR {
+	g := lcg.New(seed)
+	var out []*CSR
+	for i := 0; i < n; i++ {
+		rows := 256 << g.Intn(9)
+		rows += g.Intn(rows)
+		switch i % 8 {
+		case 0, 1, 2:
+			out = append(out, bandedCOO(rows, 1+g.Intn(6), 0.6+0.4*g.Uniform(), i%6 == 0, g))
+		case 3, 4, 5:
+			bs := 2 + g.Intn(7)
+			out = append(out, blockBandedCOO(rows, bs, 3+g.Intn(7), g))
+		case 6:
+			d := 4 + g.Intn(13)
+			out = append(out, lattice4D([4]int{d, d, d, 2 + g.Intn(5)}, g))
+		default:
+			out = append(out, powerLawRows(min(rows, 16384), 2+g.Intn(12), g))
+		}
+	}
+	return out
+}
+
+// requireSameCSR fails unless got and want agree bit for bit.
+func requireSameCSR(t *testing.T, what string, got, want *CSR) {
+	t.Helper()
+	if got.Rows != want.Rows || got.Cols != want.Cols {
+		t.Fatalf("%s: %dx%d, oracle %dx%d", what, got.Rows, got.Cols, want.Rows, want.Cols)
+	}
+	if !slices.Equal(got.RowPtr, want.RowPtr) {
+		t.Fatalf("%s: RowPtr differs from the oracle", what)
+	}
+	if !slices.Equal(got.ColIdx, want.ColIdx) {
+		t.Fatalf("%s: ColIdx differs from the oracle", what)
+	}
+	if len(got.Vals) != len(want.Vals) {
+		t.Fatalf("%s: %d values, oracle %d", what, len(got.Vals), len(want.Vals))
+	}
+	for k := range want.Vals {
+		if math.Float64bits(got.Vals[k]) != math.Float64bits(want.Vals[k]) {
+			t.Fatalf("%s: Vals[%d] = %v, oracle %v", what, k, got.Vals[k], want.Vals[k])
+		}
+	}
+}
+
+// requireClipped fails unless a direct builder's output slices hold no
+// spare capacity.
+func requireClipped(t *testing.T, what string, m *CSR) {
+	t.Helper()
+	if cap(m.ColIdx) != len(m.ColIdx) || cap(m.Vals) != len(m.Vals) {
+		t.Fatalf("%s: slices not clipped (cap %d/%d, len %d)",
+			what, cap(m.ColIdx), cap(m.Vals), len(m.ColIdx))
+	}
+}
+
+func TestTable4MatchesCOOOracle(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full Table 4 synthesis in -short mode")
+	}
+	for _, d := range Table4() {
+		seed := int64(len(d.Name))*7919 + int64(d.Rows)
+		got := synthesizeClass(d, lcg.New(seed))
+		requireSameCSR(t, d.Name, got, oracleClass(d, lcg.New(seed)))
+		requireClipped(t, d.Name, got)
+		if err := got.Validate(); err != nil {
+			t.Fatalf("%s: %v", d.Name, err)
+		}
+	}
+}
+
+func TestCorpusMatchesCOOOracle(t *testing.T) {
+	if testing.Short() {
+		t.Skip("64-matrix corpus synthesis in -short mode")
+	}
+	want := oracleCorpus(64, 2)
+	got := Corpus(64, 2)
+	if len(got) != len(want) {
+		t.Fatalf("corpus size %d, oracle %d", len(got), len(want))
+	}
+	var each []*CSR
+	CorpusEach(64, 2, func(m *CSR) { each = append(each, m) })
+	if len(each) != len(got) {
+		t.Fatalf("CorpusEach yielded %d matrices, Corpus %d", len(each), len(got))
+	}
+	for i := range want {
+		what := fmt.Sprintf("corpus[%d]", i)
+		requireSameCSR(t, what, got[i], want[i])
+		requireSameCSR(t, what+" via CorpusEach", each[i], want[i])
+		if i%8 < 6 { // banded and blockBanded
+			requireClipped(t, what, got[i])
+		}
+		fill := ExtractFeatures(got[i]).BlockFill
+		mbsr := ToMBSR(got[i]).FillRatio(got[i].NNZ())
+		if math.Float64bits(fill) != math.Float64bits(mbsr) {
+			t.Fatalf("%s: BlockFill %v, ToMBSR fill ratio %v", what, fill, mbsr)
+		}
 	}
 }

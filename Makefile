@@ -1,7 +1,12 @@
 # Build/test entry points for the Cubie reproduction.
 #
-#   make test          - vet + docs-check + unit tests (tier-1 gate)
+#   make test          - vet + docs-check + race-quick + unit tests (tier-1
+#                        gate)
 #   make race          - full test suite under the race detector
+#   make race-quick    - the race detector on the packages that finish in
+#                        seconds under it (par, runcache, server, mmu, gemm,
+#                        gemv, spmv); spgemm and harness stay in make race
+#                        (runs inside make test)
 #   make bench         - kernel + harness benchmarks with memory stats,
 #                        archived as benchdata/BENCH_<date>.json (see
 #                        docs/PERFORMANCE.md); set BENCHTIME=100ms for a
@@ -61,7 +66,7 @@ TOLERANCE ?= 0.10
 ALLOC_TOLERANCE ?= 0.10
 ROLLING ?=
 
-.PHONY: all build vet test race bench bench-all bench-check bench-compare \
+.PHONY: all build vet test race race-quick bench bench-all bench-check bench-compare \
 	bench-trend bench-trend-check docs-check serve-smoke dist-smoke bench-dist \
 	clean
 
@@ -76,7 +81,7 @@ vet:
 docs-check:
 	$(GO) run ./cmd/docscheck
 
-test: vet docs-check bench-trend-check bench-check serve-smoke dist-smoke
+test: vet docs-check bench-trend-check bench-check serve-smoke dist-smoke race-quick
 	$(GO) test ./...
 
 # bench/ is its own module (replace repro => ../) that calls internal
@@ -131,6 +136,14 @@ dist-smoke:
 
 race:
 	$(GO) test -race ./...
+
+# The fast half of make race: about 20 s together on 2 vCPUs. spgemm
+# (~25 s) and harness (~290 s) under -race only run in make race.
+RACE_QUICK = ./internal/par ./internal/runcache ./internal/server/... ./internal/mmu \
+	./internal/kernels/gemm ./internal/kernels/gemv ./internal/kernels/spmv
+
+race-quick:
+	$(GO) test -race $(RACE_QUICK)
 
 # -p 1 runs the package test binaries serially: concurrent binaries contend
 # for cores and distort ns/op (macro benchmarks inflate 2-3x).

@@ -1,293 +1,266 @@
 package repro
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/kernels/spgemm"
+	"repro/internal/metrics"
 	"repro/internal/mmu"
 	"repro/internal/packcache"
 	"repro/internal/par"
 	"repro/internal/prestage"
-	"repro/internal/tune"
 	"repro/internal/workload"
 )
 
-// TestSuiteDeterminism is the suite-wide contract of the par engine: every
-// workload's representative case, in every variant, must produce the
-// bit-identical Output and the identical Profile whether the grid runs
-// serially (one worker) or on a full pool. The engine only ever assigns
-// whole output tiles to workers and merges reductions in fixed chunk order,
-// so this holds exactly — not just to within round-off (Table 6's TC ≡ CC
-// comparison depends on it).
-func TestSuiteDeterminism(t *testing.T) {
-	type outcome struct {
-		res *workload.Result
-		err error
-	}
-	runAll := func(workers int) map[string]outcome {
-		prev := par.SetWorkers(workers)
-		defer par.SetWorkers(prev)
-		out := map[string]outcome{}
-		for _, w := range core.NewSuite().Workloads() {
-			c := w.Representative()
-			for _, v := range w.Variants() {
-				res, err := w.Run(c, v)
-				out[w.Name()+"/"+string(v)] = outcome{res, err}
-			}
+// outcome is one workload run: its result or its error.
+type outcome struct {
+	res *workload.Result
+	err error
+}
+
+// runSuite runs every variant of each workload's representative case on s,
+// in suite order or reversed, keyed by "<workload>/<variant>".
+func runSuite(s *core.Suite, reverse bool) map[string]outcome {
+	ws := s.Workloads()
+	out := map[string]outcome{}
+	for i := range ws {
+		w := ws[i]
+		if reverse {
+			w = ws[len(ws)-1-i]
 		}
-		return out
+		c := w.Representative()
+		for _, v := range w.Variants() {
+			res, err := w.Run(c, v)
+			out[w.Name()+"/"+string(v)] = outcome{res, err}
+		}
 	}
+	return out
+}
 
-	serial := runAll(1)
-	parallel := runAll(8)
-
-	if len(serial) != len(parallel) {
-		t.Fatalf("run counts differ: %d vs %d", len(serial), len(parallel))
+// compareRuns reports every run in got that differs from want: error
+// presence, Output bits, Profile or result metadata.
+func compareRuns(t *testing.T, want, got map[string]outcome) {
+	t.Helper()
+	if len(want) == 0 || len(got) != len(want) {
+		t.Fatalf("run counts differ or empty: %d vs %d", len(got), len(want))
 	}
-	for key, s := range serial {
-		p, ok := parallel[key]
+	for key, w := range want {
+		g, ok := got[key]
 		if !ok {
-			t.Errorf("%s: missing from parallel run", key)
+			t.Errorf("%s: missing", key)
 			continue
 		}
-		if (s.err == nil) != (p.err == nil) {
-			t.Errorf("%s: error mismatch: serial=%v parallel=%v", key, s.err, p.err)
+		if (w.err == nil) != (g.err == nil) {
+			t.Errorf("%s: error mismatch: %v vs %v", key, w.err, g.err)
 			continue
 		}
-		if s.err != nil {
+		if w.err != nil {
 			continue
 		}
-		if len(s.res.Output) != len(p.res.Output) {
+		if len(w.res.Output) != len(g.res.Output) {
 			t.Errorf("%s: output lengths differ: %d vs %d",
-				key, len(s.res.Output), len(p.res.Output))
+				key, len(w.res.Output), len(g.res.Output))
 			continue
 		}
-		for i := range s.res.Output {
-			if math.Float64bits(s.res.Output[i]) != math.Float64bits(p.res.Output[i]) {
+		for i := range w.res.Output {
+			if math.Float64bits(w.res.Output[i]) != math.Float64bits(g.res.Output[i]) {
 				t.Errorf("%s: output[%d] differs bitwise: %v vs %v",
-					key, i, s.res.Output[i], p.res.Output[i])
+					key, i, w.res.Output[i], g.res.Output[i])
 				break
 			}
 		}
-		if !reflect.DeepEqual(s.res.Profile, p.res.Profile) {
-			t.Errorf("%s: profiles differ:\nserial:   %+v\nparallel: %+v",
-				key, s.res.Profile, p.res.Profile)
+		if !reflect.DeepEqual(w.res.Profile, g.res.Profile) {
+			t.Errorf("%s: profiles differ:\nwant: %+v\ngot:  %+v",
+				key, w.res.Profile, g.res.Profile)
 		}
-		if s.res.Work != p.res.Work || s.res.MetricName != p.res.MetricName ||
-			s.res.InputUtil != p.res.InputUtil || s.res.OutputUtil != p.res.OutputUtil {
+		if w.res.Work != g.res.Work || w.res.MetricName != g.res.MetricName ||
+			w.res.InputUtil != g.res.InputUtil || w.res.OutputUtil != g.res.OutputUtil {
 			t.Errorf("%s: result metadata differs", key)
 		}
 	}
 }
 
-// TestSuitePanelDeterminism is the panel engine's suite-wide bit-identity
-// contract: every workload's representative case, in every variant, must
-// produce the bit-identical Output with the fused panel fast paths disabled
-// (the CUBIE_NO_PANEL reference route of tile-at-a-time MMAs). The fused
-// k-sweeps keep the exact ascending-k FMA chain per element, so this holds
-// bitwise, not just to within round-off.
-func TestSuitePanelDeterminism(t *testing.T) {
-	runAll := func(panels bool) map[string][]float64 {
-		was := mmu.SetPanelEnabled(panels)
-		defer mmu.SetPanelEnabled(was)
-		out := map[string][]float64{}
-		for _, w := range core.NewSuite().Workloads() {
-			c := w.Representative()
-			for _, v := range w.Variants() {
-				res, err := w.Run(c, v)
-				if err != nil {
-					t.Fatalf("%s/%s (panels=%v): %v", w.Name(), v, panels, err)
-				}
-				out[w.Name()+"/"+string(v)] = res.Output
-			}
-		}
-		return out
+// TestSuiteDeterminism is the suite-wide bit-identity contract over every
+// route that can still be selected: each workload's representative case, in
+// every variant, must produce the bit-identical Output and the identical
+// Profile and metadata on every row of the route table. The rows cross the
+// par worker count (one worker vs a pool of 8) with the SpGEMM accumulator
+// regime (the adaptive fill-ratio switch production runs, and the dense and
+// hash directories forced through the spgemm.SetAccumMode test seam).
+//
+// The engine only ever assigns whole output tiles to workers and merges
+// reductions in fixed chunk order, and the accumulator regime only routes
+// tiles to arena slots, so this holds exactly — not just to within
+// round-off (Table 6's TC ≡ CC comparison depends on it).
+func TestSuiteDeterminism(t *testing.T) {
+	type route struct {
+		workers int
+		accum   spgemm.AccumMode
 	}
-
-	fused := runAll(true)
-	reference := runAll(false)
-
-	if len(fused) != len(reference) {
-		t.Fatalf("run counts differ: %d vs %d", len(fused), len(reference))
-	}
-	for key, f := range fused {
-		r := reference[key]
-		if len(f) != len(r) {
-			t.Errorf("%s: output lengths differ: %d vs %d", key, len(f), len(r))
-			continue
-		}
-		for i := range f {
-			if math.Float64bits(f[i]) != math.Float64bits(r[i]) {
-				t.Errorf("%s: output[%d] differs bitwise: %v vs %v", key, i, f[i], r[i])
-				break
-			}
+	var routes []route
+	for _, workers := range []int{1, 8} {
+		for _, accum := range []spgemm.AccumMode{spgemm.AccumAdaptive, spgemm.AccumDense, spgemm.AccumHash} {
+			routes = append(routes, route{workers, accum})
 		}
 	}
-}
-
-// TestSuitePackCacheDeterminism is the packed-panel cache's suite-wide
-// bit-identity contract: every workload's representative case, in every
-// variant, must produce the bit-identical Output whether operands come from
-// the hash-validated cache (both cold-miss and warm-hit runs), are staged
-// per call (CUBIE_NO_PACKCACHE), or execute on the tile-at-a-time reference
-// route with the cache on (CUBIE_NO_PANEL). The cache stores exactly the
-// bytes the per-call packers produce, so all routes agree bitwise.
-func TestSuitePackCacheDeterminism(t *testing.T) {
-	runAll := func(cache, panels bool) map[string][]float64 {
-		wasCache := packcache.SetEnabled(cache)
-		wasPanels := mmu.SetPanelEnabled(panels)
+	accumName := map[spgemm.AccumMode]string{
+		spgemm.AccumAdaptive: "auto", spgemm.AccumDense: "dense", spgemm.AccumHash: "hash",
+	}
+	runAll := func(r route) map[string]outcome {
+		prevWorkers := par.SetWorkers(r.workers)
+		prevAccum := spgemm.SetAccumMode(r.accum)
 		defer func() {
-			packcache.SetEnabled(wasCache)
-			mmu.SetPanelEnabled(wasPanels)
+			par.SetWorkers(prevWorkers)
+			spgemm.SetAccumMode(prevAccum)
 		}()
-		out := map[string][]float64{}
-		for _, w := range core.NewSuite().Workloads() {
-			c := w.Representative()
-			for _, v := range w.Variants() {
-				res, err := w.Run(c, v)
-				if err != nil {
-					t.Fatalf("%s/%s (cache=%v panels=%v): %v", w.Name(), v, cache, panels, err)
-				}
-				out[w.Name()+"/"+string(v)] = res.Output
-			}
-		}
-		return out
+		return runSuite(core.NewSuite(), false)
 	}
 
-	packcache.Flush() // first cached pass starts cold: misses pack and insert
-	cold := runAll(true, true)
-	warm := runAll(true, true) // second pass is served by hash-validated hits
-	staged := runAll(false, true)
-	tileLoop := runAll(true, false)
-
-	for name, other := range map[string]map[string][]float64{
-		"warm-hit": warm, "staging (cache off)": staged, "panels-off": tileLoop,
-	} {
-		if len(cold) == 0 || len(cold) != len(other) {
-			t.Fatalf("%s: run counts differ or empty: %d vs %d", name, len(cold), len(other))
-		}
-		for key, c := range cold {
-			o := other[key]
-			if len(c) != len(o) {
-				t.Errorf("%s %s: output lengths differ: %d vs %d", name, key, len(c), len(o))
-				continue
-			}
-			for i := range c {
-				if math.Float64bits(c[i]) != math.Float64bits(o[i]) {
-					t.Errorf("%s %s: output[%d] differs bitwise: %v vs %v",
-						name, key, i, c[i], o[i])
-					break
-				}
-			}
-		}
+	want := runAll(routes[0])
+	for _, r := range routes[1:] {
+		name := fmt.Sprintf("workers=%d/accum=%s", r.workers, accumName[r.accum])
+		t.Run(name, func(t *testing.T) { compareRuns(t, want, runAll(r)) })
 	}
 }
 
-// TestSuitePrestageDeterminism is the prestaged-operand contract: every
-// workload's representative case, in every variant, must produce the
-// bit-identical Output whether the hot loops consume the prestaged slabs
-// (cold-miss and warm-hit runs), restage operands per call
-// (CUBIE_NO_PRESTAGE=1), or run under a non-default tuned geometry (cubie
-// tune's batch/chunk/block knobs). Slabs store exactly the bytes the staged
-// path produces and the geometry knobs only re-partition loop iterations,
-// so every route agrees bitwise.
+// TestSuitePanelDeterminism pins the retired CUBIE_NO_PANEL variable as
+// ignored at suite level: with it set, every workload's representative case,
+// in every variant, produces the same Output bits, Profile and metadata as
+// without it, and executes the same number of fused panel sweeps and MMA
+// tiles. The tile-at-a-time route the variable once selected counted no
+// panels, so an equal, non-zero panel count shows the fused route ran both
+// times.
+func TestSuitePanelDeterminism(t *testing.T) {
+	panels := metrics.NewShardedCounter("cubie_mmu_dmma_panels_total", "")
+	tiles := metrics.NewShardedCounter("cubie_mmu_dmma_tiles_total", "")
+	runAll := func() (map[string]outcome, uint64, uint64) {
+		p0, t0 := panels.Value(), tiles.Value()
+		out := runSuite(core.NewSuite(), false)
+		return out, panels.Value() - p0, tiles.Value() - t0
+	}
+
+	want, wantPanels, wantTiles := runAll()
+	if wantPanels == 0 {
+		t.Fatal("the suite ran no fused panel sweeps")
+	}
+	t.Setenv(mmu.PanelDisableEnv, "1")
+	got, gotPanels, gotTiles := runAll()
+	compareRuns(t, want, got)
+	if gotPanels != wantPanels || gotTiles != wantTiles {
+		t.Errorf("with %s=1: %d panels / %d tiles, want %d / %d",
+			mmu.PanelDisableEnv, gotPanels, gotTiles, wantPanels, wantTiles)
+	}
+}
+
+// TestSuitePackCacheDeterminism is the per-call packing contract that
+// replaced the packed-panel cache: GEMM and GEMV pack each whole operand per
+// call into pooled scratch, so no state may survive from one call to the
+// next. One suite run forward, then again in reverse workload order (each
+// pooled buffer last written by a different workload or shape), then forward
+// once more with the retired CUBIE_NO_PACKCACHE variable set, must all agree
+// bitwise with a fresh suite's run.
+func TestSuitePackCacheDeterminism(t *testing.T) {
+	want := runSuite(core.NewSuite(), false)
+	s := core.NewSuite()
+	runSuite(s, false)
+	t.Run("reversed", func(t *testing.T) { compareRuns(t, want, runSuite(s, true)) })
+	t.Run("retired-env", func(t *testing.T) {
+		t.Setenv(packcache.DisableEnv, "1")
+		compareRuns(t, want, runSuite(s, false))
+	})
+}
+
+// TestSuitePrestageDeterminism is the prestaged DASP slab contract: a
+// suite's first run builds each SpMV layout's slabs (the prestage slab
+// counter rises), a second run on the same suite reuses them (the counter
+// stays put), and both runs agree bitwise with each other and with a fresh
+// suite. The retired CUBIE_NO_PRESTAGE variable is set for the reuse run and
+// changes nothing: ApplyDASP has no staged route left.
 func TestSuitePrestageDeterminism(t *testing.T) {
-	runAll := func(pre bool) map[string][]float64 {
-		was := prestage.SetEnabled(pre)
-		defer prestage.SetEnabled(was)
-		out := map[string][]float64{}
-		for _, w := range core.NewSuite().Workloads() {
-			c := w.Representative()
-			for _, v := range w.Variants() {
-				res, err := w.Run(c, v)
-				if err != nil {
-					t.Fatalf("%s/%s (prestage=%v): %v", w.Name(), v, pre, err)
-				}
-				out[w.Name()+"/"+string(v)] = res.Output
-			}
-		}
-		return out
+	slabs := metrics.NewCounter("cubie_prestage_slabs_total", "")
+	want := runSuite(core.NewSuite(), false)
+
+	s := core.NewSuite()
+	before := slabs.Value()
+	cold := runSuite(s, false)
+	built := slabs.Value() - before
+	if built == 0 {
+		t.Fatal("the cold run built no prestaged slabs")
 	}
-
-	packcache.Flush() // first prestaged pass packs every slab cold
-	cold := runAll(true)
-	warm := runAll(true) // second pass reuses hash-validated slabs
-	restaged := runAll(false)
-
-	prevGeom := tune.Apply(tune.Geometry{SpGEMMBatch: 4, DASPChunk: 8, DMMABlock: 4})
-	tuned := runAll(true)
-	tune.Apply(prevGeom)
-
-	for name, other := range map[string]map[string][]float64{
-		"warm-hit": warm, "restaged (prestage off)": restaged, "tuned geometry": tuned,
-	} {
-		if len(cold) == 0 || len(cold) != len(other) {
-			t.Fatalf("%s: run counts differ or empty: %d vs %d", name, len(cold), len(other))
-		}
-		for key, c := range cold {
-			o := other[key]
-			if len(c) != len(o) {
-				t.Errorf("%s %s: output lengths differ: %d vs %d", name, key, len(c), len(o))
-				continue
-			}
-			for i := range c {
-				if math.Float64bits(c[i]) != math.Float64bits(o[i]) {
-					t.Errorf("%s %s: output[%d] differs bitwise: %v vs %v",
-						name, key, i, c[i], o[i])
-					break
-				}
-			}
-		}
+	t.Setenv(prestage.DisableEnv, "1")
+	before = slabs.Value()
+	warm := runSuite(s, false)
+	if rebuilt := slabs.Value() - before; rebuilt != 0 {
+		t.Errorf("the warm run rebuilt %d slabs, want 0 (cold run built %d)", rebuilt, built)
 	}
+	t.Run("cold", func(t *testing.T) { compareRuns(t, want, cold) })
+	t.Run("warm", func(t *testing.T) { compareRuns(t, want, warm) })
 }
 
-// TestSpGEMMAccumDeterminism is the SpGEMM accumulator-arena counterpart of
-// the panel contract: with the dense stamped directory forced on
-// (CUBIE_SPGEMM_DENSE=1 / spgemm.SetAccumMode(spgemm.AccumDense)) and forced
-// off (=0 / AccumHash), every SpGEMM variant must produce the bit-identical
-// Output — the directory regime only routes tiles to arena slots, never
-// changes the addition order.
+// TestSpGEMMAccumDeterminism is the SpGEMM accumulator-arena contract over
+// every case SpGEMM executes for real, not just the representative one: the
+// dense stamped directory and the hash directory, forced through
+// spgemm.SetAccumMode, must produce the bit-identical Output to the adaptive
+// fill-ratio switch production runs — the directory regime only routes
+// tiles to arena slots, never changes the addition order. The retired
+// CUBIE_SPGEMM_DENSE variable is set against each forced regime and must not
+// override it.
 func TestSpGEMMAccumDeterminism(t *testing.T) {
-	runSpGEMM := func(mode spgemm.AccumMode) map[string][]float64 {
+	w, err := core.NewSuite().ByName("SpGEMM")
+	if err != nil {
+		t.Fatal(err)
+	}
+	runCases := func(mode spgemm.AccumMode) map[string][]float64 {
 		prev := spgemm.SetAccumMode(mode)
 		defer spgemm.SetAccumMode(prev)
 		out := map[string][]float64{}
-		for _, w := range core.NewSuite().Workloads() {
-			if w.Name() != "SpGEMM" {
-				continue
+		for _, c := range w.Cases() {
+			res, err := w.Run(c, workload.TC)
+			if err != nil {
+				t.Fatalf("%s (mode=%d): %v", c.Name, mode, err)
 			}
-			c := w.Representative()
-			for _, v := range w.Variants() {
-				res, err := w.Run(c, v)
-				if err != nil {
-					t.Fatalf("%s/%s (mode=%d): %v", w.Name(), v, mode, err)
-				}
-				out[w.Name()+"/"+string(v)] = res.Output
+			if res.Output != nil {
+				out[c.Name] = res.Output
 			}
 		}
 		return out
 	}
 
-	dense := runSpGEMM(spgemm.AccumDense)
-	hash := runSpGEMM(spgemm.AccumHash)
-
-	if len(dense) == 0 || len(dense) != len(hash) {
-		t.Fatalf("run counts differ or empty: %d vs %d", len(dense), len(hash))
+	want := runCases(spgemm.AccumAdaptive)
+	if len(want) == 0 {
+		t.Fatal("SpGEMM executed no case")
 	}
-	for key, d := range dense {
-		h := hash[key]
-		if len(d) != len(h) {
-			t.Errorf("%s: output lengths differ: %d vs %d", key, len(d), len(h))
-			continue
-		}
-		for i := range d {
-			if math.Float64bits(d[i]) != math.Float64bits(h[i]) {
-				t.Errorf("%s: output[%d] differs bitwise: %v vs %v", key, i, d[i], h[i])
-				break
+	for _, r := range []struct {
+		name string
+		mode spgemm.AccumMode
+		env  string
+	}{
+		{"dense", spgemm.AccumDense, "0"},
+		{"hash", spgemm.AccumHash, "1"},
+	} {
+		t.Run(r.name, func(t *testing.T) {
+			t.Setenv(spgemm.DenseEnv, r.env)
+			got := runCases(r.mode)
+			if len(got) != len(want) {
+				t.Fatalf("executed case counts differ: %d vs %d", len(got), len(want))
 			}
-		}
+			for name, wv := range want {
+				gv := got[name]
+				if len(gv) != len(wv) {
+					t.Errorf("%s: output lengths differ: %d vs %d", name, len(gv), len(wv))
+					continue
+				}
+				for i := range wv {
+					if math.Float64bits(gv[i]) != math.Float64bits(wv[i]) {
+						t.Errorf("%s: output[%d] differs bitwise: %v vs %v", name, i, gv[i], wv[i])
+						break
+					}
+				}
+			}
+		})
 	}
 }

@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/lcg"
 	"repro/internal/mmu"
-	"repro/internal/packcache"
 	"repro/internal/par"
 	"repro/internal/sim"
 	"repro/internal/tensor"
@@ -147,8 +146,12 @@ func (w *Workload) Reference(c workload.Case) ([]float64, error) {
 	return out.Data, nil
 }
 
-// mmaAccScratch pools the per-sweep even/odd C accumulators of multiplyMMA.
-var mmaAccScratch = par.NewScratch(2 * mmu.M * mmu.N)
+// mmaAccScratch pools the per-sweep even/odd C accumulators of multiplyMMA,
+// and panelScratch its packed A and B operands.
+var (
+	mmaAccScratch = par.NewScratch(2 * mmu.M * mmu.N)
+	panelScratch  = par.NewSizedScratch()
+)
 
 // multiplyMMA executes the tiled tensor-core GEMM: 64×64 block tiles, each
 // built from 8×8 MMA accumulator fragments swept over k in steps of 4. Like
@@ -157,15 +160,11 @@ var mmaAccScratch = par.NewScratch(2 * mmu.M * mmu.N)
 // buffering is what makes the MMA result differ in rounding from the
 // single-accumulator baseline (Table 6: GEMM TC error exceeds baseline).
 //
-// The k-sweep runs on the panel engine over packcache-staged operands: both
-// whole operands are packed once per dataset (and on repeat runs — sweep
-// repetitions, TC/CC variant pairs, bench iterations — served straight from
-// the hash-validated cache), where the per-call version re-packed the full
-// B operand once per row tile (m/8 redundant passes over B).
-// mmu.DMMAPanelPair executes the whole sweep with both accumulators
-// register-resident. Packed bytes and accumulation order per element are
-// unchanged, so the result stays bit-identical to the per-call staging path
-// and to the tile loop (CUBIE_NO_PACKCACHE=1 / CUBIE_NO_PANEL=1 verify).
+// The k-sweep runs on the panel engine: both whole operands are packed once
+// per call into pooled scratch (not once per row tile, which would re-pack
+// B m/8 times), and mmu.DMMAPanelPair executes the whole sweep with both
+// accumulators register-resident. Per element the accumulation order is
+// the tile loop's, so the result is bit-identical to it.
 //
 // The output-tile grid is executed on the par worker pool: each 8×8 output
 // tile's FMA chains run whole on one worker in the fixed k order, so the
@@ -177,13 +176,14 @@ func multiplyMMA(a, b *tensor.Matrix) *tensor.Matrix {
 	out := tensor.NewMatrix(m, n)
 	rowTiles := (m + mmu.M - 1) / mmu.M
 	kTiles := (k + mmu.K - 1) / mmu.K
-	aLease := packcache.PackedA("gemm:A", a, kTiles)
-	bLease := packcache.PackedB("gemm:B", b, kTiles)
-	defer aLease.Release()
-	defer bLease.Release()
-	aAll, bAll := aLease.Data, bLease.Data
 	aStride := kTiles * mmu.M * mmu.K
 	bStride := kTiles * mmu.K * mmu.N
+	aAll := panelScratch.Get(rowTiles * aStride)
+	bAll := panelScratch.Get((n + mmu.N - 1) / mmu.N * bStride)
+	defer panelScratch.Put(aAll)
+	defer panelScratch.Put(bAll)
+	a.PackAPanels(aAll, kTiles)
+	b.PackBPanels(bAll, kTiles)
 	par.ForTiles(rowTiles, func(lo, hi int) {
 		acc := mmaAccScratch.Get()
 		defer mmaAccScratch.Put(acc)

@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/lcg"
 	"repro/internal/mmu"
-	"repro/internal/packcache"
 	"repro/internal/par"
 	"repro/internal/sim"
 	"repro/internal/tensor"
@@ -125,27 +124,25 @@ func (w *Workload) Reference(c workload.Case) ([]float64, error) {
 	return y, nil
 }
 
-// gemvScratch pools the C accumulator plus the broadcast B panel, whose
-// length depends on the case's n extent.
+// gemvScratch pools the packed A operand, the C accumulator and the
+// broadcast B panel, whose lengths depend on the case's extents.
 var gemvScratch = par.NewSizedScratch()
 
 // computeMMA runs the TC algorithm on the panel engine: 8-row blocks of A,
 // x broadcast into B, a fused k-sweep per block, first column of C extracted
 // as y. The broadcast B panel depends only on x, so it is built once per call
 // and reused by every row block (the tile-at-a-time version rebuilt the same
-// 4×8 broadcast tile m/8 × n/4 times); the A operand is staged through the
-// packed-panel cache, so repeat runs (sweeps, TC/CC variant pairs) skip the
-// tall-skinny matrix re-pack entirely. Packed bytes and per-element FMA
-// order are unchanged — the same ascending-k chain — so results are
-// bit-identical (CUBIE_NO_PACKCACHE=1 / CUBIE_NO_PANEL=1 verify).
+// 4×8 broadcast tile m/8 × n/4 times); the whole A operand is packed once
+// per call into pooled scratch. Per element the FMA chain is the tile
+// loop's ascending-k chain, so results are bit-identical to it.
 func computeMMA(a *tensor.Matrix, x []float64) []float64 {
 	m, n := a.Rows, a.Cols
 	y := make([]float64, m)
 	kTiles := (n + mmu.K - 1) / mmu.K
-	aLease := packcache.PackedA("gemv:A", a, kTiles)
-	defer aLease.Release()
-	aAll := aLease.Data
 	aStride := kTiles * mmu.M * mmu.K
+	aAll := gemvScratch.Get((m + mmu.M - 1) / mmu.M * aStride)
+	defer gemvScratch.Put(aAll)
+	a.PackAPanels(aAll, kTiles)
 	buf := gemvScratch.Get(mmu.M*mmu.N + kTiles*mmu.K*mmu.N)
 	defer gemvScratch.Put(buf)
 	cT := buf[0 : mmu.M*mmu.N]

@@ -123,7 +123,7 @@ func constRow7() []float64 {
 // is already a two-tile B panel, so it feeds the sweep as-is; A is repacked
 // into the caller-provided two-tile panel buffer (len ≥ 64). The per-element
 // FMA chain keeps the ascending-k order of the old two-DMMATile sequence, so
-// results are bit-identical (CUBIE_NO_PANEL=1 verifies).
+// results are bit-identical to it.
 func mma8x8(c, a, b, aPanel []float64) {
 	mmu.PackA(aPanel, a, 8, 2)
 	mmu.DMMAPanel(c, aPanel, b, 2)

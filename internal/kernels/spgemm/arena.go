@@ -26,7 +26,6 @@
 package spgemm
 
 import (
-	"os"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -36,12 +35,7 @@ import (
 	"repro/internal/sparse"
 )
 
-// DenseEnv is the environment variable that forces the accumulator regime:
-// "1" uses the dense stamped directory for every block-row, "0" the hash
-// table for every block-row. Unset (or any other value) keeps the adaptive
-// fill-ratio switch. Outputs are bit-identical in all three modes — the
-// knob exists so the equivalence stays testable end to end, mirroring
-// CUBIE_NO_PANEL.
+// DenseEnv is retired: cubie ignores it; only bench/'s start guard names it.
 const DenseEnv = "CUBIE_SPGEMM_DENSE"
 
 // AccumMode selects the numeric-phase accumulator regime.
@@ -58,18 +52,9 @@ const (
 
 var accumMode atomic.Int32
 
-func init() {
-	switch os.Getenv(DenseEnv) {
-	case "1":
-		accumMode.Store(int32(AccumDense))
-	case "0":
-		accumMode.Store(int32(AccumHash))
-	}
-}
-
 // SetAccumMode sets the accumulator regime and returns the previous one.
-// Tests use it to pin the dense and hash paths bit-identical without
-// re-execing the process.
+// Production always runs AccumAdaptive; it is a test seam that pins the
+// dense and hash paths bit-identical.
 func SetAccumMode(m AccumMode) (prev AccumMode) {
 	return AccumMode(accumMode.Swap(int32(m)))
 }
@@ -241,21 +226,12 @@ func (a *blockAccum) flush(d *caseData, bi int, out []float64) {
 type numericScratch struct {
 	acc   blockAccum
 	queue []pendingProduct
-	// Staging for one DMMABatch call: batch consecutive A, B, C tiles,
-	// grow-once sized by ensurePanels for the active batch geometry (the
-	// batch was a compile-time constant before `cubie tune` made it a knob).
-	panels []float64
-}
-
-// ensurePanels grow-once sizes the staging panels for a batch of n MMAs.
-// Pooled scratches sized for an older, larger batch keep their capacity.
-func (ns *numericScratch) ensurePanels(n int) {
-	need := n * (mmu.M*mmu.K + mmu.K*mmu.N + mmu.M*mmu.N)
-	if cap(ns.panels) < need {
-		ns.panels = make([]float64, ceilPow2(need))
-		ns.acc.grows++
+	// Staging for one DMMABatch call: pairBatch consecutive A, B, C tiles.
+	panels struct {
+		a [pairBatch * mmu.M * mmu.K]float64
+		b [pairBatch * mmu.K * mmu.N]float64
+		c [pairBatch * mmu.M * mmu.N]float64
 	}
-	ns.panels = ns.panels[:cap(ns.panels)]
 }
 
 var numericPool sync.Pool

@@ -201,7 +201,7 @@ func TestBlockAccumEpochWrap(t *testing.T) {
 }
 
 // TestSetAccumMode checks the knob round-trips and reports the previous
-// mode, mirroring mmu.SetPanelEnabled.
+// mode.
 func TestSetAccumMode(t *testing.T) {
 	orig := CurrentAccumMode()
 	defer SetAccumMode(orig)

@@ -4,7 +4,8 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/prestage"
+	"repro/internal/mmu"
+	"repro/internal/par"
 	"repro/internal/sparse"
 )
 
@@ -51,18 +52,50 @@ func bitEqual(t *testing.T, label string, got, want []float64) {
 	}
 }
 
-// TestApplyDASPPrestageBitIdentical pins the tentpole contract: consuming
-// the prestaged APanels/BCols slabs is bitwise indistinguishable from the
-// CUBIE_NO_PRESTAGE per-call staging route, on a matrix covering all three
-// row categories.
+// applyDASPStaged is the oracle route for ApplyDASP: the per-call staging
+// loop the kernel ran before the prestaged slabs, packing both the A tiles
+// and the gathered B tiles from Segments on every apply.
+func applyDASPStaged(dasp *sparse.DASP, x, y []float64) {
+	par.ForTiles(len(dasp.Blocks), func(lo, hi int) {
+		cT := daspScratch.Get()
+		defer daspScratch.Put(cT)
+		maxSegs := dasp.MaxSegs
+		panels := daspPanelScratch.Get(maxSegs * (mmu.M*mmu.K + mmu.K*mmu.N))
+		defer daspPanelScratch.Put(panels)
+		aPanel := panels[0 : maxSegs*mmu.M*mmu.K]
+		bPanel := panels[maxSegs*mmu.M*mmu.K:]
+		for bi := lo; bi < hi; bi++ {
+			blk := &dasp.Blocks[bi]
+			for i := range cT {
+				cT[i] = 0
+			}
+			for si := range blk.Segments {
+				seg := &blk.Segments[si]
+				aT := aPanel[si*mmu.M*mmu.K:]
+				bT := bPanel[si*mmu.K*mmu.N:]
+				for l := 0; l < mmu.M; l++ {
+					for k := 0; k < mmu.K; k++ {
+						aT[l*mmu.K+k] = seg.Vals[l][k]
+						bT[k*mmu.N+l] = x[seg.Cols[l][k]]
+					}
+				}
+			}
+			mmu.DMMAPanel(cT, aPanel, bPanel, len(blk.Segments))
+			finishDASPBlock(blk, cT, y)
+		}
+	})
+}
+
+// TestApplyDASPPrestageBitIdentical pins ApplyDASP, which consumes the
+// prestaged APanels/BCols slabs, bitwise to the per-call staging oracle on
+// a matrix covering all three row categories.
 func TestApplyDASPPrestageBitIdentical(t *testing.T) {
 	m, x := mixedCSR(t)
 	dasp := sparse.ToDASP(m)
 	on := ApplyDASP(dasp, x)
-	prev := prestage.SetEnabled(false)
-	off := ApplyDASP(dasp, x)
-	prestage.SetEnabled(prev)
-	bitEqual(t, "prestage on vs off", on, off)
+	off := make([]float64, dasp.Rows)
+	applyDASPStaged(dasp, x, off)
+	bitEqual(t, "prestaged vs staged", on, off)
 
 	// Both must also be the true product, not merely mutually consistent.
 	for i := 0; i < m.Rows; i++ {
@@ -76,72 +109,18 @@ func TestApplyDASPPrestageBitIdentical(t *testing.T) {
 	}
 }
 
-// TestApplyDASPChunkSizesBitIdentical pins SetSegChunk as performance-only:
-// every chunk size runs the same per-element ascending-k FMA chain (the C
-// tile accumulates across chunks), so outputs match the unchunked sweep
-// bitwise.
-func TestApplyDASPChunkSizesBitIdentical(t *testing.T) {
-	m, x := mixedCSR(t)
-	dasp := sparse.ToDASP(m)
-	base := ApplyDASP(dasp, x)
-	for _, chunk := range []int{1, 2, 3, 5, 8, 64} {
-		prev := SetSegChunk(chunk)
-		got := ApplyDASP(dasp, x)
-		SetSegChunk(prev)
-		bitEqual(t, "chunked sweep", got, base)
-	}
-}
-
-// TestSetSegChunk checks the knob round-trips, reports the previous value,
-// and clamps negatives to 0.
-func TestSetSegChunk(t *testing.T) {
-	orig := SegChunk()
-	defer SetSegChunk(orig)
-	if prev := SetSegChunk(7); prev != orig {
-		t.Fatalf("SetSegChunk returned %d, want %d", prev, orig)
-	}
-	if SegChunk() != 7 {
-		t.Fatal("chunk not applied")
-	}
-	SetSegChunk(-3)
-	if SegChunk() != 0 {
-		t.Fatalf("negative chunk clamped to %d, want 0", SegChunk())
-	}
-}
-
 // applyAllocsBudget bounds a warm ApplyDASP call: the output vector plus
 // ForTiles bookkeeping; the staging scratch must come from the pools.
 const applyAllocsBudget = 64
 
 // TestApplyDASPWarmAllocs is the steady-state allocation contract of the
 // prestaged apply: once the pools are warm, no per-block staging allocation
-// remains in either mode.
+// remains.
 func TestApplyDASPWarmAllocs(t *testing.T) {
 	m, x := mixedCSR(t)
 	dasp := sparse.ToDASP(m)
-	for _, pre := range []bool{true, false} {
-		prev := prestage.SetEnabled(pre)
-		ApplyDASP(dasp, x) // warm the pools
-		n := testing.AllocsPerRun(5, func() { ApplyDASP(dasp, x) })
-		prestage.SetEnabled(prev)
-		if n > applyAllocsBudget {
-			t.Errorf("prestage=%v: %v allocs/run, want ≤ %d", pre, n, applyAllocsBudget)
-		}
-	}
-}
-
-// TestPrestageKnob checks prestage.SetEnabled round-trips and reports the
-// previous state, mirroring the CUBIE_NO_PANEL knob idiom.
-func TestPrestageKnob(t *testing.T) {
-	orig := prestage.Enabled()
-	defer prestage.SetEnabled(orig)
-	if was := prestage.SetEnabled(false); was != orig {
-		t.Fatalf("SetEnabled returned %v, want %v", was, orig)
-	}
-	if prestage.Enabled() {
-		t.Fatal("prestage still enabled")
-	}
-	if was := prestage.SetEnabled(true); was != false {
-		t.Fatal("SetEnabled did not report the disabled state")
+	ApplyDASP(dasp, x) // warm the pools
+	if n := testing.AllocsPerRun(5, func() { ApplyDASP(dasp, x) }); n > applyAllocsBudget {
+		t.Errorf("%v allocs/run, want ≤ %d", n, applyAllocsBudget)
 	}
 }

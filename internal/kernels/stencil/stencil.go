@@ -197,7 +197,7 @@ var sweepScratch = par.NewScratch(96 + 64 + 96)
 // A operand is packed once per sweep, and the haloed grid tiles pack
 // straight from u via PackAPanel/PackBPanel — no per-k-step segment copies.
 // The per-element FMA chains keep the ascending-k order of the old loops, so
-// results are bit-identical (CUBIE_NO_PANEL=1 verifies). Output tiles are
+// results are bit-identical to the tile loop. Output tiles are
 // disjoint, so the tile-row grid runs on the par worker pool.
 func sweepMMA(u *tensor.Matrix) *tensor.Matrix {
 	out := tensor.NewMatrix(u.Rows, u.Cols)

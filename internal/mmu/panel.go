@@ -22,72 +22,23 @@
 // Bit-identity is preserved by construction: the accumulation order for each
 // output element is the exact ascending-k FMA chain DMMATile performs, so the
 // paper's TC ≡ CC contract (Table 6) and the parallel==serial determinism
-// contract hold unchanged. TestDMMAPanelMatchesTileLoop and friends pin the
-// equivalence bitwise; CUBIE_NO_PANEL=1 (or SetPanelEnabled(false)) routes
-// every panel call through the tile-at-a-time loop for A/B verification.
+// contract hold unchanged. The panel functions are the only production
+// route; the tile-at-a-time loop survives as the oracle that
+// TestDMMAPanelMatchesTileLoop and friends pin them to bitwise, and the
+// hand-derived vectors in chain_test.go pin the chain order itself.
 package mmu
 
 import (
 	"math"
 	"math/bits"
-	"os"
-	"sync/atomic"
 	"unsafe"
 
 	"repro/internal/tensor"
 )
 
-// PanelDisableEnv is the environment variable that, when set to "1", disables
-// the fused panel fast paths: every panel call then executes as the
-// equivalent loop of tile-at-a-time MMAs. Results are bit-identical either
-// way; the switch exists so the equivalence stays testable end to end.
+// PanelDisableEnv is retired: cubie ignores it; only bench/'s start guard
+// names it.
 const PanelDisableEnv = "CUBIE_NO_PANEL"
-
-// panelDisabled gates the fused fast paths. Atomic so tests can flip it
-// while racing workers read it.
-var panelDisabled atomic.Bool
-
-func init() {
-	panelDisabled.Store(os.Getenv(PanelDisableEnv) == "1")
-}
-
-// SetPanelEnabled enables or disables the fused panel fast paths and reports
-// whether they were previously enabled. Tests use it to pin the panel and
-// tile-loop paths bit-identical without re-execing the process.
-func SetPanelEnabled(on bool) (was bool) {
-	return !panelDisabled.Swap(!on)
-}
-
-// PanelEnabled reports whether the fused panel fast paths are active.
-func PanelEnabled() bool { return !panelDisabled.Load() }
-
-// panelBlock is the register-blocking depth of the DMMAPanel k-sweep: how
-// many consecutive k-tiles each blocked micro-kernel pass fuses (1 = one
-// tile per pass, 2 = the pair kernel, 4 = the quad kernel). All depths run
-// the identical ascending-k FMA chain per output element, so the choice is
-// performance-only — `cubie tune` calibrates it per host.
-var panelBlock atomic.Int32
-
-func init() { panelBlock.Store(2) }
-
-// SetPanelBlock sets the DMMAPanel register-blocking depth and returns the
-// previous one. Values snap to the supported depths: ≤1 → 1, ≥4 → 4,
-// otherwise 2. Results are bit-identical at every depth (pinned by
-// TestDMMAPanelBlockDepths).
-func SetPanelBlock(depth int) (prev int) {
-	switch {
-	case depth <= 1:
-		depth = 1
-	case depth >= 4:
-		depth = 4
-	default:
-		depth = 2
-	}
-	return int(panelBlock.Swap(int32(depth)))
-}
-
-// PanelBlock reports the active DMMAPanel register-blocking depth.
-func PanelBlock() int { return int(panelBlock.Load()) }
 
 // dmmaTileInto executes one 8×8×4 MMA step on array pointers with the
 // accumulator resident: acc(8×8) += a(8×4)·b(4×8). Each output element's
@@ -172,44 +123,6 @@ func dmmaTileQuadInto(cE, cO *[M * N]float64,
 	}
 }
 
-// dmmaTileQuad1Into executes four consecutive k-tiles into ONE resident
-// accumulator: acc += a0·b0 + a1·b1 + a2·b2 + a3·b3, with each output
-// element's update the 16-FMA ascending-k chain of calling dmmaTileInto four
-// times — same operations, same order, so the deeper blocking is
-// bit-invisible while touching each accumulator row once per four tiles.
-// (dmmaTileQuadInto above is the double-buffered variant with two
-// accumulators; this one serves single-accumulator DMMAPanel sweeps at
-// blocking depth 4.)
-func dmmaTileQuad1Into(acc *[M * N]float64,
-	a *[4 * M * K]float64, b *[4 * K * N]float64) {
-	for i := 0; i < M; i++ {
-		p0, p1, p2, p3 := a[i*K], a[i*K+1], a[i*K+2], a[i*K+3]
-		q0, q1, q2, q3 := a[M*K+i*K], a[M*K+i*K+1], a[M*K+i*K+2], a[M*K+i*K+3]
-		f0, f1, f2, f3 := a[2*M*K+i*K], a[2*M*K+i*K+1], a[2*M*K+i*K+2], a[2*M*K+i*K+3]
-		g0, g1, g2, g3 := a[3*M*K+i*K], a[3*M*K+i*K+1], a[3*M*K+i*K+2], a[3*M*K+i*K+3]
-		for j := 0; j < N; j++ {
-			v := acc[i*N+j]
-			v = math.FMA(p0, b[j], v)
-			v = math.FMA(p1, b[N+j], v)
-			v = math.FMA(p2, b[2*N+j], v)
-			v = math.FMA(p3, b[3*N+j], v)
-			v = math.FMA(q0, b[K*N+j], v)
-			v = math.FMA(q1, b[K*N+N+j], v)
-			v = math.FMA(q2, b[K*N+2*N+j], v)
-			v = math.FMA(q3, b[K*N+3*N+j], v)
-			v = math.FMA(f0, b[2*K*N+j], v)
-			v = math.FMA(f1, b[2*K*N+N+j], v)
-			v = math.FMA(f2, b[2*K*N+2*N+j], v)
-			v = math.FMA(f3, b[2*K*N+3*N+j], v)
-			v = math.FMA(g0, b[3*K*N+j], v)
-			v = math.FMA(g1, b[3*K*N+N+j], v)
-			v = math.FMA(g2, b[3*K*N+2*N+j], v)
-			v = math.FMA(g3, b[3*K*N+3*N+j], v)
-			acc[i*N+j] = v
-		}
-	}
-}
-
 // checkPanels panics early (with a clearer message than the raw conversion)
 // when the operand panels cannot cover kTiles tiles.
 func checkPanels(aPanel, bPanel []float64, kTiles int) {
@@ -237,41 +150,23 @@ func DMMAPanel(c, aPanel, bPanel []float64, kTiles int) {
 	if kTiles == 0 {
 		return
 	}
-	if panelDisabled.Load() {
-		for kt := 0; kt < kTiles; kt++ {
-			DMMATile(c, aPanel[kt*M*K:(kt+1)*M*K], bPanel[kt*K*N:(kt+1)*K*N])
-		}
-		return
-	}
 	cc := (*[M * N]float64)(c)
 	if kTiles == 1 {
 		// Single-tile sweep: skip the local copy, run straight on c.
 		dmmaTileInto(cc, (*[M * K]float64)(aPanel), (*[K * N]float64)(bPanel))
 	} else {
-		// The blocking depth (SetPanelBlock) picks how many k-tiles each
-		// micro-kernel pass fuses; the remainder cascades through the
-		// shallower kernels. Per element the FMA chain is ascending-k at
-		// every depth, so the choice is bit-invisible.
-		depth := int(panelBlock.Load())
+		// Pairs of k-tiles per micro-kernel pass, an odd last tile on its
+		// own; per element the FMA chain stays ascending-k.
 		local := *cc
 		kt := 0
-		if depth >= 4 {
-			for ; kt+3 < kTiles; kt += 4 {
-				dmmaTileQuad1Into(&local,
-					(*[4 * M * K]float64)(aPanel[kt*M*K:]),
-					(*[4 * K * N]float64)(bPanel[kt*K*N:]))
-			}
+		for ; kt+1 < kTiles; kt += 2 {
+			dmmaTilePairInto(&local,
+				(*[M * K]float64)(aPanel[kt*M*K:]),
+				(*[M * K]float64)(aPanel[(kt+1)*M*K:]),
+				(*[K * N]float64)(bPanel[kt*K*N:]),
+				(*[K * N]float64)(bPanel[(kt+1)*K*N:]))
 		}
-		if depth >= 2 {
-			for ; kt+1 < kTiles; kt += 2 {
-				dmmaTilePairInto(&local,
-					(*[M * K]float64)(aPanel[kt*M*K:]),
-					(*[M * K]float64)(aPanel[(kt+1)*M*K:]),
-					(*[K * N]float64)(bPanel[kt*K*N:]),
-					(*[K * N]float64)(bPanel[(kt+1)*K*N:]))
-			}
-		}
-		for ; kt < kTiles; kt++ {
+		if kt < kTiles {
 			dmmaTileInto(&local,
 				(*[M * K]float64)(aPanel[kt*M*K:]),
 				(*[K * N]float64)(bPanel[kt*K*N:]))
@@ -295,16 +190,6 @@ func DMMAPanel(c, aPanel, bPanel []float64, kTiles int) {
 func DMMAPanelPair(cEven, cOdd, aPanel, bPanel []float64, kTiles int) {
 	checkPanels(aPanel, bPanel, kTiles)
 	if kTiles == 0 {
-		return
-	}
-	if panelDisabled.Load() {
-		for kt := 0; kt < kTiles; kt++ {
-			dst := cEven
-			if kt%2 == 1 {
-				dst = cOdd
-			}
-			DMMATile(dst, aPanel[kt*M*K:(kt+1)*M*K], bPanel[kt*K*N:(kt+1)*K*N])
-		}
 		return
 	}
 	ce := (*[M * N]float64)(cEven)
@@ -361,12 +246,6 @@ func DMMABatch(cPanel, aPanel, bPanel []float64, n int) {
 	if len(cPanel) < n*M*N {
 		panic("mmu: DMMABatch accumulator panel shorter than n tiles")
 	}
-	if panelDisabled.Load() {
-		for i := 0; i < n; i++ {
-			DMMATile(cPanel[i*M*N:(i+1)*M*N], aPanel[i*M*K:(i+1)*M*K], bPanel[i*K*N:(i+1)*K*N])
-		}
-		return
-	}
 	for i := 0; i < n; i++ {
 		dmmaTileInto(
 			(*[M * N]float64)(cPanel[i*M*N:]),
@@ -417,9 +296,6 @@ func BMMAPanel(rowHits *[BitM]int32, frags []BitFragA, colSegs []int32, frontier
 	if len(colSegs) < len(frags) {
 		panic("mmu: BMMAPanel colSegs shorter than frags")
 	}
-	if panelDisabled.Load() {
-		return bmmaPanelTileLoop(rowHits, frags, colSegs, frontier)
-	}
 	executed := 0
 	for i := range frags {
 		base := int(colSegs[i]) * BitWordsPerRow
@@ -442,39 +318,6 @@ func BMMAPanel(rowHits *[BitM]int32, frags []BitFragA, colSegs []int32, frontier
 	}
 	if executed > 0 {
 		metBMMAOps.AddAt(hintOf(unsafe.Pointer(rowHits)), uint64(executed))
-	}
-	return executed
-}
-
-// bmmaPanelTileLoop is the CUBIE_NO_PANEL reference path: the literal
-// broadcast-B BMMAAndPopc loop the kernels executed before the panel engine.
-func bmmaPanelTileLoop(rowHits *[BitM]int32, frags []BitFragA, colSegs []int32, frontier []uint64) int {
-	var b BitFragB
-	var c BitFragC
-	executed := 0
-	for i := range frags {
-		base := int(colSegs[i]) * BitWordsPerRow
-		var seg0, seg1 uint64
-		if base < len(frontier) {
-			seg0 = frontier[base]
-		}
-		if base+1 < len(frontier) {
-			seg1 = frontier[base+1]
-		}
-		if seg0 == 0 && seg1 == 0 {
-			continue
-		}
-		executed++
-		for col := 0; col < BitN; col++ {
-			b[col][0], b[col][1] = seg0, seg1
-		}
-		for j := range c {
-			c[j] = 0
-		}
-		BMMAAndPopc(&c, &frags[i], &b)
-		for r := 0; r < BitM; r++ {
-			rowHits[r] += c[r*BitN]
-		}
 	}
 	return executed
 }

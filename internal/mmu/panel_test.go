@@ -1,18 +1,11 @@
 package mmu
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/lcg"
 )
-
-// setPanel flips the panel fast paths for one test and restores the previous
-// state on cleanup.
-func setPanel(t *testing.T, on bool) {
-	t.Helper()
-	was := SetPanelEnabled(on)
-	t.Cleanup(func() { SetPanelEnabled(was) })
-}
 
 // randomPanels builds kTiles packed A and B tiles plus a random accumulator.
 func randomPanels(seed int64, kTiles int) (c, aPanel, bPanel []float64) {
@@ -27,10 +20,10 @@ func randomPanels(seed int64, kTiles int) (c, aPanel, bPanel []float64) {
 }
 
 // TestDMMAPanelMatchesTileLoop pins the fused k-sweep bit-identical to the
-// ascending loop of tile-at-a-time MMAs for every kTiles in 0..17 (covering
-// the empty sweep, the single-tile fast path, and long even/odd sweeps).
+// ascending loop of tile-at-a-time MMAs, the oracle route, for every kTiles
+// in 0..17 (covering the empty sweep, the single-tile fast path, and long
+// even/odd sweeps that end in a pair or in a lone tile).
 func TestDMMAPanelMatchesTileLoop(t *testing.T) {
-	setPanel(t, true)
 	for kTiles := 0; kTiles <= 17; kTiles++ {
 		c, aPanel, bPanel := randomPanels(int64(kTiles)+1, kTiles)
 		want := append([]float64(nil), c...)
@@ -40,31 +33,120 @@ func TestDMMAPanelMatchesTileLoop(t *testing.T) {
 		got := append([]float64(nil), c...)
 		DMMAPanel(got, aPanel, bPanel, kTiles)
 		for i := range want {
-			if got[i] != want[i] {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 				t.Fatalf("kTiles=%d: element %d differs: %v != %v", kTiles, i, got[i], want[i])
 			}
 		}
 	}
 }
 
-// TestDMMAPanelDisabledMatchesEnabled pins the CUBIE_NO_PANEL reference path
-// bit-identical to the fused fast path.
+// TestDMMAPanelBlockDepths pins each blocking depth of the fused
+// micro-kernels bit-identical to the tile loop for every kTiles in 0..17:
+// single tiles (dmmaTileInto), pairs with a lone-tile remainder
+// (dmmaTilePairInto, DMMAPanel's sweep) into one accumulator, and quads with
+// pair and lone-tile remainders (dmmaTileQuadInto, DMMAPanelPair's sweep)
+// into the even/odd accumulators. Every depth runs the same per-element
+// ascending-k FMA chain, so the blocking is invisible in the bits.
+func TestDMMAPanelBlockDepths(t *testing.T) {
+	aTile := func(a []float64, kt int) *[M * K]float64 { return (*[M * K]float64)(a[kt*M*K:]) }
+	bTile := func(b []float64, kt int) *[K * N]float64 { return (*[K * N]float64)(b[kt*K*N:]) }
+	same := func(depth string, kTiles int, got, want []float64) {
+		t.Helper()
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s kTiles=%d: element %d differs: %v != %v",
+					depth, kTiles, i, got[i], want[i])
+			}
+		}
+	}
+	for kTiles := 0; kTiles <= 17; kTiles++ {
+		c, aPanel, bPanel := randomPanels(int64(kTiles)+400, kTiles)
+
+		want := append([]float64(nil), c...)
+		wantE := append([]float64(nil), c...)
+		wantO := make([]float64, M*N)
+		for kt := 0; kt < kTiles; kt++ {
+			a, b := aPanel[kt*M*K:(kt+1)*M*K], bPanel[kt*K*N:(kt+1)*K*N]
+			DMMATile(want, a, b)
+			if kt%2 == 0 {
+				DMMATile(wantE, a, b)
+			} else {
+				DMMATile(wantO, a, b)
+			}
+		}
+
+		var single [M * N]float64
+		copy(single[:], c)
+		for kt := 0; kt < kTiles; kt++ {
+			dmmaTileInto(&single, aTile(aPanel, kt), bTile(bPanel, kt))
+		}
+		same("single", kTiles, single[:], want)
+
+		var pair [M * N]float64
+		copy(pair[:], c)
+		kt := 0
+		for ; kt+1 < kTiles; kt += 2 {
+			dmmaTilePairInto(&pair, aTile(aPanel, kt), aTile(aPanel, kt+1),
+				bTile(bPanel, kt), bTile(bPanel, kt+1))
+		}
+		if kt < kTiles {
+			dmmaTileInto(&pair, aTile(aPanel, kt), bTile(bPanel, kt))
+		}
+		same("pair", kTiles, pair[:], want)
+
+		var quadE, quadO [M * N]float64
+		copy(quadE[:], c)
+		kt = 0
+		for ; kt+3 < kTiles; kt += 4 {
+			dmmaTileQuadInto(&quadE, &quadO,
+				(*[4 * M * K]float64)(aPanel[kt*M*K:]), (*[4 * K * N]float64)(bPanel[kt*K*N:]))
+		}
+		for ; kt < kTiles; kt++ {
+			dst := &quadE
+			if kt%2 == 1 {
+				dst = &quadO
+			}
+			dmmaTileInto(dst, aTile(aPanel, kt), bTile(bPanel, kt))
+		}
+		same("quad even", kTiles, quadE[:], wantE)
+		same("quad odd", kTiles, quadO[:], wantO)
+	}
+}
+
+// TestDMMAPanelDisabledMatchesEnabled pins the retired CUBIE_NO_PANEL
+// variable as ignored: with it set, DMMAPanel still runs the fused sweep
+// (one panel counted per non-empty call, which the tile loop the variable
+// once selected never counted), accounts the same kTiles tile executions as
+// that loop, and matches it bitwise for every kTiles in 0..9.
 func TestDMMAPanelDisabledMatchesEnabled(t *testing.T) {
+	t.Setenv(PanelDisableEnv, "1")
 	for kTiles := 0; kTiles <= 9; kTiles++ {
 		c, aPanel, bPanel := randomPanels(int64(kTiles)+77, kTiles)
 
-		setPanel(t, true)
+		tiles0 := metDMMATiles.Value()
+		slow := append([]float64(nil), c...)
+		for kt := 0; kt < kTiles; kt++ {
+			DMMATile(slow, aPanel[kt*M*K:(kt+1)*M*K], bPanel[kt*K*N:(kt+1)*K*N])
+		}
+		tiles1, panels1 := metDMMATiles.Value(), metDMMAPanels.Value()
 		fast := append([]float64(nil), c...)
 		DMMAPanel(fast, aPanel, bPanel, kTiles)
-
-		setPanel(t, false)
-		slow := append([]float64(nil), c...)
-		DMMAPanel(slow, aPanel, bPanel, kTiles)
+		tiles2, panels2 := metDMMATiles.Value(), metDMMAPanels.Value()
 
 		for i := range fast {
-			if fast[i] != slow[i] {
+			if math.Float64bits(fast[i]) != math.Float64bits(slow[i]) {
 				t.Fatalf("kTiles=%d: element %d differs: %v != %v", kTiles, i, fast[i], slow[i])
 			}
+		}
+		if loop, panel := tiles1-tiles0, tiles2-tiles1; loop != uint64(kTiles) || panel != loop {
+			t.Fatalf("kTiles=%d: tile counts: tile loop %d, DMMAPanel %d", kTiles, loop, panel)
+		}
+		wantPanels := uint64(0)
+		if kTiles > 0 {
+			wantPanels = 1
+		}
+		if got := panels2 - panels1; got != wantPanels {
+			t.Fatalf("kTiles=%d: DMMAPanel counted %d fused panels, want %d", kTiles, got, wantPanels)
 		}
 	}
 }
@@ -73,7 +155,6 @@ func TestDMMAPanelDisabledMatchesEnabled(t *testing.T) {
 // explicit warp-register fragment path (DMMAWarp), the PTX-layout ground
 // truth of the MMA semantics.
 func TestDMMAPanelMatchesWarpFragments(t *testing.T) {
-	setPanel(t, true)
 	const kTiles = 5
 	c, aPanel, bPanel := randomPanels(31, kTiles)
 
@@ -101,7 +182,6 @@ func TestDMMAPanelMatchesWarpFragments(t *testing.T) {
 // TestDMMAPanelPairMatchesTileLoop pins the double-buffered sweep to the
 // alternating even/odd DMMATile loop of the cudaSample GEMM.
 func TestDMMAPanelPairMatchesTileLoop(t *testing.T) {
-	setPanel(t, true)
 	for kTiles := 0; kTiles <= 17; kTiles++ {
 		_, aPanel, bPanel := randomPanels(int64(kTiles)+1000, kTiles)
 		wantE := make([]float64, M*N)
@@ -127,7 +207,6 @@ func TestDMMAPanelPairMatchesTileLoop(t *testing.T) {
 // TestDMMABatchMatchesTileLoop pins the batched independent products to the
 // per-product DMMATile results.
 func TestDMMABatchMatchesTileLoop(t *testing.T) {
-	setPanel(t, true)
 	for _, n := range []int{0, 1, 2, 7, 16} {
 		g := lcg.New(int64(n) + 5)
 		cPanel := make([]float64, n*M*N)
@@ -198,7 +277,6 @@ func bmmaInputs(nBlocks int) (frags []BitFragA, colSegs []int32, frontier []uint
 // TestBMMAPanelMatchesAndPopc pins the word-batched pull sweep to the
 // broadcast-B BMMAAndPopc loop: same row hits, same executed count.
 func TestBMMAPanelMatchesAndPopc(t *testing.T) {
-	setPanel(t, true)
 	frags, colSegs, frontier := bmmaInputs(13)
 
 	var want [BitM]int32
@@ -238,16 +316,6 @@ func TestBMMAPanelMatchesAndPopc(t *testing.T) {
 	if got != want {
 		t.Fatalf("row hits %v != %v", got, want)
 	}
-
-	// The CUBIE_NO_PANEL reference path must agree too.
-	setPanel(t, false)
-	var slow [BitM]int32
-	if exec := BMMAPanel(&slow, frags, colSegs, frontier); exec != wantExec {
-		t.Fatalf("disabled path executed %d MMAs, want %d", exec, wantExec)
-	}
-	if slow != want {
-		t.Fatalf("disabled path row hits %v != %v", slow, want)
-	}
 }
 
 // TestDMMAPanelShortOperandsPanic pins the early panics on short panels.
@@ -266,7 +334,6 @@ func TestDMMAPanelShortOperandsPanic(t *testing.T) {
 // TestPanelFastPathsAllocFree pins the panel engine's hot paths to zero heap
 // allocations: the accumulator residency must come from locals, not escapes.
 func TestPanelFastPathsAllocFree(t *testing.T) {
-	setPanel(t, true)
 	const kTiles = 8
 	c, aPanel, bPanel := randomPanels(99, kTiles)
 	cOdd := make([]float64, M*N)

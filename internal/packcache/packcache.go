@@ -1,293 +1,8 @@
-// Package packcache is the packed-operand reuse layer of the panel engine:
-// a process-wide cache of fully packed A/B MMA operand panels keyed by
-// (dataset name, operand side, panel geometry) and validated by a content
-// hash of the source matrix. Sweep repetitions, TC/CC variant pairs, and the
-// Table-6 reference runs all regenerate bit-identical operands; without the
-// cache every one of those runs re-stages the same panels (and the GEMM
-// inner loop re-packed the same B column panel once per row tile). A hit
-// returns the previously packed slab after a read-only hash sweep — no
-// memmove traffic at all.
-//
-// Safety model:
-//
-//   - Invalidation is by content: every lookup re-hashes the source matrix
-//     (FNV-1a over the IEEE-754 bit patterns plus the shape), so a mutated
-//     dataset can never be served stale panels — the hash changes, the stale
-//     entry is dropped, and the operand is re-packed. The hash sweep reads
-//     each element once, strictly cheaper than the pack it replaces (which
-//     reads and writes every element, plus zero-fill edge handling).
-//   - Concurrent readers hold leases. An entry's slab is only recycled into
-//     the backing par.TypedScratch pool when its refcount reaches zero;
-//     eviction of a leased entry just detaches it and the last Release
-//     returns the slab. Readers therefore never observe a slab being
-//     repacked underneath them.
-//   - Capacity is bounded (SetByteCap, default 128 MiB) with
-//     least-recently-used eviction over unleased entries.
-//
-// CUBIE_NO_PACKCACHE=1 (or SetEnabled(false)) bypasses the cache: operands
-// are packed into pooled scratch per call, exactly the staging the kernels
-// did before. Packed bytes are identical either way — the cache stores what
-// tensor.PackAPanel/PackBPanel produce — so results are bit-identical in
-// both modes; the knob exists so the equivalence stays testable end to end
-// (and it is folded into the runcache fingerprint like CUBIE_NO_PANEL).
+// Package packcache held the process-wide packed-operand cache. GEMM and
+// GEMV now pack their operands per call into pooled scratch; only the name
+// of the retired bypass variable is left.
 package packcache
 
-import (
-	"math"
-	"os"
-	"sync"
-	"sync/atomic"
-
-	"repro/internal/metrics"
-	"repro/internal/mmu"
-	"repro/internal/par"
-	"repro/internal/tensor"
-)
-
-// DisableEnv is the environment variable that, when set to "1", bypasses the
-// packed-panel cache: every lookup packs into pooled scratch instead.
+// DisableEnv is retired: cubie ignores it; only bench/'s start guard names
+// it.
 const DisableEnv = "CUBIE_NO_PACKCACHE"
-
-var disabled atomic.Bool
-
-func init() {
-	disabled.Store(os.Getenv(DisableEnv) == "1")
-}
-
-// SetEnabled enables or disables the cache and reports whether it was
-// previously enabled. Tests use it to pin the cached and per-call staging
-// paths bit-identical without re-execing the process.
-func SetEnabled(on bool) (was bool) {
-	return !disabled.Swap(!on)
-}
-
-// Enabled reports whether the packed-panel cache is active.
-func Enabled() bool { return !disabled.Load() }
-
-var (
-	metHits = metrics.NewCounter("cubie_packcache_hits_total",
-		"Packed-panel lookups served from the cache (hash-validated).")
-	metMisses = metrics.NewCounter("cubie_packcache_misses_total",
-		"Packed-panel lookups that had to pack (cold, stale, or resized).")
-	metEvictions = metrics.NewCounter("cubie_packcache_evictions_total",
-		"Packed-panel entries evicted to stay under the byte cap.")
-	metBytes = metrics.NewGauge("cubie_packcache_bytes",
-		"Bytes of packed operand panels currently cached.")
-)
-
-// key identifies one packed operand: which dataset, which side of the
-// product, and the panel geometry it was packed for. Same name with a
-// different shape or k-extent is a different entry, so kernels can use fixed
-// name strings without formatting per-case keys.
-type key struct {
-	name       string
-	side       byte // 'A' or 'B'
-	rows, cols int
-	kTiles     int
-}
-
-type entry struct {
-	key     key
-	hash    uint64
-	data    []float64
-	refs    int
-	lastUse uint64
-	live    bool // still indexed; false once dropped/evicted while leased
-}
-
-var (
-	mu          sync.Mutex
-	entries     = map[key]*entry{}
-	totalFloats int
-	useClock    uint64
-	byteCap     = 128 << 20
-)
-
-// slabScratch pools the panel slabs for both cached entries and the
-// cache-disabled per-call staging path.
-var slabScratch = par.NewSizedScratch()
-
-// SetByteCap sets the cache capacity in bytes and returns the previous cap,
-// evicting immediately if the cache is over the new cap. Tests use small
-// caps to exercise eviction.
-func SetByteCap(n int) (old int) {
-	mu.Lock()
-	defer mu.Unlock()
-	old = byteCap
-	byteCap = n
-	evictLocked()
-	metBytes.Set(float64(totalFloats * 8))
-	return old
-}
-
-// Flush drops every unleased entry (leased ones are detached and recycled on
-// their final Release). Tests use it to reset the cache between modes.
-func Flush() {
-	mu.Lock()
-	defer mu.Unlock()
-	for _, e := range entries {
-		removeLocked(e)
-	}
-	metBytes.Set(float64(totalFloats * 8))
-}
-
-// HashOffset is the FNV-1a offset basis; PackedSlab callers seed their
-// content hash with it and fold every source word through HashMix, so all
-// cache entries share one invalidation-hash family.
-const HashOffset uint64 = 14695981039346656037
-
-// HashMix folds one 64-bit word into an FNV-1a hash (IEEE-754 bit patterns
-// for floats, widened integers for coordinates).
-func HashMix(h, word uint64) uint64 { return (h ^ word) * 1099511628211 }
-
-// hashMatrix is FNV-1a over the shape and the IEEE-754 bit patterns of the
-// elements: any single-bit change to the data (or a reshape) changes the
-// hash, which is what makes serving a cached slab invalidation-safe.
-func hashMatrix(m *tensor.Matrix) uint64 {
-	h := HashOffset
-	h = HashMix(h, uint64(m.Rows))
-	h = HashMix(h, uint64(m.Cols))
-	for _, v := range m.Data {
-		h = HashMix(h, math.Float64bits(v))
-	}
-	return h
-}
-
-// Lease is a checked-out packed operand. Data holds the packed panels;
-// Release returns the reference (callers must not touch Data afterwards).
-// The zero Lease is inert.
-type Lease struct {
-	// Data is the packed panel slab. For an A-side lease it is rowTiles
-	// consecutive packed row-panels of kTiles·32 floats each; for a B-side
-	// lease, colTiles consecutive packed column-panels of kTiles·32 floats.
-	Data []float64
-
-	e      *entry
-	pooled bool
-}
-
-// Release returns the lease. Cached slabs drop their refcount (recycling the
-// slab if the entry was evicted while leased); bypass-mode slabs go straight
-// back to the scratch pool.
-func (l *Lease) Release() {
-	if l.e != nil {
-		mu.Lock()
-		l.e.refs--
-		if l.e.refs == 0 && !l.e.live {
-			slabScratch.Put(l.e.data)
-		}
-		mu.Unlock()
-	} else if l.pooled && l.Data != nil {
-		slabScratch.Put(l.Data)
-	}
-	l.e, l.Data, l.pooled = nil, nil, false
-}
-
-// PackedA returns the whole A operand of m packed for a k-sweep of kTiles:
-// ceil(Rows/8) row-panels back to back, row tile ti at offset
-// ti·kTiles·32. Partial edge tiles are zero-filled exactly as
-// tensor.PackAPanel pads them.
-func PackedA(name string, m *tensor.Matrix, kTiles int) Lease {
-	rowTiles := (m.Rows + mmu.M - 1) / mmu.M
-	size := rowTiles * kTiles * mmu.M * mmu.K
-	return packed(key{name, 'A', m.Rows, m.Cols, kTiles}, hashMatrix(m), size, func(dst []float64) {
-		stride := kTiles * mmu.M * mmu.K
-		for ti := 0; ti < rowTiles; ti++ {
-			m.PackAPanel(dst[ti*stride:(ti+1)*stride], ti*mmu.M, 0, kTiles)
-		}
-	})
-}
-
-// PackedB returns the whole B operand of m packed for a k-sweep of kTiles:
-// ceil(Cols/8) column-panels back to back, column tile tj at offset
-// tj·kTiles·32, zero-filled at the edges like tensor.PackBPanel.
-func PackedB(name string, m *tensor.Matrix, kTiles int) Lease {
-	colTiles := (m.Cols + mmu.N - 1) / mmu.N
-	size := colTiles * kTiles * mmu.K * mmu.N
-	return packed(key{name, 'B', m.Rows, m.Cols, kTiles}, hashMatrix(m), size, func(dst []float64) {
-		stride := kTiles * mmu.K * mmu.N
-		for tj := 0; tj < colTiles; tj++ {
-			m.PackBPanel(dst[tj*stride:(tj+1)*stride], 0, tj*mmu.N, kTiles)
-		}
-	})
-}
-
-// PackedSlab is the generalized cache entry point for operands that are not
-// tensor.Matrix values — the SpGEMM prestaged pair slabs pack straight from
-// mBSR blocks. The caller supplies the content hash of whatever source the
-// pack function reads (recomputed on every lookup, same invalidation-safety
-// contract as PackedA/PackedB: a mutated source changes the hash and the
-// stale slab is dropped) plus the slab size in floats; side distinguishes
-// multiple slab kinds under one dataset name, and shape/kTiles key the
-// geometry. With the cache disabled the slab is packed into pooled scratch
-// per call.
-func PackedSlab(name string, side byte, rows, cols, kTiles int, hash uint64, size int, pack func([]float64)) Lease {
-	return packed(key{name, side, rows, cols, kTiles}, hash, size, pack)
-}
-
-func packed(k key, h uint64, size int, pack func([]float64)) Lease {
-	if !Enabled() {
-		buf := slabScratch.Get(size)
-		pack(buf)
-		return Lease{Data: buf, pooled: true}
-	}
-	mu.Lock()
-	useClock++
-	if e, ok := entries[k]; ok {
-		if e.hash == h && len(e.data) == size {
-			e.refs++
-			e.lastUse = useClock
-			mu.Unlock()
-			metHits.Inc()
-			return Lease{Data: e.data, e: e}
-		}
-		// Same key, different content: the dataset behind this name mutated.
-		// Drop the stale entry before repacking.
-		removeLocked(e)
-	}
-	buf := slabScratch.Get(size)
-	pack(buf)
-	e := &entry{key: k, hash: h, data: buf, refs: 1, lastUse: useClock, live: true}
-	entries[k] = e
-	totalFloats += size
-	evictLocked()
-	metBytes.Set(float64(totalFloats * 8))
-	mu.Unlock()
-	metMisses.Inc()
-	return Lease{Data: buf, e: e}
-}
-
-// removeLocked drops e from the index. The slab is recycled now if unleased,
-// otherwise on the final Release.
-func removeLocked(e *entry) {
-	if !e.live {
-		return
-	}
-	delete(entries, e.key)
-	e.live = false
-	totalFloats -= len(e.data)
-	if e.refs == 0 {
-		slabScratch.Put(e.data)
-	}
-}
-
-// evictLocked enforces the byte cap by dropping least-recently-used unleased
-// entries. Leased entries are skipped — never recycle a slab a reader holds.
-func evictLocked() {
-	for totalFloats*8 > byteCap {
-		var victim *entry
-		for _, e := range entries {
-			if e.refs > 0 {
-				continue
-			}
-			if victim == nil || e.lastUse < victim.lastUse {
-				victim = e
-			}
-		}
-		if victim == nil {
-			return
-		}
-		removeLocked(victim)
-		metEvictions.Inc()
-	}
-}

@@ -1,53 +1,19 @@
-// Package prestage is the process-wide switch for the prestaged sparse
-// operand slabs: the prepacked DASP A panels + flat B-gather indices that
-// sparse.ToDASP emits at layout-build time, and the paired-product operand
-// slabs SpGEMM stages once per dataset through internal/packcache. With the
-// slabs active the sparse hot loops stop re-packing their static operands
-// on every call — SpMV only gathers the B side from x, SpGEMM runs
-// DMMABatch straight off the slab.
-//
-// CUBIE_NO_PRESTAGE=1 (or SetEnabled(false)) bypasses the slabs: the
-// kernels fall back to the exact per-call staging loops they ran before.
-// The slab bytes are identical to what the per-call staging produced, so
-// results are bit-identical in both modes; the knob exists so the
-// equivalence stays testable end to end, and it is folded into the
-// runcache fingerprint like CUBIE_NO_PANEL and CUBIE_NO_PACKCACHE.
+// Package prestage counts the prestaged sparse operand slabs: the prepacked
+// DASP A panels and flat B-gather indices that DASP.Prestage builds once
+// per layout, so the SpMV hot loop only gathers the B side from x.
 package prestage
 
-import (
-	"os"
-	"sync/atomic"
+import "repro/internal/metrics"
 
-	"repro/internal/metrics"
-)
-
-// DisableEnv is the environment variable that, when set to "1", bypasses
-// the prestaged operand slabs: kernels stage per call instead.
+// DisableEnv is retired: cubie ignores it; only bench/'s start guard names
+// it.
 const DisableEnv = "CUBIE_NO_PRESTAGE"
 
-var disabled atomic.Bool
-
-func init() {
-	disabled.Store(os.Getenv(DisableEnv) == "1")
-}
-
-// SetEnabled enables or disables the prestaged slabs and reports whether
-// they were previously enabled. Tests use it to pin the prestaged and
-// per-call staging paths bit-identical without re-execing the process.
-func SetEnabled(on bool) (was bool) {
-	return !disabled.Swap(!on)
-}
-
-// Enabled reports whether the prestaged operand slabs are consumed.
-func Enabled() bool { return !disabled.Load() }
-
-// Slab metrics (documented in docs/OBSERVABILITY.md). Builders count every
-// slab they emit — the DASP layout builder counts unconditionally (the
-// slab is part of the layout), the SpGEMM pair-slab builder counts once
-// per pack (cache hits in packcache do not rebuild).
+// Slab metrics (documented in docs/OBSERVABILITY.md): the DASP layout
+// counts every slab it builds.
 var (
 	metSlabs = metrics.NewCounter("cubie_prestage_slabs_total",
-		"Prestaged sparse operand slabs built (DASP A-panel/B-index slabs and SpGEMM pair slabs).")
+		"Prestaged sparse operand slabs built (DASP A-panel/B-index slabs).")
 	metBytes = metrics.NewCounter("cubie_prestage_bytes_total",
 		"Total bytes of prestaged sparse operand slabs built.")
 )

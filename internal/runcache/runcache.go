@@ -11,14 +11,12 @@
 // # Fingerprint
 //
 // An entry is only served back to a process whose fingerprint matches the
-// writer's. The fingerprint hashes (1) the executable image — Go builds
-// are reproducible, so the binary's bytes are a content address for the
-// code — and (2) the behavior-changing CUBIE_* knobs (the knobs slice:
-// CUBIE_NO_PANEL, CUBIE_NO_PACKCACHE, CUBIE_NO_PRESTAGE and
-// CUBIE_SPGEMM_DENSE; CUBIE_WORKERS is excluded because results are
-// bit-identical for every worker count). Recompiling changed code or
-// toggling a knob therefore misses cleanly and re-runs. When the
-// executable cannot be read, runtime/debug build info stands in.
+// writer's. The fingerprint hashes the executable image — Go builds are
+// reproducible, so the binary's bytes are a content address for the code.
+// No environment variable takes part: every kernel has one route, and
+// results are bit-identical for every CUBIE_WORKERS count. Recompiling
+// changed code therefore misses cleanly and re-runs. When the executable
+// cannot be read, runtime/debug build info stands in.
 //
 // # Remote tier
 //
@@ -75,7 +73,6 @@ import (
 	"path/filepath"
 	"regexp"
 	"runtime/debug"
-	"sort"
 	"strings"
 	"sync"
 
@@ -197,22 +194,13 @@ func (c *Cache) Dir() string {
 	return c.dir
 }
 
-// knobs are the behavior-changing environment variables folded into the
-// fingerprint. CUBIE_WORKERS and CUBIE_CACHE itself are deliberately
-// absent: neither changes any computed result. CUBIE_SPGEMM_DENSE,
-// CUBIE_NO_PACKCACHE, and CUBIE_NO_PRESTAGE are included on the same
-// conservative policy as CUBIE_NO_PANEL — all routes are proven
-// bit-identical, but execution-path knobs miss cleanly rather than trusting
-// the proof.
-var knobs = []string{"CUBIE_NO_PANEL", "CUBIE_NO_PACKCACHE", "CUBIE_NO_PRESTAGE", "CUBIE_SPGEMM_DENSE"}
-
 var (
 	fpOnce sync.Once
 	fpVal  string
 )
 
 // Fingerprint returns the process fingerprint: a hex SHA-256 over the
-// executable image and the behavior-changing CUBIE_* knobs, computed once.
+// executable image, computed once.
 func Fingerprint() string {
 	fpOnce.Do(func() { fpVal = computeFingerprint() })
 	return fpVal
@@ -233,11 +221,6 @@ func computeFingerprint() string {
 		}
 	} else {
 		writeBuildInfo(h)
-	}
-	names := append([]string(nil), knobs...)
-	sort.Strings(names)
-	for _, k := range names {
-		fmt.Fprintf(h, "|%s=%s", k, os.Getenv(k))
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }

@@ -81,7 +81,7 @@ type DASP struct {
 	// APanels is the prestaged static A operand: every block's segments as
 	// consecutive row-major 8×4 MMA tiles, exactly the bytes the per-call
 	// staging packed from Segments[si].Vals — built once by Prestage (lazily,
-	// on the first prestaged apply) so the SpMV hot loop only gathers the B
+	// on the first apply) so the SpMV hot loop only gathers the B
 	// side, while layout-only consumers (padding ablations, utilization
 	// metrics) never pay for the slabs.
 	APanels []float64
@@ -193,8 +193,8 @@ func ToDASP(m *CSR) *DASP {
 }
 
 // Prestage materializes the prestaged operand slabs (SegOff, APanels,
-// BCols), once; subsequent calls are free. ApplyDASP invokes it on the
-// prestaged route, so layout-only consumers never allocate the slabs.
+// BCols), once; subsequent calls are free. ApplyDASP invokes it, so
+// layout-only consumers never allocate the slabs.
 // Safe for concurrent use.
 func (d *DASP) Prestage() { d.slabOnce.Do(d.buildSlabs) }
 
@@ -202,8 +202,8 @@ func (d *DASP) Prestage() { d.slabOnce.Do(d.buildSlabs) }
 // the segment offset table, the prepacked A tiles, and the flat B-layout
 // gather indices. The A bytes are exactly what the per-call staging loop
 // packed (aT[l·4+k] = Vals[l][k] is the row-major flatten of the segment),
-// so consuming the slab is bit-invisible; CUBIE_NO_PRESTAGE falls back to
-// packing from Segments and must match bitwise.
+// so consuming the slab is bit-invisible; the spmv tests keep that staging
+// as the oracle the prestaged apply must match bitwise.
 func (d *DASP) buildSlabs() {
 	d.SegOff = make([]int32, len(d.Blocks)+1)
 	total := 0

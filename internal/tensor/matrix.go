@@ -243,6 +243,26 @@ func (m *Matrix) PackBPanel(dst []float64, r0, c0, kTiles int) {
 	}
 }
 
+// PackAPanels packs the whole matrix as the A operand of a k-sweep of
+// kTiles: ceil(Rows/8) row-panels back to back, row tile ti at offset
+// ti·kTiles·32, each packed (and edge-padded) by PackAPanel.
+func (m *Matrix) PackAPanels(dst []float64, kTiles int) {
+	stride := kTiles * panelM * panelK
+	for ti := 0; ti*panelM < m.Rows; ti++ {
+		m.PackAPanel(dst[ti*stride:(ti+1)*stride], ti*panelM, 0, kTiles)
+	}
+}
+
+// PackBPanels packs the whole matrix as the B operand of a k-sweep of
+// kTiles: ceil(Cols/8) column-panels back to back, column tile tj at offset
+// tj·kTiles·32, each packed (and edge-padded) by PackBPanel.
+func (m *Matrix) PackBPanels(dst []float64, kTiles int) {
+	stride := kTiles * panelK * panelN
+	for tj := 0; tj*panelN < m.Cols; tj++ {
+		m.PackBPanel(dst[tj*stride:(tj+1)*stride], 0, tj*panelN, kTiles)
+	}
+}
+
 // Vector is a dense FP64 vector.
 type Vector struct {
 	Data []float64

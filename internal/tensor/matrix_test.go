@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -260,6 +261,47 @@ func TestPackBPanelMatchesTile(t *testing.T) {
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("origin (%d,%d): element %d: %v != %v", r0, c0, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// TestPackPanelsMatchesStaging pins the whole-operand packers to one
+// PackAPanel / PackBPanel call per row or column tile, for interior and
+// ragged-edge shapes, into dirty destination buffers.
+func TestPackPanelsMatchesStaging(t *testing.T) {
+	for _, sh := range []struct{ rows, cols int }{{64, 64}, {61, 53}, {8, 4}, {5, 3}, {16, 128}} {
+		m := NewMatrix(sh.rows, sh.cols)
+		for i := range m.Data {
+			m.Data[i] = float64(i%29) - 14.5
+		}
+		kTiles := (sh.cols + panelK - 1) / panelK
+		aStride, bStride := kTiles*panelM*panelK, kTiles*panelK*panelN
+		rowTiles := (sh.rows + panelM - 1) / panelM
+		colTiles := (sh.cols + panelN - 1) / panelN
+
+		wantA := make([]float64, rowTiles*aStride)
+		for ti := 0; ti < rowTiles; ti++ {
+			m.PackAPanel(wantA[ti*aStride:], ti*panelM, 0, kTiles)
+		}
+		wantB := make([]float64, colTiles*bStride)
+		for tj := 0; tj < colTiles; tj++ {
+			m.PackBPanel(wantB[tj*bStride:], 0, tj*panelN, kTiles)
+		}
+		for _, c := range []struct {
+			name string
+			pack func([]float64, int)
+			want []float64
+		}{{"A", m.PackAPanels, wantA}, {"B", m.PackBPanels, wantB}} {
+			got := make([]float64, len(c.want))
+			for i := range got {
+				got[i] = 99 // the packer must overwrite every element
+			}
+			c.pack(got, kTiles)
+			for i := range got {
+				if math.Float64bits(got[i]) != math.Float64bits(c.want[i]) {
+					t.Fatalf("%dx%d %s: [%d] = %v, want %v", sh.rows, sh.cols, c.name, i, got[i], c.want[i])
+				}
 			}
 		}
 	}

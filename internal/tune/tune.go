@@ -1,308 +1,8 @@
-// Package tune is the profile-guided panel-geometry layer: a small
-// calibration harness (`cubie tune`) that sweeps the performance-only
-// geometry knobs of the kernel stack — the SpGEMM paired-product batch size,
-// the DASP SpMV segment-chunk size, and the DMMA panel blocking depth — on
-// the current host, and a loader that installs the persisted winners at
-// startup.
-//
-// Every knob the package touches is proven bit-invisible: chunking and
-// batching only re-partition loops whose per-element FMA chains are already
-// fixed in ascending-k order, and the blocking depth selects between
-// identical-sequence kernel bodies. The determinism suite pins all of them,
-// so a tuned host computes exactly what an untuned one does — only faster.
-//
-// Persistence is one JSON file per host fingerprint under the user cache
-// directory (next to the runcache). CUBIE_TUNED=off (or 0) skips loading,
-// CUBIE_TUNED=<path> overrides the file location, unset uses the default
-// path; a missing file silently keeps the built-in defaults, so fresh
-// checkouts behave exactly as before tuning existed.
+// Package tune held the per-host panel-geometry calibration behind
+// `cubie tune`. The kernels now run one fixed geometry; only the name of
+// the retired variable is left.
 package tune
 
-import (
-	"encoding/json"
-	"errors"
-	"fmt"
-	"io/fs"
-	"os"
-	"path/filepath"
-	"runtime"
-	"time"
-
-	"repro/internal/kernels/spgemm"
-	"repro/internal/kernels/spmv"
-	"repro/internal/metrics"
-	"repro/internal/mmu"
-)
-
-// EnvVar selects the tuned-geometry source: "off" or "0" disables loading, a
-// path overrides the per-host default file, empty uses the default.
+// EnvVar is retired: cubie ignores it; only bench/'s subprocess environment
+// names it.
 const EnvVar = "CUBIE_TUNED"
-
-var (
-	metLoaded = metrics.NewGauge("cubie_tune_loaded",
-		"1 when a persisted tuned geometry was loaded and applied at startup, else 0.")
-	metSweeps = metrics.NewCounter("cubie_tune_sweeps_total",
-		"Candidate geometry configurations timed by tune calibration runs.")
-)
-
-// Geometry is one complete panel-geometry configuration. The zero value is
-// not meaningful — use Default for the built-in configuration.
-type Geometry struct {
-	// SpGEMMBatch is the paired-product MMA count per DMMABatch call
-	// (spgemm.SetBatch).
-	SpGEMMBatch int `json:"spgemm_batch"`
-	// DASPChunk caps segments per DMMAPanel call in the SpMV sweep; 0 runs
-	// each block un-chunked (spmv.SetSegChunk).
-	DASPChunk int `json:"dasp_chunk"`
-	// DMMABlock is the panel k-loop blocking depth: 1, 2, or 4 tiles per
-	// unrolled step (mmu.SetPanelBlock).
-	DMMABlock int `json:"dmma_block"`
-}
-
-// Default returns the built-in geometry — the constants the kernels shipped
-// with before tuning existed.
-func Default() Geometry {
-	return Geometry{SpGEMMBatch: 16, DASPChunk: 0, DMMABlock: 2}
-}
-
-// normalized clamps g to the ranges the setters accept, replacing
-// nonsensical persisted values (hand-edited files, older schemas) with the
-// defaults rather than propagating them.
-func (g Geometry) normalized() Geometry {
-	d := Default()
-	if g.SpGEMMBatch < 1 {
-		g.SpGEMMBatch = d.SpGEMMBatch
-	}
-	if g.DASPChunk < 0 {
-		g.DASPChunk = d.DASPChunk
-	}
-	switch g.DMMABlock {
-	case 1, 2, 4:
-	default:
-		g.DMMABlock = d.DMMABlock
-	}
-	return g
-}
-
-// Apply installs g into the kernel knobs and returns the configuration that
-// was active before, so callers (tests, the calibration sweeps) can restore.
-func Apply(g Geometry) (prev Geometry) {
-	g = g.normalized()
-	prev.SpGEMMBatch = spgemm.SetBatch(g.SpGEMMBatch)
-	prev.DASPChunk = spmv.SetSegChunk(g.DASPChunk)
-	prev.DMMABlock = mmu.SetPanelBlock(g.DMMABlock)
-	return prev
-}
-
-// Current reads the active geometry from the kernel knobs.
-func Current() Geometry {
-	return Geometry{
-		SpGEMMBatch: spgemm.Batch(),
-		DASPChunk:   spmv.SegChunk(),
-		DMMABlock:   mmu.PanelBlock(),
-	}
-}
-
-// HostFingerprint identifies the machine class a calibration is valid for:
-// platform and logical CPU count. Geometry winners are cache-shape choices,
-// so a different core count (or architecture) gets its own file.
-func HostFingerprint() string {
-	return fmt.Sprintf("%s-%s-c%d", runtime.GOOS, runtime.GOARCH, runtime.NumCPU())
-}
-
-// DefaultPath is the per-host persisted geometry location, a sibling of the
-// runcache directory: <UserCacheDir>/cubie/tuned-<fingerprint>.json.
-func DefaultPath() (string, error) {
-	base, err := os.UserCacheDir()
-	if err != nil {
-		return "", fmt.Errorf("tune: no user cache dir: %w", err)
-	}
-	return filepath.Join(base, "cubie", "tuned-"+HostFingerprint()+".json"), nil
-}
-
-// envPath resolves EnvVar to a file path, or "" when loading is disabled.
-func envPath() (string, error) {
-	switch v := os.Getenv(EnvVar); v {
-	case "off", "0":
-		return "", nil
-	case "":
-		return DefaultPath()
-	default:
-		return v, nil
-	}
-}
-
-// Load reads the persisted geometry for this host, honoring EnvVar. It
-// returns (Default(), false, nil) when loading is disabled or no file exists
-// — absence is the normal cold state, not an error.
-func Load() (Geometry, bool, error) {
-	path, err := envPath()
-	if err != nil || path == "" {
-		return Default(), false, err
-	}
-	return LoadFile(path)
-}
-
-// LoadFile reads one geometry file. A missing file returns the defaults with
-// ok=false; a malformed file is an error (a corrupt calibration should be
-// seen, not silently discarded).
-func LoadFile(path string) (Geometry, bool, error) {
-	raw, err := os.ReadFile(path)
-	if errors.Is(err, fs.ErrNotExist) {
-		return Default(), false, nil
-	}
-	if err != nil {
-		return Default(), false, fmt.Errorf("tune: %w", err)
-	}
-	var g Geometry
-	if err := json.Unmarshal(raw, &g); err != nil {
-		return Default(), false, fmt.Errorf("tune: parse %s: %w", path, err)
-	}
-	return g.normalized(), true, nil
-}
-
-// LoadAndApply is the startup hook: loads the persisted geometry (if any)
-// and installs it, reporting what is active. The cubie_tune_loaded gauge
-// records whether a tuned file was found.
-func LoadAndApply() (Geometry, bool, error) {
-	g, ok, err := Load()
-	if err != nil {
-		return Default(), false, err
-	}
-	if ok {
-		Apply(g)
-		metLoaded.Set(1)
-	} else {
-		metLoaded.Set(0)
-	}
-	return g, ok, nil
-}
-
-// Save persists g to path (creating parent directories), pretty-printed so
-// the file is hand-auditable.
-func Save(g Geometry, path string) error {
-	raw, err := json.MarshalIndent(g.normalized(), "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return fmt.Errorf("tune: %w", err)
-	}
-	raw = append(raw, '\n')
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		return fmt.Errorf("tune: %w", err)
-	}
-	return nil
-}
-
-// Sweep is one timed candidate from a calibration run.
-type Sweep struct {
-	Knob      string        // "spgemm_batch", "dasp_chunk", or "dmma_block"
-	Candidate int           // the value timed
-	Best      time.Duration // best-of-rounds wall time
-	Won       bool          // selected into the calibrated geometry
-}
-
-// Candidate sets swept by Calibrate. Exported so the CLI can print what a
-// calibration covers.
-var (
-	SpGEMMBatchCandidates = []int{4, 8, 16, 32, 64}
-	DASPChunkCandidates   = []int{0, 4, 8, 16, 32}
-	DMMABlockCandidates   = []int{1, 2, 4}
-)
-
-// calibrationRounds is the best-of repetition count per candidate: wall-time
-// minima are stable under scheduler noise where means are not.
-const calibrationRounds = 3
-
-// Calibrate times every candidate of every knob on this host and returns the
-// winning geometry plus the full sweep record. Each knob is swept
-// independently with the others held at their pre-call values, and all knobs
-// are restored before returning — installing the winners is the caller's
-// (or Apply's) decision. The timed unit is one real kernel pass over the
-// workload's representative dataset (SpMV apply, SpGEMM numeric phase), and
-// a synthetic deep-k panel for the blocking depth.
-func Calibrate() (Geometry, []Sweep, error) {
-	saved := Current()
-	defer Apply(saved)
-
-	g := Default()
-	var sweeps []Sweep
-
-	spmvRun, err := spmv.New().CalibrationRunner(spmv.New().Representative().Dataset)
-	if err != nil {
-		return g, nil, fmt.Errorf("tune: spmv calibration: %w", err)
-	}
-	best, sw := sweepKnob("dasp_chunk", DASPChunkCandidates, spmv.SetSegChunk, spmvRun)
-	g.DASPChunk = best
-	sweeps = append(sweeps, sw...)
-
-	spgemmRun, err := spgemm.New().CalibrationRunner(spgemm.New().Representative().Dataset)
-	if err != nil {
-		return g, nil, fmt.Errorf("tune: spgemm calibration: %w", err)
-	}
-	best, sw = sweepKnob("spgemm_batch", SpGEMMBatchCandidates, spgemm.SetBatch, spgemmRun)
-	g.SpGEMMBatch = best
-	sweeps = append(sweeps, sw...)
-
-	best, sw = sweepKnob("dmma_block", DMMABlockCandidates, mmu.SetPanelBlock, panelDepthRunner())
-	g.DMMABlock = best
-	sweeps = append(sweeps, sw...)
-
-	return g, sweeps, nil
-}
-
-// sweepKnob times run under every candidate (installed through set) and
-// returns the fastest, preferring the earlier candidate on exact ties so the
-// result is deterministic given the timings.
-func sweepKnob(knob string, candidates []int, set func(int) int, run func()) (int, []Sweep) {
-	sweeps := make([]Sweep, 0, len(candidates))
-	winner, winnerAt := candidates[0], time.Duration(0)
-	for i, cand := range candidates {
-		set(cand)
-		run() // warm the caches and pools before timing
-		best := time.Duration(1<<63 - 1)
-		for r := 0; r < calibrationRounds; r++ {
-			start := time.Now()
-			run()
-			if d := time.Since(start); d < best {
-				best = d
-			}
-		}
-		metSweeps.Inc()
-		sweeps = append(sweeps, Sweep{Knob: knob, Candidate: cand, Best: best})
-		if i == 0 || best < winnerAt {
-			winner, winnerAt = cand, best
-		}
-	}
-	for i := range sweeps {
-		sweeps[i].Won = sweeps[i].Candidate == winner
-	}
-	return winner, sweeps
-}
-
-// panelDepthRunner builds the synthetic deep-k workload for the blocking
-// depth sweep: one 64-tile panel accumulation repeated enough to be timeable.
-// Values are a fixed recurrence — the depth choice is bit-invisible, so the
-// payload only needs to defeat dead-code elimination, which the accumulating
-// C tile does.
-func panelDepthRunner() func() {
-	const kTiles = 64
-	aPanel := make([]float64, kTiles*mmu.M*mmu.K)
-	bPanel := make([]float64, kTiles*mmu.K*mmu.N)
-	v := 0.5
-	for i := range aPanel {
-		v = v*1.000000059604644775390625 + 1e-9 // stays O(1), never denormal
-		aPanel[i] = v
-	}
-	for i := range bPanel {
-		v = v*1.000000059604644775390625 + 1e-9
-		bPanel[i] = v
-	}
-	var c [mmu.M * mmu.N]float64
-	return func() {
-		for rep := 0; rep < 256; rep++ {
-			mmu.DMMAPanel(c[:], aPanel, bPanel, kTiles)
-		}
-	}
-}

@@ -3,6 +3,8 @@
 #   make test          - vet + docs-check + race-quick + unit tests (tier-1
 #                        gate)
 #   make race          - full test suite under the race detector
+#   make fuzz          - run every Fuzz* target in the repo for 10 s each
+#                        (not part of make test)
 #   make race-quick    - the race detector on the packages that finish in
 #                        seconds under it (par, runcache, server, mmu, gemm,
 #                        gemv, spmv); spgemm and harness stay in make race
@@ -66,7 +68,7 @@ TOLERANCE ?= 0.10
 ALLOC_TOLERANCE ?= 0.10
 ROLLING ?=
 
-.PHONY: all build vet test race race-quick bench bench-all bench-check bench-compare \
+.PHONY: all build vet test fuzz race race-quick bench bench-all bench-check bench-compare \
 	bench-trend bench-trend-check docs-check serve-smoke dist-smoke bench-dist \
 	clean
 
@@ -136,6 +138,17 @@ dist-smoke:
 
 race:
 	$(GO) test -race ./...
+
+# go test fuzzes one target per invocation, so each Fuzz* function found in
+# the module's test files (bench/ is its own module) runs on its own.
+fuzz:
+	@set -e; for f in $$(grep -rl --include='*_test.go' --exclude-dir=bench \
+	    --exclude-dir=.bench_build --exclude-dir=.git '^func Fuzz' .); do \
+	  for t in $$(sed -n 's/^func \(Fuzz[A-Za-z0-9_]*\)(.*/\1/p' $$f); do \
+	    echo "fuzz: $$t in $$(dirname $$f)"; \
+	    $(GO) test -run='^$$' -fuzz="^$$t$$" -fuzztime=10s $$(dirname $$f); \
+	  done; \
+	done
 
 # The fast half of make race: about 20 s together on 2 vCPUs. spgemm
 # (~25 s) and harness (~290 s) under -race only run in make race.

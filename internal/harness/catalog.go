@@ -20,6 +20,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/graph"
+	"repro/internal/runcache"
 	"repro/internal/sparse"
 )
 
@@ -308,7 +309,9 @@ func renderWhatif(h *Harness, w io.Writer) error {
 	return nil
 }
 
-// RenderAblationSection renders every ablation study on one device.
+// RenderAblationSection renders every ablation study on one device. The
+// run-backed studies read their runs through the harness; the two that
+// measure datasets directly are memoized in the run cache by study name.
 func (h *Harness) RenderAblationSection(w io.Writer, spec device.Spec) error {
 	var all []AblationRow
 	rows, err := h.AblateOverlap(spec)
@@ -320,11 +323,11 @@ func (h *Harness) RenderAblationSection(w io.Writer, spec device.Spec) error {
 		return err
 	}
 	all = append(all, rows...)
-	if rows, err = AblateDASPPadding(); err != nil {
+	if rows, err = memo(h.rc, runcache.KindAblation, "ablation", "dasp-padding", AblateDASPPadding); err != nil {
 		return err
 	}
 	all = append(all, rows...)
-	if rows, err = AblateBFSRelabel(); err != nil {
+	if rows, err = memo(h.rc, runcache.KindAblation, "ablation", "bfs-relabel", AblateBFSRelabel); err != nil {
 		return err
 	}
 	all = append(all, rows...)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 
 	"repro/internal/device"
 	"repro/internal/graph"
@@ -12,7 +11,6 @@ import (
 	"repro/internal/runcache"
 	"repro/internal/sim"
 	"repro/internal/sparse"
-	"repro/internal/trace"
 )
 
 // CoveragePoint is one projected sample of a Figure 10/11 scatter.
@@ -52,7 +50,7 @@ func (h *Harness) Figure10Graphs(corpusSize int, seed int64) (*CoverageReport, e
 }
 
 func figure10Graphs(corpusSize int, seed int64, rc *runcache.Cache) (*CoverageReport, error) {
-	feats, err := cachedFeatures(rc, fmt.Sprintf("graph-corpus|%d|%d", corpusSize, seed),
+	feats, err := memo(rc, runcache.KindFeatures, "coverage", fmt.Sprintf("graph-corpus|%d|%d", corpusSize, seed),
 		func() ([][]float64, error) {
 			var feats [][]float64
 			for _, g := range graph.Corpus(corpusSize, seed) {
@@ -67,7 +65,7 @@ func figure10Graphs(corpusSize int, seed int64, rc *runcache.Cache) (*CoverageRe
 	for _, d := range graph.Table3() {
 		repNames = append(repNames, d.Name)
 	}
-	repFeats, err := cachedFeatures(rc, "graph-reps", func() ([][]float64, error) {
+	repFeats, err := memo(rc, runcache.KindFeatures, "coverage", "graph-reps", func() ([][]float64, error) {
 		var feats [][]float64
 		for _, d := range graph.Table3() {
 			g, err := graph.SynthesizeShared(d.Name)
@@ -98,7 +96,7 @@ func (h *Harness) Figure10Matrices(corpusSize int, seed int64) (*CoverageReport,
 }
 
 func figure10Matrices(corpusSize int, seed int64, rc *runcache.Cache) (*CoverageReport, error) {
-	feats, err := cachedFeatures(rc, fmt.Sprintf("matrix-corpus|%d|%d", corpusSize, seed),
+	feats, err := memo(rc, runcache.KindFeatures, "coverage", fmt.Sprintf("matrix-corpus|%d|%d", corpusSize, seed),
 		func() ([][]float64, error) {
 			var feats [][]float64
 			sparse.CorpusEach(corpusSize, seed, func(m *sparse.CSR) {
@@ -113,7 +111,7 @@ func figure10Matrices(corpusSize int, seed int64, rc *runcache.Cache) (*Coverage
 	for _, d := range sparse.Table4() {
 		repNames = append(repNames, d.Name)
 	}
-	repFeats, err := cachedFeatures(rc, "matrix-reps", func() ([][]float64, error) {
+	repFeats, err := memo(rc, runcache.KindFeatures, "coverage", "matrix-reps", func() ([][]float64, error) {
 		var feats [][]float64
 		for _, d := range sparse.Table4() {
 			m, err := sparse.SynthesizeShared(d.Name)
@@ -128,27 +126,6 @@ func figure10Matrices(corpusSize int, seed int64, rc *runcache.Cache) (*Coverage
 		return nil, err
 	}
 	return coverageReport(feats, repFeats, repNames)
-}
-
-// cachedFeatures memoizes a feature matrix in the run cache. Feature
-// extraction is deterministic (synthesis is seeded), so a cached matrix is
-// bit-identical to a recomputed one; with no cache attached the compute
-// function just runs, inside a "coverage" host span named by the key's
-// first "|" field.
-func cachedFeatures(rc *runcache.Cache, key string, compute func() ([][]float64, error)) ([][]float64, error) {
-	var feats [][]float64
-	if rc.Get(runcache.KindFeatures, key, &feats) {
-		return feats, nil
-	}
-	name, _, _ := strings.Cut(key, "|")
-	endSpan := trace.HostSpan("coverage", name)
-	feats, err := compute()
-	endSpan()
-	if err != nil {
-		return nil, err
-	}
-	rc.Put(runcache.KindFeatures, key, feats)
-	return feats, nil
 }
 
 func coverageReport(feats, repFeats [][]float64, repNames []string) (*CoverageReport, error) {

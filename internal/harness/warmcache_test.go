@@ -7,6 +7,7 @@ package harness_test
 
 import (
 	"bytes"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/device"
@@ -107,5 +108,46 @@ func TestCacheOffBypasses(t *testing.T) {
 	}
 	if started := runsStarted() - before; started != 2 {
 		t.Fatalf("disabled cache must not persist across harnesses: %d executions, want 2", started)
+	}
+}
+
+// TestWarmAblationSectionZeroRunsZeroWrites renders the ablation section
+// cold into a fresh cache, then on a brand-new harness over that cache:
+// the warm pass starts no executions, writes no entries (every run and
+// every dataset-level ablation arm is a hit; a miss would Put), and prints
+// byte-identical text.
+func TestWarmAblationSectionZeroRunsZeroWrites(t *testing.T) {
+	if testing.Short() {
+		t.Skip("every representative CC run plus the SpGEMM cases")
+	}
+	writes := metrics.NewCounter("cubie_runcache_writes_total",
+		"Run-cache entries written (atomic tmp+rename).")
+	cache, err := runcache.OpenWithFingerprint(t.TempDir(), "warm-ablation-test")
+	if err != nil {
+		t.Fatal(err)
+	}
+	render := func(h *harness.Harness) []byte {
+		var buf bytes.Buffer
+		if err := h.RenderAblationSection(&buf, device.H200()); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	cold := render(harness.New().AttachCache(cache))
+	// The dataset-level arms (DASP padding, BFS relabel) are memoized too.
+	if arms, _ := filepath.Glob(filepath.Join(cache.Dir(), runcache.KindAblation+"-*.json")); len(arms) != 2 {
+		t.Fatalf("cold ablation section stored %d ablation entries, want 2", len(arms))
+	}
+
+	runs0, writes0 := runsStarted(), writes.Value()
+	warm := render(harness.New().AttachCache(cache))
+	if started := runsStarted() - runs0; started != 0 {
+		t.Errorf("warm ablation section started %d executions, want 0", started)
+	}
+	if n := writes.Value() - writes0; n != 0 {
+		t.Errorf("warm ablation section wrote %d run-cache entries, want 0", n)
+	}
+	if !bytes.Equal(cold, warm) {
+		t.Errorf("warm ablation section differs from the cold render:\n%s\nvs\n%s", warm, cold)
 	}
 }

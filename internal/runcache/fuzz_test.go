@@ -1,10 +1,14 @@
 package runcache
 
 import (
+	"bytes"
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/workload"
 )
 
 // seedEntry returns the name and bytes of the one entry put writes into a
@@ -48,6 +52,22 @@ func FuzzWriteEntry(f *testing.F) {
 	f.Add(name, otherFP) // body addresses fp-b, name addresses fp-a
 	f.Add(name, []byte("\x00\xffnot json{{"))
 	f.Add("../escape.json", valid)
+	// Seeds in the one-pass layout's corners: a nil output behind a head
+	// whose string holds the output field's own text, NaN and −0 float
+	// bits, an empty float payload, and the output moved out of last place.
+	quotedName, quoted := seedEntry(f, "fp-a", func(c *Cache) {
+		c.PutResult("GEMM", "rep", "TC", &workload.Result{MetricName: `"Output":"AAAA"}`})
+	})
+	f.Add(quotedName, quoted)
+	oddName, odd := seedEntry(f, "fp-a", func(c *Cache) {
+		c.PutFloats(KindReference, "SpMV|rep|ref", []float64{math.NaN(), math.Copysign(0, -1)})
+	})
+	f.Add(oddName, odd)
+	emptyName, empty := seedEntry(f, "fp-a", func(c *Cache) {
+		c.PutFloats(KindReference, "SpMV|rep|ref", []float64{})
+	})
+	f.Add(emptyName, empty)
+	f.Add(name, bytes.Replace(valid, []byte(`,"Output":`), []byte(`,"Output":null,"Shadow":`), 1))
 
 	f.Fuzz(func(t *testing.T, name string, data []byte) {
 		dir := t.TempDir()

@@ -18,6 +18,26 @@
 // changed code therefore misses cleanly and re-runs. When the executable
 // cannot be read, runtime/debug build info stands in.
 //
+// # Entry format
+//
+// An entry is one JSON document, stored under the name EntryName gives it
+// (kind-<24 hex>.json):
+//
+//	{"fingerprint":<fp>,"kind":<kind>,"key":<key>,"payload":<payload>}
+//
+// Float arrays (workload outputs and reference outputs, up to millions of
+// elements) are one base64 string of their little-endian IEEE-754 bits,
+// bit-exact by construction, and always the payload's last value. Put
+// builds an entry in one buffer: the prefix above, the payload's small
+// JSON head, then the base64 array. Get runs no JSON scanner over the
+// array. It checks identity by comparing the entry's leading bytes with
+// the prefix Put writes for the (fingerprint, kind, key) it asks for,
+// decodes the head with encoding/json, and decodes the base64 in
+// fixed-size chunks straight into the []float64. The reader is strict: it
+// accepts only the exact bytes Put writes for the value it decodes. Every
+// entry is still plain JSON, which the cache store's WriteEntry relies on
+// when it checks a peer's entry against its name.
+//
 // # Remote tier
 //
 // The cache is two-tiered. The local directory is L1; when a remote store
@@ -61,14 +81,11 @@ package runcache
 
 import (
 	"crypto/sha256"
-	"encoding/base64"
-	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -77,7 +94,6 @@ import (
 	"sync"
 
 	"repro/internal/metrics"
-	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -102,6 +118,11 @@ const KindReference = "reference"
 // KindFeatures is the entry kind for corpus feature matrices (the Figure 10
 // PCA inputs), stored as [][]float64.
 const KindFeatures = "features"
+
+// KindAblation is the entry kind for the rows of the ablation studies that
+// measure seeded datasets directly rather than through workload runs (DASP
+// padding, BFS relabeling).
+const KindAblation = "ablation"
 
 // Cache metrics (see docs/OBSERVABILITY.md).
 var (
@@ -281,7 +302,7 @@ func (c *Cache) Has(kind, key string) bool {
 
 // Get looks up (kind, key) in the local tier first, then the remote store,
 // and decodes the payload into v (a pointer). Every failure mode — absent
-// file, truncated or corrupt JSON, fingerprint or key mismatch, in either
+// file, truncated or corrupt entry, fingerprint or key mismatch, in either
 // tier — is a silent miss; a verified remote hit is written through to the
 // local tier. cubie_runcache_misses_total counts overall misses (no tier
 // could answer), matching its pre-remote meaning.
@@ -292,9 +313,10 @@ func (c *Cache) Get(kind, key string, v any) bool {
 	end := trace.HostSpan("runcache-get", kind+":"+key)
 	defer end()
 	name := EntryName(c.fp, kind, key)
+	prefix := appendPrefix(nil, c.fp, kind, key)
 	if data, err := os.ReadFile(filepath.Join(c.dir, name)); err == nil {
 		metReadBytes.Add(uint64(len(data)))
-		if c.decodeEntry(data, kind, key, v) {
+		if decodeEntry(data, prefix, v) {
 			metHits.Inc()
 			return true
 		}
@@ -302,7 +324,7 @@ func (c *Cache) Get(kind, key string, v any) bool {
 		// Fall through: a good peer copy can heal a locally corrupt entry.
 	}
 	if data, ok := c.remoteGet(name); ok {
-		if c.decodeEntry(data, kind, key, v) {
+		if decodeEntry(data, prefix, v) {
 			metRemoteHits.Inc()
 			// Write-through so the next lookup is local. The remote bytes
 			// were verified above, so L1 only ever gains valid entries.
@@ -323,17 +345,6 @@ func (c *Cache) Get(kind, key string, v any) bool {
 	return false
 }
 
-// decodeEntry verifies one wire/disk entry really answers (kind, key) for
-// this cache's fingerprint and decodes its payload into v.
-func (c *Cache) decodeEntry(data []byte, kind, key string, v any) bool {
-	var e envelope
-	if err := json.Unmarshal(data, &e); err != nil ||
-		e.Fingerprint != c.fp || e.Kind != kind || e.Key != key {
-		return false
-	}
-	return json.Unmarshal(e.Payload, v) == nil
-}
-
 // Put stores v under (kind, key), atomically, then publishes the entry to
 // the remote store when one is attached. Errors are absorbed (counted,
 // not returned) — a cache that cannot write degrades to a cache that
@@ -344,17 +355,7 @@ func (c *Cache) Put(kind, key string, v any) {
 	}
 	end := trace.HostSpan("runcache-put", kind+":"+key)
 	defer end()
-	payload, err := json.Marshal(v)
-	if err != nil {
-		metWriteErrors.Inc()
-		return
-	}
-	data, err := json.Marshal(envelope{
-		Fingerprint: c.fp,
-		Kind:        kind,
-		Key:         key,
-		Payload:     payload,
-	})
+	data, err := encodeEntry(c.fp, kind, key, v)
 	if err != nil {
 		metWriteErrors.Inc()
 		return
@@ -467,65 +468,6 @@ func ResultKey(workloadName, caseName, variant string) string {
 	return workloadName + "|" + caseName + "|" + variant
 }
 
-// floats carries a []float64 payload as base64 of the raw little-endian
-// IEEE-754 bits. Compared to a JSON number array this is bit-exact by
-// construction (including NaN and ±Inf, which encoding/json rejects) and
-// roughly an order of magnitude cheaper to encode and decode — workload
-// outputs run to millions of elements, and their strconv formatting cost
-// would otherwise dominate a cold run's cache writes and a warm run's
-// reads.
-type floats []float64
-
-func (f floats) MarshalJSON() ([]byte, error) {
-	if f == nil {
-		return []byte("null"), nil
-	}
-	raw := make([]byte, 8*len(f))
-	for i, v := range f {
-		binary.LittleEndian.PutUint64(raw[8*i:], math.Float64bits(v))
-	}
-	out := make([]byte, 2+base64.StdEncoding.EncodedLen(len(raw)))
-	out[0] = '"'
-	base64.StdEncoding.Encode(out[1:len(out)-1], raw)
-	out[len(out)-1] = '"'
-	return out, nil
-}
-
-func (f *floats) UnmarshalJSON(data []byte) error {
-	if string(data) == "null" {
-		*f = nil
-		return nil
-	}
-	if len(data) < 2 || data[0] != '"' || data[len(data)-1] != '"' {
-		return fmt.Errorf("runcache: float payload is not a base64 string")
-	}
-	raw := make([]byte, base64.StdEncoding.DecodedLen(len(data)-2))
-	n, err := base64.StdEncoding.Decode(raw, data[1:len(data)-1])
-	if err != nil {
-		return err
-	}
-	if n%8 != 0 {
-		return fmt.Errorf("runcache: float payload is %d bytes, not a multiple of 8", n)
-	}
-	vs := make([]float64, n/8)
-	for i := range vs {
-		vs[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
-	}
-	*f = vs
-	return nil
-}
-
-// storedResult is workload.Result's on-disk shape: identical fields, with
-// the (potentially huge) output array in the binary floats encoding.
-type storedResult struct {
-	Profile    sim.Profile
-	Work       float64
-	MetricName string
-	Output     floats
-	InputUtil  float64
-	OutputUtil float64
-}
-
 // GetResult looks up a cached workload execution.
 func (c *Cache) GetResult(workloadName, caseName, variant string) (*workload.Result, bool) {
 	var s storedResult
@@ -548,17 +490,19 @@ func (c *Cache) PutResult(workloadName, caseName, variant string, res *workload.
 		return
 	}
 	c.Put(KindResult, ResultKey(workloadName, caseName, variant), storedResult{
-		Profile:    res.Profile,
-		Work:       res.Work,
-		MetricName: res.MetricName,
-		Output:     res.Output,
-		InputUtil:  res.InputUtil,
-		OutputUtil: res.OutputUtil,
+		resultHeader: resultHeader{
+			Profile:    res.Profile,
+			Work:       res.Work,
+			MetricName: res.MetricName,
+			InputUtil:  res.InputUtil,
+			OutputUtil: res.OutputUtil,
+		},
+		Output: res.Output,
 	})
 }
 
 // GetFloats looks up a []float64 entry (the reference outputs) stored in
-// the binary floats encoding.
+// the base64 floats encoding.
 func (c *Cache) GetFloats(kind, key string) ([]float64, bool) {
 	var f floats
 	if !c.Get(kind, key, &f) {
@@ -567,7 +511,7 @@ func (c *Cache) GetFloats(kind, key string) ([]float64, bool) {
 	return f, true
 }
 
-// PutFloats stores a []float64 entry in the binary floats encoding.
+// PutFloats stores a []float64 entry in the base64 floats encoding.
 func (c *Cache) PutFloats(kind, key string, vs []float64) {
 	c.Put(kind, key, floats(vs))
 }

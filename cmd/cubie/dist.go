@@ -1,15 +1,17 @@
 package main
 
 // The distributed-campaign subcommands. `cubie dist` is the coordinator:
-// it enumerates a named plan's run keys, serves them over the work-queue
-// API (docs/SERVE.md), forks N `cubie work` workers of this same binary,
-// and — once the queue drains — renders the requested output entirely
-// from its now-warm cache, byte-identical to the single-process path
-// (same renderers, deterministic results, zero executions). `cubie work`
-// is the worker loop: lease a key from the coordinator, execute it
-// through the local harness, publish the result to the coordinator's
-// cache store (the runcache remote tier), complete the lease, repeat
-// until the coordinator says done.
+// it enumerates a named plan's keys — run keys, and for plan "all" the
+// memo keys of the Figure 10 feature matrices and dataset-level ablation
+// arms — serves them over the work-queue API (docs/SERVE.md), forks N
+// `cubie work` workers of this same binary, and — once the queue drains —
+// renders the requested output entirely from its now-warm cache,
+// byte-identical to the single-process path (same renderers,
+// deterministic results, zero executions and zero memo computations).
+// `cubie work` is the worker loop: lease a key from the coordinator,
+// execute it through the local harness, publish the result to the
+// coordinator's cache store (the runcache remote tier), complete the
+// lease, repeat until the coordinator says done.
 
 import (
 	"context"
@@ -38,9 +40,9 @@ const (
 
 // cmdWork runs the worker loop against a coordinator. The harness h
 // already has the remote tier attached (main wires CUBIE_REMOTE_CACHE to
-// the coordinator before constructing it), so every ExecuteKey first
-// consults the local cache, then the coordinator's store, and publishes
-// what it had to execute.
+// the coordinator before constructing it), so every ExecuteKey — a run or
+// a memo — first consults the local cache, then the coordinator's store,
+// and publishes what it had to execute or compute.
 func cmdWork(h *cubie.Harness, coordinator, workerID string) {
 	if coordinator == "" {
 		fatal(fmt.Errorf("work: --coordinator (or CUBIE_COORDINATOR) is required"))
@@ -157,7 +159,7 @@ func cmdDist(h *cubie.Harness, f distFlags) {
 		fatal(err)
 	}
 	fmt.Fprintf(os.Stderr, "cubie dist: plan %q (%d keys) on %d workers via %s\n",
-		f.plan, len(keys), f.workers, url)
+		f.plan, q.Status().Total, f.workers, url)
 
 	// If every worker dies while keys remain, the queue would sit waiting
 	// for lease expiries forever; fail fast instead.

@@ -6,7 +6,7 @@ package graph
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Graph is a directed graph in CSR adjacency form. For the (symmetric)
@@ -56,28 +56,49 @@ func (g *Graph) Validate() error {
 }
 
 // FromEdges builds a graph from a directed edge list, sorting and removing
-// duplicates and self-loops.
+// duplicates and self-loops. It is a counted two-pass CSR build: count the
+// out-degrees, scatter the edges into their rows, then sort each row and
+// compact it in place. Neighbors stays nil when no edge survives.
 func FromEdges(n int, edges [][2]int32) *Graph {
-	adj := make([][]int32, n)
-	for _, e := range edges {
-		if e[0] == e[1] {
-			continue
-		}
-		adj[e[0]] = append(adj[e[0]], e[1])
-	}
 	g := &Graph{N: n, Offsets: make([]int, n+1)}
+	for _, e := range edges {
+		if e[0] != e[1] {
+			g.Offsets[e[0]+1]++
+		}
+	}
 	for v := 0; v < n; v++ {
-		a := adj[v]
-		sort.Slice(a, func(i, j int) bool { return a[i] < a[j] })
-		last := int32(-1)
-		for _, u := range a {
-			if u != last {
-				g.Neighbors = append(g.Neighbors, u)
-				last = u
+		g.Offsets[v+1] += g.Offsets[v]
+	}
+	if g.Offsets[n] == 0 {
+		return g
+	}
+	nb := make([]int32, g.Offsets[n])
+	next := make([]int, n)
+	copy(next, g.Offsets[:n])
+	for _, e := range edges {
+		if e[0] != e[1] {
+			nb[next[e[0]]] = e[1]
+			next[e[0]]++
+		}
+	}
+	// Compact toward the front: row v's unique neighbors land at w, which
+	// never passes the row's unread entries.
+	w, lo := 0, 0
+	for v := 0; v < n; v++ {
+		hi := g.Offsets[v+1]
+		row := nb[lo:hi]
+		slices.Sort(row)
+		start := w
+		for _, u := range row {
+			if w == start || nb[w-1] != u {
+				nb[w] = u
+				w++
 			}
 		}
-		g.Offsets[v+1] = len(g.Neighbors)
+		g.Offsets[v+1] = w
+		lo = hi
 	}
+	g.Neighbors = nb[:w]
 	return g
 }
 

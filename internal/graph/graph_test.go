@@ -1,6 +1,8 @@
 package graph
 
 import (
+	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/lcg"
@@ -21,6 +23,56 @@ func TestFromEdges(t *testing.T) {
 	if len(adj) != 2 || adj[0] != 1 || adj[1] != 2 {
 		t.Fatalf("Adj(0) = %v", adj)
 	}
+}
+
+// FuzzFromEdges checks the counted CSR build against a map-based
+// reference: per vertex, the set of distinct non-self targets, ascending.
+// The fuzzer picks the vertex count (1..64) and the edge list, two bytes
+// per edge taken modulo the vertex count.
+func FuzzFromEdges(f *testing.F) {
+	f.Add(uint8(0), []byte{0, 0, 0, 0})                      // n == 1, self-loops only
+	f.Add(uint8(3), []byte{0, 1, 0, 2, 1, 3, 0, 1, 2, 2})    // TestFromEdges' shape
+	f.Add(uint8(7), []byte{5, 1, 5, 1, 5, 1, 0, 7, 7, 0})    // duplicates, empty rows
+	f.Add(uint8(63), []byte{})                               // no edges
+	f.Add(uint8(9), []byte{9, 0, 8, 1, 7, 2, 6, 3, 5, 4, 4}) // odd byte dropped
+	f.Fuzz(func(t *testing.T, nb uint8, data []byte) {
+		n := int(nb)%64 + 1
+		var edges [][2]int32
+		for i := 0; i+1 < len(data); i += 2 {
+			edges = append(edges, [2]int32{int32(int(data[i]) % n), int32(int(data[i+1]) % n)})
+		}
+		ref := make([]map[int32]bool, n)
+		for _, e := range edges {
+			if e[0] == e[1] {
+				continue
+			}
+			if ref[e[0]] == nil {
+				ref[e[0]] = map[int32]bool{}
+			}
+			ref[e[0]][e[1]] = true
+		}
+		want := &Graph{N: n, Offsets: make([]int, n+1)}
+		for v := 0; v < n; v++ {
+			row := make([]int32, 0, len(ref[v]))
+			for u := range ref[v] {
+				row = append(row, u)
+			}
+			slices.Sort(row)
+			want.Neighbors = append(want.Neighbors, row...)
+			want.Offsets[v+1] = len(want.Neighbors)
+		}
+
+		g := FromEdges(n, edges)
+		if err := g.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(g.Offsets, want.Offsets) || !slices.Equal(g.Neighbors, want.Neighbors) {
+			t.Fatalf("FromEdges(%d, %v) = %v %v, want %v %v", n, edges, g.Offsets, g.Neighbors, want.Offsets, want.Neighbors)
+		}
+		if (g.Neighbors == nil) != (want.Neighbors == nil) {
+			t.Fatalf("Neighbors nil = %v, want %v", g.Neighbors == nil, want.Neighbors == nil)
+		}
+	})
 }
 
 func TestUndirectedSymmetric(t *testing.T) {

@@ -20,8 +20,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/graph"
-	"repro/internal/runcache"
 	"repro/internal/sparse"
+	"repro/internal/trace"
 )
 
 // Figure is one catalog entry: a named, parameter-free text artifact.
@@ -54,7 +54,7 @@ var catalog = []Figure{
 	{"table6", "Table 6 — FP64 numerical errors vs CPU serial reference", true, renderTable6},
 	{"figure9", "Figure 9 — cache-aware roofline on H200", true, renderFigure9},
 	{"coverage", "Figures 10–11 — PCA coverage analyses", true,
-		func(h *Harness, w io.Writer) error { return h.RenderCoverageSection(w, 199, device.H200()) }},
+		func(h *Harness, w io.Writer) error { return h.RenderCoverageSection(w, campaignCorpus, device.H200()) }},
 	{"whatif", "Section 11 counterfactual — Blackwell with FP64 scaling preserved", true, renderWhatif},
 	{"ablate", "Ablation studies of the model's design choices", true,
 		func(h *Harness, w io.Writer) error { return h.RenderAblationSection(w, device.H200()) }},
@@ -82,10 +82,10 @@ func FigureByName(name string) (Figure, bool) {
 }
 
 // RenderAll renders the whole campaign in paper order — the body of
-// `cubie all`. It prefetches the whole-campaign plan first, so the runs a
-// later figure needs execute while an earlier figure renders.
+// `cubie all`. It prefetches the whole-campaign plan first, so the runs
+// and memos a later figure needs execute while an earlier figure renders.
 func (h *Harness) RenderAll(w io.Writer) error {
-	h.Prefetch(h.PlanAll())
+	h.Prefetch(h.PlanCampaign())
 	first := true
 	for _, f := range catalog {
 		if !f.InAll {
@@ -95,7 +95,7 @@ func (h *Harness) RenderAll(w io.Writer) error {
 			fmt.Fprintln(w)
 		}
 		first = false
-		if err := f.Render(h, w); err != nil {
+		if err := f.render(h, w); err != nil {
 			return fmt.Errorf("%s: %w", f.Name, err)
 		}
 	}
@@ -108,6 +108,13 @@ func (h *Harness) RenderFigure(w io.Writer, name string) error {
 	if !ok {
 		return fmt.Errorf("unknown figure %q", name)
 	}
+	return f.render(h, w)
+}
+
+// render runs the entry's Render inside a host span of category render
+// named by the figure.
+func (f Figure) render(h *Harness, w io.Writer) error {
+	defer trace.HostSpan("render", f.Name)()
 	return f.Render(h, w)
 }
 
@@ -280,12 +287,12 @@ func renderFigure9(h *Harness, w io.Writer) error {
 // coverage analyses — at the given corpus size (the CLI default is 499;
 // `cubie all` uses 199).
 func (h *Harness) RenderCoverageSection(w io.Writer, corpus int, spec device.Spec) error {
-	gr, err := h.Figure10Graphs(corpus, 1)
+	gr, err := h.Figure10Graphs(corpus, graphCorpusSeed)
 	if err != nil {
 		return err
 	}
 	RenderCoverage(w, "Figure 10a — graph coverage (PCA)", gr)
-	mr, err := h.Figure10Matrices(corpus, 2)
+	mr, err := h.Figure10Matrices(corpus, matrixCorpusSeed)
 	if err != nil {
 		return err
 	}
@@ -311,7 +318,7 @@ func renderWhatif(h *Harness, w io.Writer) error {
 
 // RenderAblationSection renders every ablation study on one device. The
 // run-backed studies read their runs through the harness; the two that
-// measure datasets directly are memoized in the run cache by study name.
+// measure datasets directly are memos (memo.go), named by study.
 func (h *Harness) RenderAblationSection(w io.Writer, spec device.Spec) error {
 	var all []AblationRow
 	rows, err := h.AblateOverlap(spec)
@@ -323,11 +330,11 @@ func (h *Harness) RenderAblationSection(w io.Writer, spec device.Spec) error {
 		return err
 	}
 	all = append(all, rows...)
-	if rows, err = memo(h.rc, runcache.KindAblation, "ablation", "dasp-padding", AblateDASPPadding); err != nil {
+	if rows, err = memo[[]AblationRow](h, "dasp-padding"); err != nil {
 		return err
 	}
 	all = append(all, rows...)
-	if rows, err = memo(h.rc, runcache.KindAblation, "ablation", "bfs-relabel", AblateBFSRelabel); err != nil {
+	if rows, err = memo[[]AblationRow](h, "bfs-relabel"); err != nil {
 		return err
 	}
 	all = append(all, rows...)

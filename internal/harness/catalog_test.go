@@ -1,9 +1,11 @@
 package harness
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -120,5 +122,33 @@ func TestProgressCountsCompletedKeys(t *testing.T) {
 	}
 	if got := h.Progress(keys); got != 2 {
 		t.Fatalf("Progress after both keys = %d, want 2", got)
+	}
+}
+
+// TestRenderFigureSpan: a render runs inside one host span of category
+// render, named by the figure, and the span changes no output byte.
+func TestRenderFigureSpan(t *testing.T) {
+	h := New()
+	var plain bytes.Buffer
+	if err := h.RenderFigure(&plain, "specs"); err != nil {
+		t.Fatal(err)
+	}
+	rec := trace.StartHost()
+	defer trace.StopHost()
+	var traced bytes.Buffer
+	if err := h.RenderFigure(&traced, "specs"); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(plain.Bytes(), traced.Bytes()) {
+		t.Fatal("tracing changed the rendered bytes")
+	}
+	var spans []string
+	for _, e := range rec.Events() {
+		if e.Category == "render" {
+			spans = append(spans, e.Name)
+		}
+	}
+	if len(spans) != 1 || spans[0] != "specs" {
+		t.Fatalf("render spans = %v, want [specs]", spans)
 	}
 }

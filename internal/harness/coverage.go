@@ -1,14 +1,12 @@
 package harness
 
 import (
-	"fmt"
 	"math"
 	"sort"
 
 	"repro/internal/device"
 	"repro/internal/graph"
 	"repro/internal/pca"
-	"repro/internal/runcache"
 	"repro/internal/sim"
 	"repro/internal/sparse"
 )
@@ -35,29 +33,32 @@ type CoverageReport struct {
 	Explained []float64
 }
 
+// The Figure 10 corpora `cubie all` renders: the corpus size (the CLI's
+// own default is 499) and the seeds of the 10a and 10b corpora.
+const (
+	campaignCorpus   = 199
+	graphCorpusSeed  = 1
+	matrixCorpusSeed = 2
+)
+
 // Figure10Graphs runs the PCA coverage analysis of the BFS graphs: a
 // corpus of synthetic graphs standing in for the 499-graph SuiteSparse
-// sweep, with the five Table 3 instances highlighted.
+// sweep, with the five Table 3 instances highlighted. With no harness, it
+// computes the feature matrices afresh.
 func Figure10Graphs(corpusSize int, seed int64) (*CoverageReport, error) {
-	return figure10Graphs(corpusSize, seed, nil)
+	return (*Harness)(nil).Figure10Graphs(corpusSize, seed)
 }
 
-// Figure10Graphs is the cached form: with a run cache attached, the
-// corpus and representative feature matrices persist across processes —
-// a warm process skips synthesizing the corpus entirely.
+// Figure10Graphs is the memoized form: the corpus and representative
+// feature matrices are read or computed once per process and, with a run
+// cache attached, persist across processes — a warm process skips
+// synthesizing the corpus entirely.
 func (h *Harness) Figure10Graphs(corpusSize int, seed int64) (*CoverageReport, error) {
-	return figure10Graphs(corpusSize, seed, h.rc)
-}
-
-func figure10Graphs(corpusSize int, seed int64, rc *runcache.Cache) (*CoverageReport, error) {
-	feats, err := memo(rc, runcache.KindFeatures, "coverage", fmt.Sprintf("graph-corpus|%d|%d", corpusSize, seed),
-		func() ([][]float64, error) {
-			var feats [][]float64
-			for _, g := range graph.Corpus(corpusSize, seed) {
-				feats = append(feats, graph.ExtractFeatures(g).Vector())
-			}
-			return feats, nil
-		})
+	feats, err := memo[[][]float64](h, corpusKey("graph-corpus", corpusSize, seed))
+	if err != nil {
+		return nil, err
+	}
+	repFeats, err := memo[[][]float64](h, "graph-reps")
 	if err != nil {
 		return nil, err
 	}
@@ -65,65 +66,31 @@ func figure10Graphs(corpusSize int, seed int64, rc *runcache.Cache) (*CoverageRe
 	for _, d := range graph.Table3() {
 		repNames = append(repNames, d.Name)
 	}
-	repFeats, err := memo(rc, runcache.KindFeatures, "coverage", "graph-reps", func() ([][]float64, error) {
-		var feats [][]float64
-		for _, d := range graph.Table3() {
-			g, err := graph.SynthesizeShared(d.Name)
-			if err != nil {
-				return nil, err
-			}
-			feats = append(feats, graph.ExtractFeatures(g).Vector())
-		}
-		return feats, nil
-	})
-	if err != nil {
-		return nil, err
-	}
 	return coverageReport(feats, repFeats, repNames)
 }
 
 // Figure10Matrices runs the PCA coverage analysis of the SpMV/SpGEMM
 // matrices: a synthetic corpus standing in for the 2893-matrix SuiteSparse
-// sweep, with the five Table 4 instances highlighted.
+// sweep, with the five Table 4 instances highlighted. With no harness, it
+// computes the feature matrices afresh.
 func Figure10Matrices(corpusSize int, seed int64) (*CoverageReport, error) {
-	return figure10Matrices(corpusSize, seed, nil)
+	return (*Harness)(nil).Figure10Matrices(corpusSize, seed)
 }
 
-// Figure10Matrices is the cached form of the package-level function (see
+// Figure10Matrices is the memoized form of the package-level function (see
 // Harness.Figure10Graphs).
 func (h *Harness) Figure10Matrices(corpusSize int, seed int64) (*CoverageReport, error) {
-	return figure10Matrices(corpusSize, seed, h.rc)
-}
-
-func figure10Matrices(corpusSize int, seed int64, rc *runcache.Cache) (*CoverageReport, error) {
-	feats, err := memo(rc, runcache.KindFeatures, "coverage", fmt.Sprintf("matrix-corpus|%d|%d", corpusSize, seed),
-		func() ([][]float64, error) {
-			var feats [][]float64
-			sparse.CorpusEach(corpusSize, seed, func(m *sparse.CSR) {
-				feats = append(feats, sparse.ExtractFeatures(m).Vector())
-			})
-			return feats, nil
-		})
+	feats, err := memo[[][]float64](h, corpusKey("matrix-corpus", corpusSize, seed))
+	if err != nil {
+		return nil, err
+	}
+	repFeats, err := memo[[][]float64](h, "matrix-reps")
 	if err != nil {
 		return nil, err
 	}
 	var repNames []string
 	for _, d := range sparse.Table4() {
 		repNames = append(repNames, d.Name)
-	}
-	repFeats, err := memo(rc, runcache.KindFeatures, "coverage", "matrix-reps", func() ([][]float64, error) {
-		var feats [][]float64
-		for _, d := range sparse.Table4() {
-			m, err := sparse.SynthesizeShared(d.Name)
-			if err != nil {
-				return nil, err
-			}
-			feats = append(feats, sparse.ExtractFeatures(m).Vector())
-		}
-		return feats, nil
-	})
-	if err != nil {
-		return nil, err
 	}
 	return coverageReport(feats, repFeats, repNames)
 }

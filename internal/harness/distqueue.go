@@ -2,19 +2,20 @@ package harness
 
 // Distributed campaign execution: the coordinator-side work queue behind
 // `cubie dist` / `cubie all --workers N`. The coordinator enumerates a
-// plan's run keys once, then serves them to workers over a lease/steal
-// protocol (internal/server's /api/v1/work endpoints): a worker leases the
-// longest-estimated pending key, executes it through its own harness, and
-// publishes the result to the shared cache store before completing the
-// lease. Work-stealing is implicit — whichever worker asks next gets the
-// next-longest key, so a fast worker drains what a slow one never claims.
+// plan's keys (runs and memos) once, then serves them to workers over a
+// lease/steal protocol (internal/server's /api/v1/work endpoints): a
+// worker leases the next pending key in the executor's start order,
+// executes it through its own harness, and publishes the result to the
+// shared cache store before completing the lease. Work-stealing is
+// implicit — whichever worker asks next gets the next key, so a fast
+// worker drains what a slow one never claims.
 //
 // Fault model: leases expire. A worker that dies (or stalls) mid-key
 // simply never completes its lease; after the lease timeout the key is
-// re-issued to the next asker. Re-execution is always safe — every run is
-// deterministic and the cache is content-addressed, so a double execution
-// publishes identical bytes. A completion for an expired (re-issued)
-// lease is ignored as stale. Keys whose execution *fails* (the worker
+// re-issued to the next asker. Re-execution is always safe — every run
+// and memo is deterministic and the cache is content-addressed, so a
+// double execution publishes identical bytes. A completion for an expired
+// (re-issued) lease is ignored as stale. Keys whose execution *fails* (the worker
 // reports an error) are retried a bounded number of times before the
 // whole queue fails; keys that expire too many times fail it too, so a
 // plan wedged on a crashing key terminates instead of spinning.
@@ -66,15 +67,9 @@ const (
 // work, it never corrupts anything.
 const DefaultLeaseTimeout = 5 * time.Minute
 
-// distItem is one queued key with its scheduling estimate.
-type distItem struct {
-	key RunKey
-	est float64
-}
-
 // distLease is one outstanding grant.
 type distLease struct {
-	item     distItem
+	item     planJob
 	worker   string
 	deadline time.Time
 }
@@ -102,7 +97,7 @@ type QueueStatus struct {
 // All methods are safe for concurrent use.
 type WorkQueue struct {
 	mu       sync.Mutex
-	pending  []distItem           // unleased keys, sorted longest-estimated-first
+	pending  []planJob // unleased keys, in Execute's start order (before)
 	leases   map[string]*distLease
 	attempts map[RunKey]int // reported execution failures per key
 	reissues map[RunKey]int // expired leases per key
@@ -119,33 +114,29 @@ type WorkQueue struct {
 }
 
 // NewWorkQueue builds the queue for a key set: deduplicate, resolve each
-// key against the suite (unknown keys are coordinator-side errors — a
-// worker should never discover them), and order longest-estimated-first
-// using the same estimate the in-process executor schedules by. A
-// leaseTimeout of 0 selects DefaultLeaseTimeout.
+// key — a run key against the suite, a memo key against the memo table
+// (unknown keys are coordinator-side errors — a worker should never
+// discover them) — and order the keys as the in-process executor starts
+// them: memos first, then longest-estimated first. A leaseTimeout of 0
+// selects DefaultLeaseTimeout.
 func (h *Harness) NewWorkQueue(keys []RunKey, leaseTimeout time.Duration) (*WorkQueue, error) {
 	if leaseTimeout <= 0 {
 		leaseTimeout = DefaultLeaseTimeout
 	}
 	seen := map[RunKey]bool{}
-	var items []distItem
+	var items []planJob
 	for _, k := range keys {
 		if seen[k] {
 			continue
 		}
 		seen[k] = true
-		w, c, err := h.resolveKey(k)
+		j, err := h.resolveJob(k)
 		if err != nil {
 			return nil, err
 		}
-		items = append(items, distItem{key: k, est: estimate(planJob{key: k, w: w, c: c})})
+		items = append(items, j)
 	}
-	sort.SliceStable(items, func(a, b int) bool {
-		if items[a].est != items[b].est {
-			return items[a].est > items[b].est
-		}
-		return items[a].key.String() < items[b].key.String()
-	})
+	sort.SliceStable(items, func(a, b int) bool { return before(items[a], items[b]) })
 	q := &WorkQueue{
 		pending:  items,
 		leases:   map[string]*distLease{},
@@ -164,10 +155,10 @@ func (h *Harness) NewWorkQueue(keys []RunKey, leaseTimeout time.Duration) (*Work
 	return q, nil
 }
 
-// Lease grants the longest-estimated pending key to worker, after
-// sweeping expired leases back into the pending set. With nothing pending
-// but leases outstanding it returns LeaseWait — the worker polls again; a
-// stalled lease will expire into its hands.
+// Lease grants the first pending key to worker, after sweeping expired
+// leases back into the pending set. With nothing pending but leases
+// outstanding it returns LeaseWait — the worker polls again; a stalled
+// lease will expire into its hands.
 func (q *WorkQueue) Lease(worker string) Grant {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -248,15 +239,10 @@ func (q *WorkQueue) sweepLocked() {
 	}
 }
 
-// requeueLocked re-inserts an item in estimate order.
-func (q *WorkQueue) requeueLocked(item distItem) {
-	i := sort.Search(len(q.pending), func(i int) bool {
-		if q.pending[i].est != item.est {
-			return q.pending[i].est < item.est
-		}
-		return q.pending[i].key.String() >= item.key.String()
-	})
-	q.pending = append(q.pending, distItem{})
+// requeueLocked re-inserts an item in start order.
+func (q *WorkQueue) requeueLocked(item planJob) {
+	i := sort.Search(len(q.pending), func(i int) bool { return !before(q.pending[i], item) })
+	q.pending = append(q.pending, planJob{})
 	copy(q.pending[i+1:], q.pending[i:])
 	q.pending[i] = item
 }

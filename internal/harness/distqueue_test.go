@@ -3,6 +3,7 @@ package harness
 import (
 	"context"
 	"io"
+	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -85,6 +86,145 @@ func TestWorkQueueRejectsUnknownKeys(t *testing.T) {
 	_, err := New().NewWorkQueue([]RunKey{{"NoSuchKernel", "x", workload.TC}}, time.Minute)
 	if err == nil || !strings.Contains(err.Error(), "NoSuchKernel") {
 		t.Fatalf("unknown workload must fail queue construction: %v", err)
+	}
+	for _, k := range []RunKey{
+		{"coverage", "no-such-memo", MemoVariant},
+		{"ablation", "graph-reps", MemoVariant},          // wrong category
+		{"coverage", "graph-corpus|199", MemoVariant},    // missing seed
+		{"coverage", "graph-corpus|0199|1", MemoVariant}, // non-canonical size
+		{"GEMV", "graph-reps", MemoVariant},              // suite workload
+	} {
+		if _, err := New().NewWorkQueue([]RunKey{k}, time.Minute); err == nil || !strings.Contains(err.Error(), k.String()) {
+			t.Errorf("unknown memo key %s must fail queue construction: %v", k, err)
+		}
+	}
+}
+
+// TestWorkQueueRandomInterleavings drives the queue over a plan mixing run
+// and memo keys with random interleavings of lease, successful and failed
+// completion, lease expiry and stale completion, then drains it. A model
+// of the retry budgets predicts every Complete outcome. The queue must
+// never grant a key that is completed or validly leased, never count a
+// key twice, end failed only when the model says a budget ran out, and
+// otherwise finish with every key completed exactly once.
+func TestWorkQueueRandomInterleavings(t *testing.T) {
+	h := New()
+	w, _ := h.Suite.ByName("GEMV")
+	keys := append([]RunKey{}, h.PlanCampaign()[:6]...)
+	for _, c := range w.Cases()[:2] {
+		keys = append(keys, RunKey{"GEMV", c.Name, workload.TC}, RunKey{"GEMV", c.Name, RefVariant})
+	}
+	const timeout = time.Minute
+	drained, failed := 0, 0
+	defer func() { t.Logf("%d interleavings drained, %d ran out of a retry budget", drained, failed) }()
+	for seed := uint64(1); seed <= 300; seed++ {
+		rng := rand.New(rand.NewPCG(seed, 0))
+		q, clk := newTestQueue(t, keys, timeout)
+		type held struct {
+			id    string
+			key   RunKey
+			valid bool // not yet expired
+		}
+		var live []*held
+		completed := map[RunKey]int{}
+		reissues := map[RunKey]int{}
+		attempts := map[RunKey]int{}
+		budgetOut := false
+		validLease := func(k RunKey) bool {
+			for _, l := range live {
+				if l.valid && l.key == k {
+					return true
+				}
+			}
+			return false
+		}
+		grant := func(g Grant) {
+			if completed[g.Key] > 0 || validLease(g.Key) {
+				t.Fatalf("seed %d: granted %s while completed or validly leased", seed, g.Key)
+			}
+			live = append(live, &held{id: g.Lease, key: g.Key, valid: true})
+		}
+		complete := func(i int, errMsg string) {
+			l := live[i]
+			live = append(live[:i], live[i+1:]...)
+			got := q.Complete(l.id, errMsg)
+			want := "stale"
+			switch {
+			case budgetOut:
+				return // the queue fails on its next sweep; outcomes past that are moot
+			case l.valid && errMsg == "":
+				want = "ok"
+				completed[l.key]++
+			case l.valid:
+				attempts[l.key]++
+				want = "requeued"
+				if attempts[l.key] >= maxKeyAttempts {
+					want, budgetOut = "failed", true
+				}
+			}
+			if got != want {
+				t.Fatalf("seed %d: Complete(%s %s, %q) = %q, want %q", seed, l.id, l.key, errMsg, got, want)
+			}
+		}
+		for step := 0; step < 80 && !q.Done(); step++ {
+			switch r := rng.IntN(10); {
+			case r < 4:
+				if g := q.Lease("w"); g.State == LeaseGranted {
+					grant(g)
+				}
+			case r < 7 && len(live) > 0:
+				complete(rng.IntN(len(live)), "")
+			case r < 8 && len(live) > 0:
+				complete(rng.IntN(len(live)), "worker error")
+			case r < 9:
+				// Every valid lease expires; the next call sweeps it.
+				clk.Advance(timeout + time.Second)
+				for _, l := range live {
+					if l.valid {
+						l.valid = false
+						reissues[l.key]++
+						if reissues[l.key] > maxKeyReissues {
+							budgetOut = true
+						}
+					}
+				}
+			}
+		}
+		// Drain: stale completions for what is still held, then lease and
+		// complete until the queue is terminal. Each round completes or
+		// fails one key, so a bounded loop catches a hang.
+		for len(live) > 0 && !budgetOut {
+			complete(0, "")
+		}
+		for i := 0; !q.Done(); i++ {
+			if i > 4*len(keys) {
+				t.Fatalf("seed %d: drain did not terminate: %+v", seed, q.Status())
+			}
+			switch g := q.Lease("drain"); g.State {
+			case LeaseGranted:
+				grant(g)
+				complete(len(live)-1, "")
+			case LeaseWait:
+				t.Fatalf("seed %d: wait with no lease outstanding: %+v", seed, q.Status())
+			}
+		}
+		st := q.Status()
+		if budgetOut {
+			if st.State != "failed" || q.Err() == nil {
+				t.Fatalf("seed %d: a retry budget ran out but the queue ended %+v", seed, st)
+			}
+			failed++
+			continue
+		}
+		if st.State != "done" || st.Completed != len(keys) || st.Pending != 0 || st.Leased != 0 {
+			t.Fatalf("seed %d: drained status = %+v", seed, st)
+		}
+		for _, k := range keys {
+			if completed[k] != 1 {
+				t.Fatalf("seed %d: %s completed %d times, want 1", seed, k, completed[k])
+			}
+		}
+		drained++
 	}
 }
 
@@ -404,5 +544,30 @@ func TestExecuteKeyThroughSharedStore(t *testing.T) {
 	}
 	if got := metRunsStarted.Value() - started; got != 0 {
 		t.Fatalf("post-heal peer started %d runs, want 0", got)
+	}
+
+	// A memo key takes the same path: the first worker computes and
+	// publishes it, a fresh worker reads it off the store.
+	memoKey := memoPlanKey("graph-reps")
+	computed := metMemosComputed.Value()
+	if err := w4.ExecuteKey(memoKey); err != nil {
+		t.Fatal(err)
+	}
+	if got := metMemosComputed.Value() - computed; got != 1 {
+		t.Fatalf("cold worker computed %d memos, want 1", got)
+	}
+	store.mu.Lock()
+	published = len(store.entries)
+	store.mu.Unlock()
+	if published != 2 {
+		t.Fatalf("store holds %d entries after the memo, want 2 (the run and the memo)", published)
+	}
+	w5 := newWorker()
+	computed = metMemosComputed.Value()
+	if err := w5.ExecuteKey(memoKey); err != nil {
+		t.Fatal(err)
+	}
+	if got := metMemosComputed.Value() - computed; got != 0 {
+		t.Fatalf("warm peer computed %d memos, want 0", got)
 	}
 }

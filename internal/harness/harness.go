@@ -82,8 +82,9 @@ type Harness struct {
 
 	mu      sync.Mutex
 	cache   map[string]*flight
-	failed  map[string]bool // keys whose last execution errored
-	planned map[RunKey]bool // plans fully executed (Execute's fast path)
+	memos   map[string]*flight // memo flights by run-cache key (memo.go)
+	failed  map[string]bool    // keys whose last execution errored
+	planned map[RunKey]bool    // plans fully executed (Execute's fast path)
 
 	keysMu   sync.Mutex
 	keyCache map[string][]RunKey // memoized plan enumerations (keysMemo)
@@ -98,7 +99,8 @@ type Harness struct {
 // the execution; later callers block on done and share the outcome.
 type flight struct {
 	done chan struct{}
-	res  *workload.Result
+	res  *workload.Result // a run's or reference's result
+	val  any              // a memo's value
 	err  error
 }
 
@@ -108,6 +110,7 @@ func New() *Harness {
 	h := &Harness{
 		Suite:    core.NewSuite(),
 		cache:    map[string]*flight{},
+		memos:    map[string]*flight{},
 		failed:   map[string]bool{},
 		planned:  map[RunKey]bool{},
 		keyCache: map[string][]RunKey{},

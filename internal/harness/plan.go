@@ -4,17 +4,29 @@ package harness
 // up front exactly which (workload, case, variant) executions it needs —
 // the run grid is static. Instead of pulling runs on demand one figure at
 // a time, the harness enumerates the full key set, deduplicates it,
-// orders it longest-estimated-first, and executes it on a bounded worker
-// pool (Execute). Figures then assemble their rows from the cache in
-// deterministic paper order. `cubie all` goes one step further: it unions
-// every experiment's keys into one whole-campaign plan (PlanAll) and
-// prefetches it in the background (Prefetch), so the runs a later figure
-// needs execute while an earlier figure renders.
+// orders it, and executes it on a bounded worker pool (Execute). Figures
+// then assemble their rows from the cache in deterministic paper order.
+// `cubie all` goes one step further: it unions every experiment's keys
+// into one whole-campaign plan (PlanCampaign) and prefetches it in the
+// background (Prefetch), so the work a later figure needs executes while
+// an earlier figure renders.
 //
-// Because each key lands in the singleflight cache, planner execution and
-// on-demand figure pulls compose: whichever path reaches a key first runs
-// it, the other joins. Output stays byte-identical regardless of
-// scheduling — assembly order is fixed, and every run is deterministic.
+// A plan holds two kinds of key on one pool. Run keys are workload
+// executions and CPU-serial references. Memo keys (MemoVariant) are the
+// memoized dataset values of memo.go: the Figure 10 feature matrices and
+// the dataset-level ablation arms. Memos start first, longest first by
+// their traced seconds; run keys follow, longest-estimated first. In a
+// cold `cubie all` traced on a 2-vCPU Xeon before memos were plan keys,
+// the pool drained at 4.17 s and the renderers then computed graph-corpus
+// (0.48 s), matrix-corpus (2.77 s) and bfs-relabel (0.68 s) one after
+// another on one core, to 8.22 s. Started first, the single-threaded
+// corpus overlaps the runs instead of trailing them.
+//
+// Because each key lands in a singleflight cache (h.cache for runs,
+// h.memos for memos), planner execution and on-demand figure pulls
+// compose: whichever path reaches a key first runs it, the other joins.
+// Output stays byte-identical regardless of scheduling — assembly order is
+// fixed, and every run and memo is deterministic.
 
 import (
 	"fmt"
@@ -37,9 +49,9 @@ const RefVariant workload.Variant = "__reference"
 // Planner metrics (see docs/OBSERVABILITY.md).
 var (
 	metPlanKeys = metrics.NewCounter("cubie_harness_plan_keys_total",
-		"Distinct run keys submitted to the plan executor (after deduplication).")
+		"Distinct plan keys (runs and memos) submitted to the plan executor (after deduplication).")
 	metPlanDuplicates = metrics.NewCounter("cubie_harness_plan_duplicates_total",
-		"Run keys dropped by plan deduplication (requested by more than one experiment).")
+		"Plan keys dropped by plan deduplication (requested by more than one experiment).")
 	metPlanPrewarmed = metrics.NewCounter("cubie_harness_plan_prewarmed_datasets_total",
 		"Table 3/4 dataset syntheses started ahead of the runs that need them.")
 )
@@ -202,12 +214,31 @@ func (h *Harness) buildKeysTC() []RunKey {
 	return keys
 }
 
-// PlanAll returns the whole-campaign plan: the union of every experiment
-// `cubie all` renders. Figure 3's grid already subsumes the speedup,
-// power, roofline, coverage, sweep, counterfactual, and ablation runs;
-// Table 6 adds the CPU-serial references.
+// PlanAll returns the run keys of the whole campaign: the union of every
+// experiment `cubie all` renders. Figure 3's grid already subsumes the
+// speedup, power, roofline, coverage, sweep, counterfactual, and ablation
+// runs; Table 6 adds the CPU-serial references. Every key names a suite
+// workload and has a run-cache result or reference entry once executed;
+// PlanCampaign adds the memo keys.
 func (h *Harness) PlanAll() []RunKey {
 	return h.keysMemo("all", h.buildPlanAll)
+}
+
+// PlanCampaign returns everything `cubie all` computes: the memo keys its
+// coverage and ablation sections read, then PlanAll's run keys. This is
+// the plan "all" of PlanByName, so `cubie dist` hands memos to workers too.
+func (h *Harness) PlanCampaign() []RunKey {
+	return h.keysMemo("campaign", func() []RunKey {
+		keys := []RunKey{
+			memoPlanKey(corpusKey("graph-corpus", campaignCorpus, graphCorpusSeed)),
+			memoPlanKey("graph-reps"),
+			memoPlanKey(corpusKey("matrix-corpus", campaignCorpus, matrixCorpusSeed)),
+			memoPlanKey("matrix-reps"),
+			memoPlanKey("dasp-padding"),
+			memoPlanKey("bfs-relabel"),
+		}
+		return append(keys, h.PlanAll()...)
+	})
 }
 
 func (h *Harness) buildPlanAll() []RunKey {
@@ -227,16 +258,17 @@ func PlanNames() []string {
 	return []string{"all", "figure3", "power", "table6", "figure9", "representative", "sweep"}
 }
 
-// PlanByName resolves a named plan to its run-key set: "all" is the
-// whole-campaign union, "figure3" the full performance grid, "power" the
-// Figure 7/8 runs, "table6" the accuracy runs plus CPU-serial references,
-// "figure9" the roofline runs, "representative" one variant-complete pass
-// over the representative cases, and "sweep" the largest-case TC runs the
-// provisioning sweeps and the counterfactual reuse.
+// PlanByName resolves a named plan to its key set: "all" is the
+// whole-campaign union of memos and runs, "figure3" the full performance
+// grid, "power" the Figure 7/8 runs, "table6" the accuracy runs plus
+// CPU-serial references, "figure9" the roofline runs, "representative" one
+// variant-complete pass over the representative cases, and "sweep" the
+// largest-case TC runs the provisioning sweeps and the counterfactual
+// reuse.
 func (h *Harness) PlanByName(name string) ([]RunKey, error) {
 	switch name {
 	case "all":
-		return h.PlanAll(), nil
+		return h.PlanCampaign(), nil
 	case "figure3":
 		return h.keysFigure3(), nil
 	case "power":
@@ -261,7 +293,7 @@ func (h *Harness) Progress(keys []RunKey) int {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	for _, k := range keys {
-		f, ok := h.cache[k.String()]
+		f, ok := h.flightLocked(k)
 		if !ok {
 			continue
 		}
@@ -274,6 +306,17 @@ func (h *Harness) Progress(keys []RunKey) int {
 		}
 	}
 	return done
+}
+
+// flightLocked returns k's in-memory flight, if one exists: a memo's in
+// h.memos, a run's or reference's in h.cache. h.mu must be held.
+func (h *Harness) flightLocked(k RunKey) (*flight, bool) {
+	if k.Variant == MemoVariant {
+		f, ok := h.memos[k.Case]
+		return f, ok
+	}
+	f, ok := h.cache[k.String()]
+	return f, ok
 }
 
 // Prefetch starts executing a plan in the background and returns
@@ -297,42 +340,69 @@ func (h *Harness) resolveKey(k RunKey) (workload.Workload, workload.Case, error)
 	return w, c, nil
 }
 
+// resolveJob resolves one plan key — a memo key against the memo table,
+// any other against the suite — into a job with its cost estimate.
+func (h *Harness) resolveJob(k RunKey) (planJob, error) {
+	j := planJob{key: k}
+	if k.Variant == MemoVariant {
+		d, err := resolveMemo(k)
+		j.est = d.secs
+		return j, err
+	}
+	var err error
+	if j.w, j.c, err = h.resolveKey(k); err != nil {
+		return j, err
+	}
+	j.est = estimate(j)
+	return j, nil
+}
+
 // ExecuteKey runs one plan key through the harness caches — the unit of
 // work a distributed worker executes. A RefVariant key computes the case's
-// CPU-serial reference; every other key is a workload-variant execution.
-// The result lands in the in-memory singleflight cache and, when a run
-// cache is attached, in its persistent tiers (the local directory, then
-// the remote store) — which is how a `cubie work` worker publishes results
-// back to its coordinator.
+// CPU-serial reference, a MemoVariant key reads or computes a memo, and
+// every other key is a workload-variant execution. The result lands in
+// the in-memory singleflight cache and, when a run cache is attached, in
+// its persistent tiers (the local directory, then the remote store) —
+// which is how a `cubie work` worker publishes results back to its
+// coordinator.
 func (h *Harness) ExecuteKey(k RunKey) error {
-	w, c, err := h.resolveKey(k)
+	j, err := h.resolveJob(k)
 	if err != nil {
 		return err
 	}
-	if k.Variant == RefVariant {
-		_, err = h.reference(w, c)
-	} else {
-		_, err = h.run(w, c, k.Variant)
+	return h.execute(j)
+}
+
+// execute runs one resolved job.
+func (h *Harness) execute(j planJob) error {
+	var err error
+	switch j.key.Variant {
+	case MemoVariant:
+		_, err = h.memoValue(j.key.Case)
+	case RefVariant:
+		_, err = h.reference(j.w, j.c)
+	default:
+		_, err = h.run(j.w, j.c, j.key.Variant)
 	}
 	if err != nil {
-		return fmt.Errorf("%s/%s/%s: %w", k.Workload, k.Case, k.Variant, err)
+		return fmt.Errorf("%s/%s/%s: %w", j.key.Workload, j.key.Case, j.key.Variant, err)
 	}
 	return nil
 }
 
-// planJob is one resolved plan entry.
+// planJob is one resolved plan entry. Memo jobs leave w and c unset.
 type planJob struct {
 	key RunKey
 	w   workload.Workload
 	c   workload.Case
-	est float64 // cost estimate for longest-first ordering
+	est float64 // cost estimate: a memo's traced seconds, a run's size score
 }
 
-// estimate scores a job for scheduling: the product of the case dimensions
-// when present, the 1-based case position otherwise (Table 2 orders cases
-// small to large), with CPU-serial references weighted heavily — they run
-// single-threaded and tend to dominate the tail. Only the relative order
-// matters; results never depend on it.
+// estimate scores a run job for scheduling: the product of the case
+// dimensions when present, the 1-based case position otherwise (Table 2
+// orders cases small to large), with CPU-serial references weighted
+// heavily — they run single-threaded and tend to dominate the tail. Only
+// the relative order matters; results never depend on it.
 func estimate(j planJob) float64 {
 	e := 1.0
 	for _, d := range j.c.Dims {
@@ -354,14 +424,28 @@ func estimate(j planJob) float64 {
 	return e
 }
 
+// before reports whether job a starts ahead of job b: memos before runs,
+// then the larger estimate, then key order. The run estimates are size
+// scores, not seconds, so the two kinds are not ranked against each other;
+// memos go first because the longest of them outlasts any single run.
+func before(a, b planJob) bool {
+	if am, bm := a.key.Variant == MemoVariant, b.key.Variant == MemoVariant; am != bm {
+		return am
+	}
+	if a.est != b.est {
+		return a.est > b.est
+	}
+	return a.key.String() < b.key.String()
+}
+
 // Execute runs a plan: deduplicate the keys, drop the ones whose flight
 // already exists in memory (in flight or completed — the assembly pull
-// joins those), order the rest longest-estimated-first, pre-warm the
-// Table 3/4 datasets the executing keys will touch, and run everything on
-// a worker pool bounded by the host's cores. The first error in plan
-// order is returned with its key context. Execute composes with
-// concurrent figure pulls through the singleflight cache, and re-executing
-// an already-satisfied plan costs one map lookup per key.
+// joins those), order the rest (before), pre-warm the Table 3/4 datasets
+// the executing keys will touch, and run everything on a worker pool
+// bounded by the host's cores, started strictly in that order. The first
+// error in plan order is returned with its key context. Execute composes
+// with concurrent figure pulls through the singleflight caches, and
+// re-executing an already-satisfied plan costs one map lookup per key.
 func (h *Harness) Execute(keys []RunKey) error {
 	// Fast path: a plan whose every key already completed an Execute costs
 	// one allocation-free map lookup per key — figure drivers re-plan on
@@ -383,7 +467,7 @@ func (h *Harness) Execute(keys []RunKey) error {
 	// Deduplicate, preserving first-seen order (error reporting is
 	// deterministic in plan order, independent of pool scheduling).
 	seen := map[RunKey]bool{}
-	var jobs []planJob
+	var pending []RunKey
 	h.mu.Lock()
 	for _, k := range keys {
 		if seen[k] {
@@ -391,18 +475,19 @@ func (h *Harness) Execute(keys []RunKey) error {
 			continue
 		}
 		seen[k] = true
-		if _, ok := h.cache[k.String()]; ok {
+		if _, ok := h.flightLocked(k); ok {
 			continue // in flight or done; a failed flight is evicted
 		}
-		jobs = append(jobs, planJob{key: k})
+		pending = append(pending, k)
 	}
 	h.mu.Unlock()
-	for i := range jobs {
-		w, c, err := h.resolveKey(jobs[i].key)
+	jobs := make([]planJob, len(pending))
+	for i, k := range pending {
+		j, err := h.resolveJob(k)
 		if err != nil {
 			return err
 		}
-		jobs[i].w, jobs[i].c = w, c
+		jobs[i] = j
 	}
 	if len(jobs) == 0 {
 		h.markPlanned(keys)
@@ -412,45 +497,31 @@ func (h *Harness) Execute(keys []RunKey) error {
 	endSpan := trace.HostSpan("harness-plan", fmt.Sprintf("execute %d keys", len(jobs)))
 	defer endSpan()
 
-	for i := range jobs {
-		jobs[i].est = estimate(jobs[i])
-	}
 	order := make([]int, len(jobs))
 	for i := range order {
 		order[i] = i
 	}
-	sort.SliceStable(order, func(a, b int) bool {
-		ja, jb := jobs[order[a]], jobs[order[b]]
-		if ja.est != jb.est {
-			return ja.est > jb.est // longest first
-		}
-		return ja.key.String() < jb.key.String()
-	})
+	sort.SliceStable(order, func(a, b int) bool { return before(jobs[order[a]], jobs[order[b]]) })
 
 	h.prewarmDatasets(jobs)
 
 	errs := make([]error, len(jobs))
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	for _, idx := range order {
+	for _, i := range order {
+		sem <- struct{}{} // acquire here, so jobs start in order
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			sem <- struct{}{}
 			defer func() { <-sem }()
-			j := jobs[i]
-			if j.key.Variant == RefVariant {
-				_, errs[i] = h.reference(j.w, j.c)
-			} else {
-				_, errs[i] = h.run(j.w, j.c, j.key.Variant)
-			}
-		}(idx)
+			errs[i] = h.execute(jobs[i])
+		}()
 	}
 	wg.Wait()
 
-	for i, err := range errs {
+	for _, err := range errs {
 		if err != nil {
-			return fmt.Errorf("%s/%s/%s: %w", jobs[i].key.Workload, jobs[i].key.Case, jobs[i].key.Variant, err)
+			return err
 		}
 	}
 	h.markPlanned(keys)
@@ -507,10 +578,14 @@ func (h *Harness) prewarmDatasets(jobs []planJob) {
 // pre-warm skip).
 func (h *Harness) satisfied(j planJob) bool {
 	h.mu.Lock()
-	_, inMem := h.cache[j.key.String()]
+	_, inMem := h.flightLocked(j.key)
 	h.mu.Unlock()
 	if inMem {
 		return true
+	}
+	if j.key.Variant == MemoVariant {
+		d, _ := resolveMemo(j.key)
+		return h.rc.Has(d.kind, j.key.Case)
 	}
 	kind := runcache.KindResult
 	if j.key.Variant == RefVariant {

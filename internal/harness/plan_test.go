@@ -97,15 +97,22 @@ func TestExecuteRejectsUnknownKeys(t *testing.T) {
 }
 
 // TestPlanAllCoversCampaign: the whole-campaign plan resolves cleanly and
-// contains the full Figure 3 grid plus the Table 6 references.
+// contains the full Figure 3 grid plus the Table 6 references. Its memo
+// keys resolve against the memo table; PlanAll itself holds run keys only.
 func TestPlanAllCoversCampaign(t *testing.T) {
 	h := New()
-	keys := h.PlanAll()
+	keys := h.PlanCampaign()
 
 	seen := map[RunKey]bool{}
 	refs := 0
 	for _, k := range keys {
 		seen[k] = true
+		if k.Variant == MemoVariant {
+			if _, err := resolveMemo(k); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
 		if k.Variant == RefVariant {
 			refs++
 		}
@@ -131,6 +138,11 @@ func TestPlanAllCoversCampaign(t *testing.T) {
 	for _, k := range h.keysTable6() {
 		if !seen[k] {
 			t.Fatalf("PlanAll missing Table 6 key %s", k)
+		}
+	}
+	for _, k := range h.PlanAll() {
+		if k.Variant == MemoVariant {
+			t.Fatalf("PlanAll holds memo key %s; memo keys belong to PlanCampaign only", k)
 		}
 	}
 }

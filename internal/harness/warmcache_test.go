@@ -50,30 +50,52 @@ func table6CSV(t *testing.T, h *harness.Harness) []byte {
 	return buf.Bytes()
 }
 
-// TestWarmHarnessBitIdenticalZeroRuns runs Figure 3 and Table 6 cold into a
-// fresh cache, then replays them on a brand-new harness: zero executions,
-// byte-identical CSV.
+// memosComputed reads the global memo computation counter.
+func memosComputed() uint64 {
+	return metrics.NewCounter("cubie_harness_memos_computed_total",
+		"Memoized dataset values computed (found neither in memory nor in the run cache).").Value()
+}
+
+// TestWarmHarnessBitIdenticalZeroRuns renders the whole campaign cold into
+// a fresh cache, then replays it on a brand-new harness: zero executions,
+// zero memo computations, byte-identical `cubie all` text and Figure 3 /
+// Table 6 CSV.
 func TestWarmHarnessBitIdenticalZeroRuns(t *testing.T) {
 	if testing.Short() {
-		t.Skip("full Figure 3 grid + Table 6 references")
+		t.Skip("a whole cold campaign")
 	}
 	cache, err := runcache.OpenWithFingerprint(t.TempDir(), "warm-equality-test")
 	if err != nil {
 		t.Fatal(err)
 	}
+	renderAll := func(h *harness.Harness) []byte {
+		var buf bytes.Buffer
+		if err := h.RenderAll(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
 
 	cold := harness.New().AttachCache(cache)
+	coldAll := renderAll(cold)
 	coldF3 := figure3CSV(t, cold)
 	coldT6 := table6CSV(t, cold)
 
-	before := runsStarted()
+	runs0, memos0 := runsStarted(), memosComputed()
 	warm := harness.New().AttachCache(cache)
+	warmAll := renderAll(warm)
 	warmF3 := figure3CSV(t, warm)
 	warmT6 := table6CSV(t, warm)
-	if started := runsStarted() - before; started != 0 {
+	if started := runsStarted() - runs0; started != 0 {
 		t.Fatalf("warm harness started %d executions, want 0", started)
 	}
+	if computed := memosComputed() - memos0; computed != 0 {
+		t.Fatalf("warm harness computed %d memos, want 0", computed)
+	}
 
+	if !bytes.Equal(coldAll, warmAll) {
+		t.Error("warm RenderAll output differs from cold run")
+	}
 	if !bytes.Equal(coldF3, warmF3) {
 		t.Error("warm Figure 3 CSV differs from cold run")
 	}

@@ -34,9 +34,18 @@ func New(seed int64) *Generator {
 }
 
 // Next advances the generator and returns the raw state in [1, modulus-1].
+// The product state·16807 is below 2^46, so it splits as hi·2^31 + lo, and
+// because 2^31 ≡ 1 (mod 2^31-1) the residue is hi + lo after at most one
+// subtraction of the modulus (Park–Miller's Mersenne reduction). The
+// result is the same state as (state·16807) % modulus, without a division.
 func (g *Generator) Next() int64 {
-	g.state = (g.state * multiplier) % modulus
-	return g.state
+	x := g.state * multiplier
+	x = (x & modulus) + (x >> 31)
+	if x >= modulus {
+		x -= modulus
+	}
+	g.state = x
+	return x
 }
 
 // Uniform returns a float64 uniformly distributed in (0, 1).

@@ -50,6 +50,33 @@ func TestKnownSequence(t *testing.T) {
 	}
 }
 
+// TestNextMatchesModulo pins the Mersenne reduction in Next to the
+// textbook (state·16807) % modulus: long runs of consecutive states from a
+// few seeds, and one step from the edge states 1 and modulus-1.
+func TestNextMatchesModulo(t *testing.T) {
+	draws := 50_000_000
+	if testing.Short() {
+		draws = 1_000_000
+	}
+	oracle := func(s int64) int64 { return (s * multiplier) % modulus }
+	for _, seed := range []int64{1, 42, 20260817} {
+		g := New(seed)
+		want := g.state
+		for i := 0; i < draws; i++ {
+			want = oracle(want)
+			if got := g.Next(); got != want {
+				t.Fatalf("seed %d, draw %d: Next = %d, want %d", seed, i, got, want)
+			}
+		}
+	}
+	for _, s := range []int64{1, modulus - 1} {
+		g := &Generator{state: s}
+		if got, want := g.Next(), oracle(s); got != want {
+			t.Errorf("Next from state %d = %d, want %d", s, got, want)
+		}
+	}
+}
+
 func TestSymmetricRange(t *testing.T) {
 	g := New(7)
 	for i := 0; i < 100000; i++ {

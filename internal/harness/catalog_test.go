@@ -65,7 +65,8 @@ func TestRenderFigureCheapSections(t *testing.T) {
 }
 
 // TestPlanByName: every advertised plan name resolves to a non-empty key
-// set, unknown names error, and "all" subsumes every other plan.
+// set, unknown names error, "all" subsumes every other plan, and "table6"
+// is the table6 memo alone.
 func TestPlanByName(t *testing.T) {
 	h := New()
 	all := map[RunKey]bool{}
@@ -92,6 +93,9 @@ func TestPlanByName(t *testing.T) {
 	}
 	if _, err := h.PlanByName("no-such-plan"); err == nil {
 		t.Fatal("PlanByName accepted an unknown plan")
+	}
+	if keys, _ := h.PlanByName("table6"); len(keys) != 1 || keys[0] != memoPlanKey("table6") {
+		t.Fatalf("PlanByName(table6) = %v, want the table6 memo key", keys)
 	}
 }
 

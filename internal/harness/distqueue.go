@@ -117,8 +117,10 @@ type WorkQueue struct {
 // key — a run key against the suite, a memo key against the memo table
 // (unknown keys are coordinator-side errors — a worker should never
 // discover them) — and order the keys as the in-process executor starts
-// them: memos first, then longest-estimated first. A leaseTimeout of 0
-// selects DefaultLeaseTimeout.
+// them (before): dataset memos, then runs longest-estimated first, then
+// the table6 memo, which reads runs. The queue does not add a memo's
+// inputs: the worker that computes it reads or runs them itself. A
+// leaseTimeout of 0 selects DefaultLeaseTimeout.
 func (h *Harness) NewWorkQueue(keys []RunKey, leaseTimeout time.Duration) (*WorkQueue, error) {
 	if leaseTimeout <= 0 {
 		leaseTimeout = DefaultLeaseTimeout

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"bytes"
 	"context"
 	"io"
 	"math/rand/v2"
@@ -569,5 +570,67 @@ func TestExecuteKeyThroughSharedStore(t *testing.T) {
 	}
 	if got := metMemosComputed.Value() - computed; got != 0 {
 		t.Fatalf("warm peer computed %d memos, want 0", got)
+	}
+}
+
+// TestDistributedTable6 is `cubie dist --plan table6` at the harness level:
+// a worker drains the plan's queue through ExecuteKey into a shared store,
+// and a fresh coordinator over that store then renders Table 6 starting
+// no run and computing no memo — the rows arrive whole from the store.
+func TestDistributedTable6(t *testing.T) {
+	if testing.Short() {
+		t.Skip("every representative floating-point run and reference")
+	}
+	store := &distStore{entries: map[string][]byte{}}
+	srv := httptest.NewServer(store.handler())
+	defer srv.Close()
+	onStore := func() *Harness {
+		rc, err := runcache.Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return New().AttachCache(rc.AttachRemote(fastRemote(t, srv.URL)))
+	}
+
+	worker := onStore()
+	keys, err := worker.PlanByName("table6")
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := worker.NewWorkQueue(keys, time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for g := q.Lease("w1"); g.State == LeaseGranted; g = q.Lease("w1") {
+		msg := ""
+		if err := worker.ExecuteKey(g.Key); err != nil {
+			msg = err.Error()
+		}
+		if got := q.Complete(g.Lease, msg); got != "ok" {
+			t.Fatalf("completing %s: %s (%s)", g.Key, got, msg)
+		}
+	}
+	if err := q.Wait(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := worker.RenderFigure(&want, "table6"); err != nil {
+		t.Fatal(err)
+	}
+
+	coordinator := onStore()
+	runs, memos := metRunsStarted.Value(), metMemosComputed.Value()
+	var got bytes.Buffer
+	if err := coordinator.RenderFigure(&got, "table6"); err != nil {
+		t.Fatal(err)
+	}
+	if n := metRunsStarted.Value() - runs; n != 0 {
+		t.Errorf("coordinator started %d runs, want 0", n)
+	}
+	if n := metMemosComputed.Value() - memos; n != 0 {
+		t.Errorf("coordinator computed %d memos, want 0", n)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Errorf("coordinator Table 6 differs from the worker's:\n%s\nvs\n%s", got.Bytes(), want.Bytes())
 	}
 }

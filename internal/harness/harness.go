@@ -183,17 +183,12 @@ func (h *Harness) run(w workload.Workload, c workload.Case, v workload.Variant) 
 		return f.res, nil
 	}
 
-	metRunsStarted.Inc()
 	if retry {
 		metRunsRetried.Inc()
 	}
-	endSpan := trace.HostSpan("harness-run", key)
-	t0 := time.Now()
-	par.DoLabeled(w.Name(), string(v), "run", func() {
+	h.timed(w, v, key, func() {
 		f.res, f.err = w.Run(c, v)
 	})
-	h.runSecondsFor(w.Name()).Observe(time.Since(t0).Seconds())
-	endSpan()
 	if f.err != nil {
 		metRunsFailed.Inc()
 		h.mu.Lock()
@@ -201,20 +196,33 @@ func (h *Harness) run(w workload.Workload, c workload.Case, v workload.Variant) 
 		h.failed[key] = true
 		h.mu.Unlock()
 	} else {
-		h.rc.PutResult(w.Name(), c.Name, string(v), cacheable(w, c, f.res))
+		kept := cacheable(f.res)
+		h.rc.PutResult(w.Name(), c.Name, string(v), kept)
+		if c.Name != w.Representative().Name {
+			f.res = kept // only Table 6 reads outputs, of representative cases
+		}
 	}
 	close(f.done)
 	return f.res, f.err
 }
 
-// cacheable returns the result to persist for one execution. Only the
-// accuracy analysis (Table 6) ever reads Output, and it replays just the
-// representative case — every figure consumes Profile, Work, and the
-// utilization fields. Dropping the other cases' output arrays keeps the
-// cache (and the cold run's write cost) at megabytes instead of the
-// ~800 MB the full grid's outputs occupy.
-func cacheable(w workload.Workload, c workload.Case, res *workload.Result) *workload.Result {
-	if res == nil || res.Output == nil || c.Name == w.Representative().Name {
+// timed executes fn as one started execution of key: inside a harness-run
+// host span, under pprof labels, observed in w's latency histogram.
+func (h *Harness) timed(w workload.Workload, v workload.Variant, key string, fn func()) {
+	metRunsStarted.Inc()
+	endSpan := trace.HostSpan("harness-run", key)
+	t0 := time.Now()
+	par.DoLabeled(w.Name(), string(v), "run", fn)
+	h.runSecondsFor(w.Name()).Observe(time.Since(t0).Seconds())
+	endSpan()
+}
+
+// cacheable returns the result to persist for one execution: every field
+// but Output. Every figure consumes Profile, Work and the utilization
+// fields; only Table 6 reads outputs, and it persists its rows (the table6
+// memo) rather than the arrays they are measured from.
+func cacheable(res *workload.Result) *workload.Result {
+	if res.Output == nil {
 		return res
 	}
 	trimmed := *res
@@ -222,11 +230,27 @@ func cacheable(w workload.Workload, c workload.Case, res *workload.Result) *work
 	return &trimmed
 }
 
+// output returns one run whose Output Table 6 measures: the run's
+// in-process flight when it executed here, else — a run served from the
+// run cache carries no output — a direct execution of w.Run, uncached.
+func (h *Harness) output(w workload.Workload, c workload.Case, v workload.Variant) (*workload.Result, error) {
+	res, err := h.run(w, c, v)
+	if err != nil || res.Output != nil {
+		return res, err
+	}
+	h.timed(w, v, w.Name()+"|"+c.Name+"|"+string(v), func() {
+		res, err = w.Run(c, v)
+	})
+	return res, err
+}
+
 // reference computes (or returns the cached) CPU-serial ground truth of
 // one workload case — the Table 6 baseline. References run through the
 // same singleflight cache as variant executions, under the pseudo-variant
-// RefVariant, and persist to the run cache: a warm Table 6 re-runs
-// nothing, not even the serial CPU references.
+// RefVariant, and persist to the run cache. Only a Table 6 computation
+// reads them: a warm Table 6 is the table6 memo's rows, so it reads no
+// reference. The persisted entries serve a Table 6 recomputed without
+// that memo, and readers of PlanAll's RefVariant keys.
 func (h *Harness) reference(w workload.Workload, c workload.Case) ([]float64, error) {
 	key := w.Name() + "|" + c.Name + "|" + string(RefVariant)
 	h.mu.Lock()
@@ -250,19 +274,14 @@ func (h *Harness) reference(w workload.Workload, c workload.Case) ([]float64, er
 		return out, nil
 	}
 
-	metRunsStarted.Inc()
 	if retry {
 		metRunsRetried.Inc()
 	}
-	endSpan := trace.HostSpan("harness-run", key)
-	t0 := time.Now()
 	var out []float64
 	var err error
-	par.DoLabeled(w.Name(), string(RefVariant), "run", func() {
+	h.timed(w, RefVariant, key, func() {
 		out, err = w.Reference(c)
 	})
-	h.runSecondsFor(w.Name()).Observe(time.Since(t0).Seconds())
-	endSpan()
 	if err != nil {
 		f.err = err
 		metRunsFailed.Inc()
@@ -289,7 +308,9 @@ func refOutput(f *flight) ([]float64, error) {
 // RunOne executes a single (workload, case, variant) through the harness
 // cache — the entry point behind `cubie run`. An empty caseName selects the
 // workload's representative case. The returned Case reports what actually
-// ran.
+// ran. The result carries its Output only when this process executed a
+// representative case: a result loaded from the run cache, or one of any
+// other case, has none.
 func (h *Harness) RunOne(workloadName, caseName string, v workload.Variant) (workload.Case, *workload.Result, error) {
 	w, err := h.Suite.ByName(workloadName)
 	if err != nil {
@@ -520,26 +541,46 @@ func (h *Harness) Figure8(spec device.Spec) ([]power.Trace, error) {
 // Table6 measures the FP64 numerical errors of every floating-point
 // workload against the CPU serial reference. The arithmetic in this
 // reproduction is device-independent (the MMA semantics are exact), so one
-// table stands for both the H200 and B200 columns of the paper. Variant
-// runs and the serial references route through the harness cache: the
-// parallel plan executes first, and a warm table re-runs nothing.
+// table stands for both the H200 and B200 columns of the paper. The rows
+// are the table6 memo: a warm table reads them from the run cache and
+// decodes no output or reference array. Computing them executes the
+// memo's input runs and references as one parallel plan first.
 func (h *Harness) Table6() ([]accuracy.Row, error) {
-	if err := h.Execute(h.keysTable6()); err != nil {
+	if err := h.Execute([]RunKey{memoPlanKey("table6")}); err != nil {
 		return nil, err
 	}
+	return memo[[]accuracy.Row](h, "table6")
+}
+
+// table6Rows computes the table6 memo: one accuracy row per floating-point
+// workload. Through a harness, each representative output comes from its
+// run's flight (output) and each reference through h.reference; a nil
+// harness measures a fresh suite without caching.
+func table6Rows(h *Harness) ([]accuracy.Row, error) {
+	var suite *core.Suite
+	if h != nil {
+		suite = h.Suite
+	} else {
+		suite = core.NewSuite()
+	}
 	var rows []accuracy.Row
-	for _, w := range h.Suite.Workloads() {
+	for _, w := range suite.Workloads() {
 		if w.Name() == "BFS" {
 			continue // no floating-point computation (Section 8)
 		}
-		w := w
-		row, err := accuracy.MeasureWorkloadWith(w,
-			func(c workload.Case, v workload.Variant) (*workload.Result, error) {
-				return h.run(w, c, v)
-			},
-			func(c workload.Case) ([]float64, error) {
-				return h.reference(w, c)
-			})
+		var row accuracy.Row
+		var err error
+		if h == nil {
+			row, err = accuracy.MeasureWorkload(w)
+		} else {
+			row, err = accuracy.MeasureWorkloadWith(w,
+				func(c workload.Case, v workload.Variant) (*workload.Result, error) {
+					return h.output(w, c, v)
+				},
+				func(c workload.Case) ([]float64, error) {
+					return h.reference(w, c)
+				})
+		}
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", w.Name(), err)
 		}

@@ -1,19 +1,22 @@
 package harness
 
-// Memoized dataset values. Some results are pure functions of seeded
-// datasets rather than workload runs: the Figure 10 corpus and
-// representative feature matrices, and the dataset-level ablation arms.
-// Each has one definition in memoDefs, keyed by its name. A memo is also a
-// plan key (MemoVariant), so the plan executor schedules it on the same
-// pool as the runs, and a `cubie dist` worker can compute it; renderers
-// read it through memo. Both paths meet in one in-memory flight per key,
-// so a process reads or computes each memo at most once.
+// Memoized values. Some results are pure functions of seeded datasets
+// rather than workload runs: the Figure 10 corpus and representative
+// feature matrices, and the dataset-level ablation arms. One is a summary
+// of runs: the Table 6 rows, which persist in place of the output and
+// reference arrays they are measured from. Each has one definition in
+// memoDefs, keyed by its name. A memo is also a plan key (MemoVariant), so
+// the plan executor schedules it on the same pool as the runs, and a
+// `cubie dist` worker can compute it; renderers read it through memo. Both
+// paths meet in one in-memory flight per key, so a process reads or
+// computes each memo at most once.
 
 import (
 	"fmt"
 	"strconv"
 	"strings"
 
+	"repro/internal/accuracy"
 	"repro/internal/graph"
 	"repro/internal/metrics"
 	"repro/internal/runcache"
@@ -34,21 +37,27 @@ var metMemosComputed = metrics.NewCounter("cubie_harness_memos_computed_total",
 
 // memoDef is one memoized value: the run-cache kind it persists under, its
 // host-span category (also the Workload of its plan key), how many integer
-// parameters its key carries after the name, its traced cost, and how to
-// read and compute it.
+// parameters its key carries after the name, its traced cost, the run keys
+// it reads, and how to read and compute it.
 type memoDef struct {
 	kind, cat string
 	params    int
 	// secs is the value's traced compute time in a cold `cubie all` on a
 	// 2-vCPU Xeon (corpora at size 199); the plan executor starts memos
 	// longest first by it.
-	secs    float64
+	secs float64
+	// inputs, when set, lists the run keys the memo reads. The plan
+	// executor starts such a memo after every run key, and runs its inputs
+	// as keys of their own when it must compute it (Execute).
+	inputs  func(h *Harness) []RunKey
 	get     func(rc *runcache.Cache, key string) (any, bool)
-	compute func(p []int64) (any, error)
+	compute func(h *Harness, p []int64) (any, error)
 }
 
-// memoOf builds a memoDef whose value has type T.
-func memoOf[T any](kind, cat string, params int, secs float64, compute func(p []int64) (T, error)) memoDef {
+// memoOf builds a memoDef whose value has type T. compute receives the
+// harness that asked (nil computes without caching) and the key's integer
+// parameters.
+func memoOf[T any](kind, cat string, params int, secs float64, compute func(h *Harness, p []int64) (T, error)) memoDef {
 	return memoDef{
 		kind: kind, cat: cat, params: params, secs: secs,
 		get: func(rc *runcache.Cache, key string) (any, bool) {
@@ -56,7 +65,7 @@ func memoOf[T any](kind, cat string, params int, secs float64, compute func(p []
 			ok := rc.Get(kind, key, &v)
 			return v, ok
 		},
-		compute: func(p []int64) (any, error) { return compute(p) },
+		compute: func(h *Harness, p []int64) (any, error) { return compute(h, p) },
 	}
 }
 
@@ -64,17 +73,26 @@ func memoOf[T any](kind, cat string, params int, secs float64, compute func(p []
 // definition. The corpus memos take (size, seed) from the key.
 var memoDefs = map[string]memoDef{
 	"matrix-corpus": memoOf(runcache.KindFeatures, "coverage", 2, 2.77,
-		func(p []int64) ([][]float64, error) { return matrixCorpusFeatures(int(p[0]), p[1]), nil }),
+		func(_ *Harness, p []int64) ([][]float64, error) { return matrixCorpusFeatures(int(p[0]), p[1]), nil }),
 	"bfs-relabel": memoOf(runcache.KindAblation, "ablation", 0, 0.68,
-		func([]int64) ([]AblationRow, error) { return AblateBFSRelabel() }),
+		func(*Harness, []int64) ([]AblationRow, error) { return AblateBFSRelabel() }),
 	"graph-corpus": memoOf(runcache.KindFeatures, "coverage", 2, 0.48,
-		func(p []int64) ([][]float64, error) { return graphCorpusFeatures(int(p[0]), p[1]), nil }),
+		func(_ *Harness, p []int64) ([][]float64, error) { return graphCorpusFeatures(int(p[0]), p[1]), nil }),
 	"dasp-padding": memoOf(runcache.KindAblation, "ablation", 0, 0.06,
-		func([]int64) ([]AblationRow, error) { return AblateDASPPadding() }),
+		func(*Harness, []int64) ([]AblationRow, error) { return AblateDASPPadding() }),
 	"matrix-reps": memoOf(runcache.KindFeatures, "coverage", 0, 0.03,
-		func([]int64) ([][]float64, error) { return matrixRepFeatures() }),
+		func(*Harness, []int64) ([][]float64, error) { return matrixRepFeatures() }),
 	"graph-reps": memoOf(runcache.KindFeatures, "coverage", 0, 0.01,
-		func([]int64) ([][]float64, error) { return graphRepFeatures() }),
+		func(*Harness, []int64) ([][]float64, error) { return graphRepFeatures() }),
+	"table6": withInputs(memoOf(runcache.KindAccuracy, "accuracy", 0, 0.03,
+		func(h *Harness, _ []int64) ([]accuracy.Row, error) { return table6Rows(h) }),
+		(*Harness).keysTable6),
+}
+
+// withInputs returns d reading the run keys inputs lists.
+func withInputs(d memoDef, inputs func(h *Harness) []RunKey) memoDef {
+	d.inputs = inputs
+	return d
 }
 
 // corpusKey is the memo key of a Figure 10 corpus's feature matrix.
@@ -139,7 +157,7 @@ func (h *Harness) memoValue(key string) (any, error) {
 		return nil, err
 	}
 	if h == nil {
-		return d.run(key, p)
+		return d.run(nil, key, p)
 	}
 	h.mu.Lock()
 	if f, ok := h.memos[key]; ok {
@@ -156,7 +174,7 @@ func (h *Harness) memoValue(key string) (any, error) {
 		f.val = v
 		return v, nil
 	}
-	f.val, f.err = d.run(key, p)
+	f.val, f.err = d.run(h, key, p)
 	if f.err != nil {
 		h.mu.Lock()
 		delete(h.memos, key)
@@ -167,13 +185,13 @@ func (h *Harness) memoValue(key string) (any, error) {
 	return f.val, nil
 }
 
-// run computes one memo inside a host span of its category, named by the
-// memo's name.
-func (d memoDef) run(key string, p []int64) (any, error) {
+// run computes one memo for h inside a host span of its category, named by
+// the memo's name.
+func (d memoDef) run(h *Harness, key string, p []int64) (any, error) {
 	metMemosComputed.Inc()
 	name, _, _ := strings.Cut(key, "|")
 	defer trace.HostSpan(d.cat, name)()
-	return d.compute(p)
+	return d.compute(h, p)
 }
 
 // graphCorpusFeatures is the Figure 10a background: the feature vectors of

@@ -7,10 +7,11 @@ import (
 	"testing"
 )
 
-// TestPlanCampaignMemoKeys: the campaign plan holds exactly the six memo
-// keys `cubie all` reads, first, and none of them names a suite workload —
-// a filter on suite workloads passes them by. PlanByName("all") is the
-// campaign plan.
+// TestPlanCampaignMemoKeys: the campaign plan holds exactly the seven memo
+// keys `cubie all` reads, first, then PlanAll's run keys without the
+// references (inputs of the table6 memo), and no memo key names a suite
+// workload — a filter on suite workloads passes them by.
+// PlanByName("all") is the campaign plan.
 func TestPlanCampaignMemoKeys(t *testing.T) {
 	h := New()
 	keys := h.PlanCampaign()
@@ -21,6 +22,7 @@ func TestPlanCampaignMemoKeys(t *testing.T) {
 		{"coverage", "matrix-reps", MemoVariant},
 		{"ablation", "dasp-padding", MemoVariant},
 		{"ablation", "bfs-relabel", MemoVariant},
+		{"accuracy", "table6", MemoVariant},
 	}
 	var memos []RunKey
 	for _, k := range keys {
@@ -31,8 +33,15 @@ func TestPlanCampaignMemoKeys(t *testing.T) {
 	if !slices.Equal(memos, want) || !slices.Equal(keys[:len(want)], want) {
 		t.Fatalf("campaign memo keys = %v, want %v leading the plan", memos, want)
 	}
-	if len(keys) != len(want)+len(h.PlanAll()) {
-		t.Fatalf("campaign plan has %d keys, want %d memos + %d runs", len(keys), len(want), len(h.PlanAll()))
+	var runs []RunKey
+	for _, k := range h.PlanAll() {
+		if k.Variant != RefVariant {
+			runs = append(runs, k)
+		}
+	}
+	if !slices.Equal(keys[len(want):], runs) {
+		t.Fatalf("campaign plan has %d keys, want %d memos + PlanAll's %d non-reference keys",
+			len(keys), len(want), len(runs))
 	}
 	for _, k := range memos {
 		if _, err := h.Suite.ByName(k.Workload); err == nil {
@@ -45,8 +54,9 @@ func TestPlanCampaignMemoKeys(t *testing.T) {
 	}
 }
 
-// TestExecuteStartsMemosLongestFirst: memos order ahead of every run key,
-// the longest (by traced seconds) first.
+// TestExecuteStartsMemosLongestFirst: the dataset memos order ahead of
+// every run key, the longest (by traced seconds) first, and the table6
+// memo, which reads runs, after every run key.
 func TestExecuteStartsMemosLongestFirst(t *testing.T) {
 	h := New()
 	var jobs []planJob
@@ -74,9 +84,12 @@ func TestExecuteStartsMemosLongestFirst(t *testing.T) {
 		t.Fatalf("first three started = %v, want %v", got, want)
 	}
 	for i, j := range jobs {
-		if memo := j.key.Variant == MemoVariant; memo != (i < 6) {
-			t.Fatalf("job %d (%s): memos must start before every run", i, j.key)
+		if memo := j.key.Variant == MemoVariant; memo != (i < 6 || i == len(jobs)-1) {
+			t.Fatalf("job %d (%s): dataset memos must start before every run, table6 after", i, j.key)
 		}
+	}
+	if last := jobs[len(jobs)-1].key; last != memoPlanKey("table6") {
+		t.Fatalf("last job = %s, want the table6 memo", last)
 	}
 }
 
@@ -122,7 +135,7 @@ func TestMemoOneFlightWithoutCache(t *testing.T) {
 
 // TestRenderAllComputesEachMemoOnce: with no run cache, a whole campaign
 // — the prefetched plan and the renderers together — computes each of the
-// six memos exactly once, and Progress then counts every campaign key.
+// seven memos exactly once, and Progress then counts every campaign key.
 func TestRenderAllComputesEachMemoOnce(t *testing.T) {
 	if testing.Short() {
 		t.Skip("a whole cold campaign")
@@ -133,8 +146,8 @@ func TestRenderAllComputesEachMemoOnce(t *testing.T) {
 	if err := h.RenderAll(&out); err != nil {
 		t.Fatal(err)
 	}
-	if got := metMemosComputed.Value() - computed; got != 6 {
-		t.Fatalf("cacheless RenderAll computed %d memos, want 6 (each once)", got)
+	if got := metMemosComputed.Value() - computed; got != 7 {
+		t.Fatalf("cacheless RenderAll computed %d memos, want 7 (each once)", got)
 	}
 	seen := map[RunKey]bool{}
 	var distinct []RunKey

@@ -13,11 +13,13 @@ package harness
 //
 // A plan holds two kinds of key on one pool. Run keys are workload
 // executions and CPU-serial references. Memo keys (MemoVariant) are the
-// memoized dataset values of memo.go: the Figure 10 feature matrices and
-// the dataset-level ablation arms. Memos start first, longest first by
-// their traced seconds; run keys follow, longest-estimated first. In a
-// cold `cubie all` traced on a 2-vCPU Xeon before memos were plan keys,
-// the pool drained at 4.17 s and the renderers then computed graph-corpus
+// memoized values of memo.go: the Figure 10 feature matrices, the
+// dataset-level ablation arms, and the Table 6 rows. Dataset memos start
+// first, longest first by their traced seconds; run keys follow,
+// longest-estimated first; a memo that reads runs (table6) starts last, so
+// its pool slot never waits on a run that has not started. In a cold
+// `cubie all` traced on a 2-vCPU Xeon before memos were plan keys, the
+// pool drained at 4.17 s and the renderers then computed graph-corpus
 // (0.48 s), matrix-corpus (2.77 s) and bfs-relabel (0.68 s) one after
 // another on one core, to 8.22 s. Started first, the single-threaded
 // corpus overlaps the runs instead of trailing them.
@@ -145,7 +147,7 @@ func (h *Harness) buildKeysPower() []RunKey {
 
 // keysTable6 covers the accuracy table: every variant of each
 // floating-point workload on its representative case, plus the CPU-serial
-// reference of that case.
+// reference of that case. These are the table6 memo's inputs.
 func (h *Harness) keysTable6() []RunKey {
 	return h.keysMemo("table6", h.buildKeysTable6)
 }
@@ -218,15 +220,19 @@ func (h *Harness) buildKeysTC() []RunKey {
 // experiment `cubie all` renders. Figure 3's grid already subsumes the
 // speedup, power, roofline, coverage, sweep, counterfactual, and ablation
 // runs; Table 6 adds the CPU-serial references. Every key names a suite
-// workload and has a run-cache result or reference entry once executed;
-// PlanCampaign adds the memo keys.
+// workload and has a run-cache result or reference entry once a cold
+// campaign ran. The campaign itself executes PlanCampaign, in which the
+// references are inputs of the table6 memo rather than keys.
 func (h *Harness) PlanAll() []RunKey {
 	return h.keysMemo("all", h.buildPlanAll)
 }
 
 // PlanCampaign returns everything `cubie all` computes: the memo keys its
-// coverage and ablation sections read, then PlanAll's run keys. This is
-// the plan "all" of PlanByName, so `cubie dist` hands memos to workers too.
+// coverage, ablation and Table 6 sections read, then PlanAll's run keys
+// without the references. A warm campaign therefore reads the Table 6 rows
+// and never a reference array; a cold one computes the references as
+// inputs of the table6 memo (Execute). This is the plan "all" of
+// PlanByName, so `cubie dist` hands memos to workers too.
 func (h *Harness) PlanCampaign() []RunKey {
 	return h.keysMemo("campaign", func() []RunKey {
 		keys := []RunKey{
@@ -236,8 +242,14 @@ func (h *Harness) PlanCampaign() []RunKey {
 			memoPlanKey("matrix-reps"),
 			memoPlanKey("dasp-padding"),
 			memoPlanKey("bfs-relabel"),
+			memoPlanKey("table6"),
 		}
-		return append(keys, h.PlanAll()...)
+		for _, k := range h.PlanAll() {
+			if k.Variant != RefVariant {
+				keys = append(keys, k)
+			}
+		}
+		return keys
 	})
 }
 
@@ -260,8 +272,9 @@ func PlanNames() []string {
 
 // PlanByName resolves a named plan to its key set: "all" is the
 // whole-campaign union of memos and runs, "figure3" the full performance
-// grid, "power" the Figure 7/8 runs, "table6" the accuracy runs plus
-// CPU-serial references, "figure9" the roofline runs, "representative" one
+// grid, "power" the Figure 7/8 runs, "table6" the table6 memo (the worker
+// that computes it runs its accuracy runs and CPU-serial references),
+// "figure9" the roofline runs, "representative" one
 // variant-complete pass over the representative cases, and "sweep" the
 // largest-case TC runs the provisioning sweeps and the counterfactual
 // reuse.
@@ -274,7 +287,7 @@ func (h *Harness) PlanByName(name string) ([]RunKey, error) {
 	case "power":
 		return h.keysPower(), nil
 	case "table6":
-		return h.keysTable6(), nil
+		return []RunKey{memoPlanKey("table6")}, nil
 	case "figure9":
 		return h.keysFigure9(), nil
 	case "representative":
@@ -341,12 +354,16 @@ func (h *Harness) resolveKey(k RunKey) (workload.Workload, workload.Case, error)
 }
 
 // resolveJob resolves one plan key — a memo key against the memo table,
-// any other against the suite — into a job with its cost estimate.
+// any other against the suite — into a job with its start rank and cost
+// estimate.
 func (h *Harness) resolveJob(k RunKey) (planJob, error) {
-	j := planJob{key: k}
+	j := planJob{key: k, rank: rankRun}
 	if k.Variant == MemoVariant {
 		d, err := resolveMemo(k)
-		j.est = d.secs
+		j.est, j.rank = d.secs, rankMemo
+		if d.inputs != nil {
+			j.rank = rankReader
+		}
 		return j, err
 	}
 	var err error
@@ -392,11 +409,19 @@ func (h *Harness) execute(j planJob) error {
 
 // planJob is one resolved plan entry. Memo jobs leave w and c unset.
 type planJob struct {
-	key RunKey
-	w   workload.Workload
-	c   workload.Case
-	est float64 // cost estimate: a memo's traced seconds, a run's size score
+	key  RunKey
+	w    workload.Workload
+	c    workload.Case
+	rank int     // start rank: rankMemo, rankRun or rankReader
+	est  float64 // cost estimate: a memo's traced seconds, a run's size score
 }
+
+// Start ranks: dataset memos, then runs, then memos that read runs.
+const (
+	rankMemo = iota
+	rankRun
+	rankReader
+)
 
 // estimate scores a run job for scheduling: the product of the case
 // dimensions when present, the 1-based case position otherwise (Table 2
@@ -424,13 +449,15 @@ func estimate(j planJob) float64 {
 	return e
 }
 
-// before reports whether job a starts ahead of job b: memos before runs,
-// then the larger estimate, then key order. The run estimates are size
-// scores, not seconds, so the two kinds are not ranked against each other;
-// memos go first because the longest of them outlasts any single run.
+// before reports whether job a starts ahead of job b: the lower rank, then
+// the larger estimate, then key order. The run estimates are size scores,
+// not seconds, so memos and runs are not ranked against each other by
+// them. Dataset memos go first because the longest of them outlasts any
+// single run; a memo that reads runs goes last, after every run it reads
+// has started.
 func before(a, b planJob) bool {
-	if am, bm := a.key.Variant == MemoVariant, b.key.Variant == MemoVariant; am != bm {
-		return am
+	if a.rank != b.rank {
+		return a.rank < b.rank
 	}
 	if a.est != b.est {
 		return a.est > b.est
@@ -440,10 +467,11 @@ func before(a, b planJob) bool {
 
 // Execute runs a plan: deduplicate the keys, drop the ones whose flight
 // already exists in memory (in flight or completed — the assembly pull
-// joins those), order the rest (before), pre-warm the Table 3/4 datasets
-// the executing keys will touch, and run everything on a worker pool
-// bounded by the host's cores, started strictly in that order. The first
-// error in plan order is returned with its key context. Execute composes
+// joins those), add the inputs of every memo that must be computed, order
+// the rest (before), pre-warm the Table 3/4 datasets the executing keys
+// will touch, and run everything on a worker pool bounded by the host's
+// cores, started strictly in that order. The first error in plan order is
+// returned with its key context. Execute composes
 // with concurrent figure pulls through the singleflight caches, and
 // re-executing an already-satisfied plan costs one map lookup per key.
 func (h *Harness) Execute(keys []RunKey) error {
@@ -481,13 +509,29 @@ func (h *Harness) Execute(keys []RunKey) error {
 		pending = append(pending, k)
 	}
 	h.mu.Unlock()
-	jobs := make([]planJob, len(pending))
-	for i, k := range pending {
-		j, err := h.resolveJob(k)
+	var jobs []planJob
+	for i := 0; i < len(pending); i++ {
+		j, err := h.resolveJob(pending[i])
 		if err != nil {
 			return err
 		}
-		jobs[i] = j
+		jobs = append(jobs, j)
+		// A memo that reads runs, and that neither this process nor the run
+		// cache holds, brings its inputs in as keys of their own, so they
+		// start by their estimates (the references early) and not in its
+		// one pool slot. A warm plan reads the memo and none of its inputs.
+		if j.rank == rankReader && !h.satisfied(j) {
+			d, _ := resolveMemo(j.key)
+			inputs := d.inputs(h)
+			h.mu.Lock()
+			for _, in := range inputs {
+				if _, ok := h.flightLocked(in); !ok && !seen[in] {
+					seen[in] = true
+					pending = append(pending, in)
+				}
+			}
+			h.mu.Unlock()
+		}
 	}
 	if len(jobs) == 0 {
 		h.markPlanned(keys)

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -97,14 +98,15 @@ func TestExecuteRejectsUnknownKeys(t *testing.T) {
 }
 
 // TestPlanAllCoversCampaign: the whole-campaign plan resolves cleanly and
-// contains the full Figure 3 grid plus the Table 6 references. Its memo
-// keys resolve against the memo table; PlanAll itself holds run keys only.
+// contains the full Figure 3 grid and the Table 6 runs. Its memo keys
+// resolve against the memo table. PlanAll holds run keys only, the Table 6
+// references among them; the campaign holds no reference, because the
+// references are inputs of its table6 memo.
 func TestPlanAllCoversCampaign(t *testing.T) {
 	h := New()
 	keys := h.PlanCampaign()
 
 	seen := map[RunKey]bool{}
-	refs := 0
 	for _, k := range keys {
 		seen[k] = true
 		if k.Variant == MemoVariant {
@@ -114,7 +116,18 @@ func TestPlanAllCoversCampaign(t *testing.T) {
 			continue
 		}
 		if k.Variant == RefVariant {
+			t.Fatalf("campaign plan holds reference key %s; references are table6 memo inputs", k)
+		}
+	}
+	refs := 0
+	for _, k := range h.PlanAll() {
+		if k.Variant == MemoVariant {
+			t.Fatalf("PlanAll holds memo key %s; memo keys belong to PlanCampaign only", k)
+		}
+		if k.Variant == RefVariant {
 			refs++
+		} else if !seen[k] {
+			t.Fatalf("campaign plan missing PlanAll run key %s", k)
 		}
 		w, err := h.Suite.ByName(k.Workload)
 		if err != nil {
@@ -135,14 +148,13 @@ func TestPlanAllCoversCampaign(t *testing.T) {
 			t.Fatalf("PlanAll missing Figure 3 key %s", k)
 		}
 	}
-	for _, k := range h.keysTable6() {
-		if !seen[k] {
-			t.Fatalf("PlanAll missing Table 6 key %s", k)
-		}
+	inputs := memoDefs["table6"].inputs(h)
+	if !slices.Equal(inputs, h.keysTable6()) {
+		t.Fatalf("table6 memo inputs = %v, want the Table 6 keys", inputs)
 	}
-	for _, k := range h.PlanAll() {
-		if k.Variant == MemoVariant {
-			t.Fatalf("PlanAll holds memo key %s; memo keys belong to PlanCampaign only", k)
+	for _, k := range inputs {
+		if k.Variant != RefVariant && !seen[k] {
+			t.Fatalf("campaign plan missing Table 6 key %s", k)
 		}
 	}
 }

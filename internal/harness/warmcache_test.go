@@ -6,8 +6,13 @@
 package harness_test
 
 import (
+	"bufio"
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/device"
@@ -56,10 +61,37 @@ func memosComputed() uint64 {
 		"Memoized dataset values computed (found neither in memory nor in the run cache).").Value()
 }
 
+// readBytes reads the run cache's byte counter.
+func readBytes() uint64 {
+	return metrics.NewCounter("cubie_runcache_read_bytes_total",
+		"Bytes read from run-cache entry files.").Value()
+}
+
+// goldenAll returns the committed SHA-256 of `cubie all` stdout: the "all"
+// line of the benchmark's golden digests, read in place so both modules
+// share one committed truth.
+func goldenAll(t *testing.T) string {
+	t.Helper()
+	f, err := os.Open(filepath.Join("..", "..", "bench", "testdata", "golden.sha256"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		if sum, name, ok := strings.Cut(sc.Text(), "  "); ok && name == "all" {
+			return sum
+		}
+	}
+	t.Fatalf("no \"all\" digest in %s (%v)", f.Name(), sc.Err())
+	return ""
+}
+
 // TestWarmHarnessBitIdenticalZeroRuns renders the whole campaign cold into
 // a fresh cache, then replays it on a brand-new harness: zero executions,
-// zero memo computations, byte-identical `cubie all` text and Figure 3 /
-// Table 6 CSV.
+// zero memo computations, under 1 MiB read from the cache, byte-identical
+// Figure 3 / Table 6 CSV, and `cubie all` text matching the committed
+// golden digest both cold and warm.
 func TestWarmHarnessBitIdenticalZeroRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("a whole cold campaign")
@@ -81,7 +113,7 @@ func TestWarmHarnessBitIdenticalZeroRuns(t *testing.T) {
 	coldF3 := figure3CSV(t, cold)
 	coldT6 := table6CSV(t, cold)
 
-	runs0, memos0 := runsStarted(), memosComputed()
+	runs0, memos0, read0 := runsStarted(), memosComputed(), readBytes()
 	warm := harness.New().AttachCache(cache)
 	warmAll := renderAll(warm)
 	warmF3 := figure3CSV(t, warm)
@@ -92,7 +124,16 @@ func TestWarmHarnessBitIdenticalZeroRuns(t *testing.T) {
 	if computed := memosComputed() - memos0; computed != 0 {
 		t.Fatalf("warm harness computed %d memos, want 0", computed)
 	}
+	if read := readBytes() - read0; read >= 1<<20 {
+		t.Errorf("warm harness read %d bytes from the run cache, want under 1 MiB", read)
+	}
 
+	want := goldenAll(t)
+	for pass, out := range map[string][]byte{"cold": coldAll, "warm": warmAll} {
+		if sum := sha256.Sum256(out); hex.EncodeToString(sum[:]) != want {
+			t.Errorf("%s RenderAll digest %x, want the committed %s", pass, sum, want)
+		}
+	}
 	if !bytes.Equal(coldAll, warmAll) {
 		t.Error("warm RenderAll output differs from cold run")
 	}
@@ -102,6 +143,61 @@ func TestWarmHarnessBitIdenticalZeroRuns(t *testing.T) {
 	if !bytes.Equal(coldT6, warmT6) {
 		t.Error("warm Table 6 CSV differs from cold run")
 	}
+}
+
+// fpVariants counts the variants of the floating-point workloads: the runs
+// whose representative outputs Table 6 measures.
+func fpVariants(h *harness.Harness) (variants, workloads int) {
+	for _, w := range h.Suite.Workloads() {
+		if w.Name() != "BFS" {
+			variants += len(w.Variants())
+			workloads++
+		}
+	}
+	return variants, workloads
+}
+
+// TestTable6MemoFallback computes Table 6 cold into a fresh cache, then
+// deletes its accuracy entry: a fresh harness must recompute
+// byte-identical rows by executing exactly one run per representative
+// floating-point variant (the persisted results carry no output), while
+// the references and the results come from the store.
+func TestTable6MemoFallback(t *testing.T) {
+	if testing.Short() {
+		t.Skip("every representative floating-point run and reference")
+	}
+	cache, err := runcache.OpenWithFingerprint(t.TempDir(), "table6-fallback-test")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold := table6CSV(t, harness.New().AttachCache(cache))
+	entries, _ := filepath.Glob(filepath.Join(cache.Dir(), runcache.KindAccuracy+"-*.json"))
+	if len(entries) != 1 {
+		t.Fatalf("cold Table 6 stored %d accuracy entries, want 1", len(entries))
+	}
+	if err := os.Remove(entries[0]); err != nil {
+		t.Fatal(err)
+	}
+
+	h := harness.New().AttachCache(cache)
+	variants, refs := fpVariants(h)
+	runs0, cached0 := runsStarted(), runsCached()
+	if got := table6CSV(t, h); !bytes.Equal(got, cold) {
+		t.Errorf("recomputed Table 6 differs from the cold one:\n%s\nvs\n%s", got, cold)
+	}
+	if started := runsStarted() - runs0; started != uint64(variants) {
+		t.Errorf("recomputing Table 6 started %d executions, want %d (one per representative variant)", started, variants)
+	}
+	if cached := runsCached() - cached0; cached != uint64(variants+refs) {
+		t.Errorf("recomputing Table 6 loaded %d results and references from the store, want %d", cached, variants+refs)
+	}
+}
+
+// runsCached reads the counter of runs and references loaded from the run
+// cache.
+func runsCached() uint64 {
+	return metrics.NewCounter("cubie_harness_runs_cached_total",
+		"Run requests served by the persistent run cache (loaded from disk, no execution).").Value()
 }
 
 // TestCacheOffBypasses: CUBIE_CACHE=off yields a nil cache; a harness with

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/accuracy"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -92,6 +93,54 @@ func TestCodecRoundTripBitExact(t *testing.T) {
 		got, ok := c.GetFloats(KindReference, label)
 		if !ok || !sameBits(got, out) {
 			t.Fatalf("%s: float round trip is not bit-exact (hit %v)", label, ok)
+		}
+	}
+}
+
+// accuracyRows are Table 6 rows in the codec's corners: a nil Baseline
+// (PiC has none), a nil CCE (Quadrant I), a subnormal Max and the largest
+// finite float.
+func accuracyRows() []accuracy.Row {
+	return []accuracy.Row{
+		{
+			Workload:   "PiC",
+			TCCC:       accuracy.Errors{Workload: "PiC", Variant: workload.TC, Avg: 1e-17, Max: math.SmallestNonzeroFloat64, Samples: 3},
+			CCE:        &accuracy.Errors{Workload: "PiC", Variant: workload.CCE, Avg: 0.1, Max: math.MaxFloat64, Samples: 3},
+			TCEqualsCC: true,
+		},
+		{
+			Workload: "GEMM",
+			Baseline: &accuracy.Errors{Workload: "GEMM", Variant: workload.Baseline, Avg: math.Float64frombits(0x000fffffffffffff), Max: 1.0000000000000002, Samples: 1 << 20},
+			TCCC:     accuracy.Errors{Workload: "GEMM", Variant: workload.TC, Avg: 0, Max: 2.5e-16, Samples: 1 << 20},
+		},
+	}
+}
+
+// TestCodecAccuracyRowsBitExact: Table 6 rows round-trip through the
+// accuracy kind with every float bit-exact and nil pointers kept nil.
+func TestCodecAccuracyRowsBitExact(t *testing.T) {
+	c := openTest(t, t.TempDir(), "fp-a")
+	want := accuracyRows()
+	c.Put(KindAccuracy, "table6", want)
+	var got []accuracy.Row
+	if !c.Get(KindAccuracy, "table6", &got) {
+		t.Fatal("accuracy rows missed after Put")
+	}
+	sameErrors := func(a, b *accuracy.Errors) bool {
+		if a == nil || b == nil {
+			return a == b
+		}
+		return a.Workload == b.Workload && a.Variant == b.Variant && a.Samples == b.Samples &&
+			math.Float64bits(a.Avg) == math.Float64bits(b.Avg) && math.Float64bits(a.Max) == math.Float64bits(b.Max)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("got %d rows, want %d", len(got), len(want))
+	}
+	for i := range want {
+		g, w := got[i], want[i]
+		if g.Workload != w.Workload || g.TCEqualsCC != w.TCEqualsCC || !sameErrors(&g.TCCC, &w.TCCC) ||
+			!sameErrors(g.Baseline, w.Baseline) || !sameErrors(g.CCE, w.CCE) {
+			t.Fatalf("row %d round trip is not bit-exact:\n got %+v\nwant %+v", i, g, w)
 		}
 	}
 }
@@ -237,8 +286,8 @@ func TestEntriesAreJSONEnvelopes(t *testing.T) {
 }
 
 // FuzzDecodeEntry hands arbitrary bytes straight to the entry reader, with
-// no JSON pre-filter, as a result, as a float payload and as a generic JSON
-// value. The reader must never panic, and an entry it accepts must be the
+// no JSON pre-filter, as a result, as a float payload and as generic JSON
+// values (feature matrices and Table 6 rows). The reader must never panic, and an entry it accepts must be the
 // canonical one: Put of the decoded value writes the same bytes back.
 func FuzzDecodeEntry(f *testing.F) {
 	const fp, key = "fp-a", "GEMM|rep|TC"
@@ -248,6 +297,7 @@ func FuzzDecodeEntry(f *testing.F) {
 		func(c *Cache) { c.PutFloats(KindReference, key, oddFloats) },
 		func(c *Cache) { c.PutFloats(KindReference, key, []float64{}) },
 		func(c *Cache) { c.Put(KindFeatures, key, [][]float64{{1, 2}, {-0.5, 1e-308}}) },
+		func(c *Cache) { c.Put(KindAccuracy, key, accuracyRows()) },
 	} {
 		_, data := seedEntry(f, fp, put)
 		f.Add(data)
@@ -275,5 +325,7 @@ func FuzzDecodeEntry(f *testing.F) {
 		check(KindReference, &fs, func() any { return fs })
 		var feats [][]float64
 		check(KindFeatures, &feats, func() any { return feats })
+		var rows []accuracy.Row
+		check(KindAccuracy, &rows, func() any { return rows })
 	})
 }

@@ -112,8 +112,14 @@ const EnvRemote = "CUBIE_REMOTE_CACHE"
 const KindResult = "result"
 
 // KindReference is the entry kind for CPU-serial reference outputs (the
-// Table 6 ground truth), stored as []float64.
+// Table 6 ground truth), stored as []float64. Only a Table 6 computation
+// reads them; a warm campaign reads the KindAccuracy rows instead.
 const KindReference = "reference"
+
+// KindAccuracy is the entry kind for the Table 6 rows: each floating-point
+// workload's error summary against its CPU-serial reference, stored as
+// []accuracy.Row.
+const KindAccuracy = "accuracy"
 
 // KindFeatures is the entry kind for corpus feature matrices (the Figure 10
 // PCA inputs), stored as [][]float64.

@@ -52,7 +52,9 @@ type Result struct {
 	// Output is the flattened numerical result used by the accuracy
 	// analysis (Table 6). It may be a deterministic sample of a large
 	// output; all variants of a workload must sample identically. Nil for
-	// profile-only runs of cases too large to execute in full.
+	// profile-only runs of cases too large to execute in full. The harness
+	// keeps it in memory for representative cases only and never persists
+	// it: Table 6 persists its rows instead.
 	Output []float64
 	// InputUtil and OutputUtil are the MMA operand utilization fractions
 	// behind the Figure 2 quadrant categorization (1 = full). Zero for

@@ -1,14 +1,15 @@
 # Build/test entry points for the Cubie reproduction.
 #
-#   make test          - vet + docs-check + race-quick + unit tests (tier-1
-#                        gate)
+#   make test          - vet + fmt-check + docs-check + race-quick + unit
+#                        tests (tier-1 gate)
 #   make race          - full test suite under the race detector
 #   make fuzz          - run every Fuzz* target in the repo for 10 s each
 #                        (not part of make test)
 #   make race-quick    - the race detector on the packages that finish in
 #                        seconds under it (par, runcache, server, mmu, gemm,
-#                        gemv, spmv); spgemm and harness stay in make race
-#                        (runs inside make test)
+#                        gemv, spmv) and on the harness's flight and work
+#                        queue tests; spgemm and the rest of harness stay
+#                        in make race (runs inside make test)
 #   make bench         - kernel + harness benchmarks with memory stats,
 #                        archived as benchdata/BENCH_<date>.json (see
 #                        docs/PERFORMANCE.md); set BENCHTIME=100ms for a
@@ -32,6 +33,8 @@
 #                                           NEW=benchdata/BENCHALL_<date>.json
 #   make build         - compile everything
 #   make vet           - static analysis only
+#   make fmt-check     - fail if any Go file is not gofmt-clean (runs
+#                        inside make test)
 #   make bench-check   - compile and self-test the separate bench/ module
 #                        (`cd bench && go test ./...`), which the root
 #                        `go test ./...` never builds (runs inside make test)
@@ -68,7 +71,7 @@ TOLERANCE ?= 0.10
 ALLOC_TOLERANCE ?= 0.10
 ROLLING ?=
 
-.PHONY: all build vet test fuzz race race-quick bench bench-all bench-check bench-compare \
+.PHONY: all build vet fmt-check test fuzz race race-quick bench bench-all bench-check bench-compare \
 	bench-trend bench-trend-check docs-check serve-smoke dist-smoke bench-dist \
 	clean
 
@@ -80,10 +83,13 @@ build:
 vet:
 	$(GO) vet ./...
 
+fmt-check:
+	@out=$$(gofmt -l .); test -z "$$out" || { echo "fmt-check: not gofmt-clean (gofmt -w them):" >&2; echo "$$out" >&2; exit 1; }
+
 docs-check:
 	$(GO) run ./cmd/docscheck
 
-test: vet docs-check bench-trend-check bench-check serve-smoke dist-smoke race-quick
+test: vet fmt-check docs-check bench-trend-check bench-check serve-smoke dist-smoke race-quick
 	$(GO) test ./...
 
 # bench/ is its own module (replace repro => ../) that calls internal
@@ -150,13 +156,17 @@ fuzz:
 	  done; \
 	done
 
-# The fast half of make race: about 20 s together on 2 vCPUs. spgemm
-# (~25 s) and harness (~290 s) under -race only run in make race.
+# The fast half of make race: about 20 s together on 2 vCPUs, plus the
+# harness tests that drive its flight table and work queue concurrently.
+# spgemm (~25 s) and the whole harness (~290 s) under -race only run in
+# make race.
 RACE_QUICK = ./internal/par ./internal/runcache ./internal/server/... ./internal/mmu \
 	./internal/kernels/gemm ./internal/kernels/gemv ./internal/kernels/spmv
+RACE_QUICK_HARNESS = ^(TestRunSingleflight|TestRunRetriesAfterError|TestMemoOneFlightWithoutCache|TestWorkQueueDrainsToDone)$$
 
 race-quick:
 	$(GO) test -race $(RACE_QUICK)
+	$(GO) test -race -run '$(RACE_QUICK_HARNESS)' ./internal/harness
 
 # -p 1 runs the package test binaries serially: concurrent binaries contend
 # for cores and distort ns/op (macro benchmarks inflate 2-3x).

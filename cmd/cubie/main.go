@@ -83,7 +83,8 @@ func main() {
 	plan := fs.String("plan", "all", "dist: named run plan to distribute (all, figure3, power, table6, figure9, representative, sweep)")
 	figure := fs.String("figure", "", "dist: figure to render from the warmed cache once the plan completes")
 	workers := fs.Int("workers", 0, "dist (or all): number of forked workers; 0 runs all in-process")
-	leaseTimeout := fs.Duration("lease-timeout", envLeaseTimeout(), "dist: how long a worker may hold a leased key before it is re-issued (default $CUBIE_LEASE_TIMEOUT)")
+	leaseDefault, leaseErr := envLeaseTimeout()
+	leaseTimeout := fs.Duration("lease-timeout", leaseDefault, "dist: how long a worker may hold a leased key before it is re-issued (default $CUBIE_LEASE_TIMEOUT)")
 	workerMetrics := fs.String("worker-metrics", "", "dist: directory for per-worker Prometheus metric snapshots (w1.prom, ...)")
 	if err := fs.Parse(os.Args[2:]); err != nil {
 		os.Exit(2)
@@ -255,6 +256,9 @@ func main() {
 	case "work":
 		cmdWork(h, *coordinator, *workerID)
 	case "dist":
+		if leaseErr != nil {
+			fatal(leaseErr)
+		}
 		cmdDist(h, distFlags{
 			plan:          *plan,
 			figure:        *figure,
@@ -264,6 +268,9 @@ func main() {
 		})
 	case "all":
 		if *workers > 0 {
+			if leaseErr != nil {
+				fatal(leaseErr)
+			}
 			cmdDist(h, distFlags{
 				plan:          "all",
 				workers:       *workers,
@@ -360,15 +367,23 @@ environment:
   CUBIE_LEASE_TIMEOUT=<dur> default --lease-timeout for "cubie dist"`)
 }
 
-// envLeaseTimeout reads CUBIE_LEASE_TIMEOUT (a Go duration like "2m") as
-// the --lease-timeout default.
-func envLeaseTimeout() time.Duration {
-	if v := os.Getenv("CUBIE_LEASE_TIMEOUT"); v != "" {
-		if d, err := time.ParseDuration(v); err == nil && d > 0 {
-			return d
-		}
+// envLeaseTimeout reads CUBIE_LEASE_TIMEOUT (a positive Go duration like
+// "2m") as the --lease-timeout default. Unset or empty leaves
+// harness.DefaultLeaseTimeout; a malformed value is an error naming the
+// variable, which the commands that distribute a plan report.
+func envLeaseTimeout() (time.Duration, error) {
+	v := os.Getenv("CUBIE_LEASE_TIMEOUT")
+	if v == "" {
+		return harness.DefaultLeaseTimeout, nil
 	}
-	return harness.DefaultLeaseTimeout
+	d, err := time.ParseDuration(v)
+	if err != nil {
+		return harness.DefaultLeaseTimeout, fmt.Errorf("CUBIE_LEASE_TIMEOUT=%q: %w", v, err)
+	}
+	if d <= 0 {
+		return harness.DefaultLeaseTimeout, fmt.Errorf("CUBIE_LEASE_TIMEOUT=%q: must be positive", v)
+	}
+	return d, nil
 }
 
 func fatal(err error) {

@@ -6,6 +6,7 @@ import (
 	"os"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/cubie"
 )
@@ -96,5 +97,24 @@ func TestCmdSpeedupSmall(t *testing.T) {
 	out := capture(t, func() { cmdSpeedup(h, "cce-vs-tc") })
 	if !strings.Contains(out, "Figure 6") || !strings.Contains(out, "SpMV") {
 		t.Error("speedup output malformed")
+	}
+}
+
+// TestEnvLeaseTimeout: a well-formed CUBIE_LEASE_TIMEOUT sets the
+// --lease-timeout default, and a malformed one — no unit, not positive,
+// not a duration — is an error naming the variable instead of a silent
+// fallback to the default.
+func TestEnvLeaseTimeout(t *testing.T) {
+	t.Setenv("CUBIE_LEASE_TIMEOUT", "90s")
+	if d, err := envLeaseTimeout(); err != nil || d != 90*time.Second {
+		t.Fatalf("90s: got %v, %v", d, err)
+	}
+	for _, v := range []string{"90", "-1m", "abc"} {
+		t.Run(v, func(t *testing.T) {
+			t.Setenv("CUBIE_LEASE_TIMEOUT", v)
+			if _, err := envLeaseTimeout(); err == nil || !strings.Contains(err.Error(), "CUBIE_LEASE_TIMEOUT") {
+				t.Fatalf("err = %v, want an error naming the variable", err)
+			}
+		})
 	}
 }

@@ -104,11 +104,11 @@ func TestAllocRegressions(t *testing.T) {
 		benchAlloc("p", "BenchmarkShrank-8", 1000, 45000),
 	)
 	new := snap(
-		benchAlloc("p", "BenchmarkGrew-8", 1000, 120),     // +20% allocs: fails
-		benchAlloc("p", "BenchmarkHeld-8", 1000, 105),     // +5%: within tolerance
-		benchAlloc("p", "BenchmarkWasZero-8", 1000, 1),    // 0 → 1: always fails
-		benchAlloc("p", "BenchmarkStaysZero-8", 1000, 0),  // stays clean
-		benchAlloc("p", "BenchmarkShrank-8", 1000, 7),     // the arena win
+		benchAlloc("p", "BenchmarkGrew-8", 1000, 120),    // +20% allocs: fails
+		benchAlloc("p", "BenchmarkHeld-8", 1000, 105),    // +5%: within tolerance
+		benchAlloc("p", "BenchmarkWasZero-8", 1000, 1),   // 0 → 1: always fails
+		benchAlloc("p", "BenchmarkStaysZero-8", 1000, 0), // stays clean
+		benchAlloc("p", "BenchmarkShrank-8", 1000, 7),    // the arena win
 	)
 	regs := Compare(old, new).AllocRegressions(0.10)
 	if len(regs) != 2 {

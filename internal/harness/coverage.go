@@ -43,10 +43,10 @@ const (
 
 // Figure10Graphs runs the PCA coverage analysis of the BFS graphs: a
 // corpus of synthetic graphs standing in for the 499-graph SuiteSparse
-// sweep, with the five Table 3 instances highlighted. With no harness, it
-// computes the feature matrices afresh.
+// sweep, with the five Table 3 instances highlighted. It computes the
+// feature matrices afresh, on a fresh harness.
 func Figure10Graphs(corpusSize int, seed int64) (*CoverageReport, error) {
-	return (*Harness)(nil).Figure10Graphs(corpusSize, seed)
+	return New().Figure10Graphs(corpusSize, seed)
 }
 
 // Figure10Graphs is the memoized form: the corpus and representative
@@ -71,10 +71,10 @@ func (h *Harness) Figure10Graphs(corpusSize int, seed int64) (*CoverageReport, e
 
 // Figure10Matrices runs the PCA coverage analysis of the SpMV/SpGEMM
 // matrices: a synthetic corpus standing in for the 2893-matrix SuiteSparse
-// sweep, with the five Table 4 instances highlighted. With no harness, it
-// computes the feature matrices afresh.
+// sweep, with the five Table 4 instances highlighted. It computes the
+// feature matrices afresh, on a fresh harness.
 func Figure10Matrices(corpusSize int, seed int64) (*CoverageReport, error) {
-	return (*Harness)(nil).Figure10Matrices(corpusSize, seed)
+	return New().Figure10Matrices(corpusSize, seed)
 }
 
 // Figure10Matrices is the memoized form of the package-level function (see

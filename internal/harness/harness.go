@@ -3,22 +3,25 @@
 // and series behind Figures 3–12 and Tables 6–7. The cmd/cubie CLI and the
 // top-level benchmarks print these structures.
 //
-// # Concurrency and observability
+// # One flight per plan key
 //
-// A Harness is safe for concurrent use. Workload executions are cached
-// per (workload, case, variant) key with singleflight semantics: the first
-// caller runs the kernel, concurrent callers for the same key block on its
-// completion and share the outcome, and a failed run is evicted so a later
-// caller can retry. Every figure driver first enumerates the run keys it
-// needs (plan.go), executes the deduplicated plan on a bounded worker set
-// in longest-estimated-first order, then assembles its rows serially in
-// deterministic grid order — harness output is independent of scheduling
-// (the same property internal/par guarantees one level down).
+// A Harness is safe for concurrent use. Everything it computes is named by
+// a plan key (RunKey, plan.go): a workload execution, a case's CPU-serial
+// reference (RefVariant), or a memoized value (MemoVariant, memo.go). Each
+// key has at most one in-memory flight, and do is the one read-or-compute
+// path behind all of them: the first caller loads the value from the
+// persistent run cache or computes it, concurrent callers block on its
+// completion and share the outcome, and a failed computation is evicted so
+// a later caller can retry. Every figure driver first enumerates the keys
+// it needs (plan.go), executes the deduplicated plan on a bounded worker
+// set, then assembles its rows serially in deterministic grid order —
+// harness output is independent of scheduling (the same property
+// internal/par guarantees one level down).
 //
 // # Persistent run cache
 //
 // When a runcache.Cache is attached (AttachCache; the cubie CLI attaches
-// the CUBIE_CACHE-selected cache), completed executions are persisted on
+// the CUBIE_CACHE-selected cache), completed computations are persisted on
 // disk and later processes load them instead of re-running: a warm
 // `cubie all` starts zero workload executions
 // (cubie_harness_runs_started_total stays 0) yet emits byte-identical
@@ -26,11 +29,10 @@
 //
 // Every execution is instrumented (docs/OBSERVABILITY.md): runs started /
 // deduplicated / cached / failed / retried counters, a per-workload
-// wall-time histogram (cubie_harness_run_seconds{workload=...}) resolved
-// once per workload at construction, runtime/pprof labels {workload,
-// variant, phase} via par.DoLabeled so CPU profiles attribute samples to
-// kernels, and — when host tracing is active — one trace.HostSpan per
-// kernel execution.
+// wall-time histogram (cubie_harness_run_seconds{workload=...}),
+// runtime/pprof labels {workload, variant, phase} via par.DoLabeled so CPU
+// profiles attribute samples to kernels, and — when host tracing is
+// active — one trace.HostSpan per kernel execution.
 package harness
 
 import (
@@ -51,7 +53,8 @@ import (
 	"repro/internal/workload"
 )
 
-// Harness execution metrics (see docs/OBSERVABILITY.md).
+// Harness execution metrics (see docs/OBSERVABILITY.md). They count runs
+// and references; memos have metMemosComputed (memo.go).
 var (
 	metRunsStarted = metrics.NewCounter("cubie_harness_runs_started_total",
 		"Workload executions the harness actually started (cache misses).")
@@ -65,64 +68,43 @@ var (
 		"Executions re-started for a key whose previous run failed.")
 )
 
-// runSeconds returns the per-workload wall-time histogram. The Harness
-// resolves it once per workload (New / runSecondsFor) instead of paying
-// the registry lookup on every execution.
+// runSeconds returns the per-workload wall-time histogram.
 func runSeconds(workloadName string) *metrics.Histogram {
 	return metrics.NewHistogram("cubie_harness_run_seconds",
 		"Host wall-clock seconds of one workload-variant execution (Go arithmetic, not simulated device time).",
 		metrics.DefTimeBuckets, metrics.Label{Key: "workload", Value: workloadName})
 }
 
-// Harness caches workload runs so each (workload, case, variant) executes
-// once across all experiments — in memory within the process, and on disk
-// across processes when a run cache is attached.
+// Harness computes each plan key once across all experiments — in memory
+// within the process, and on disk across processes when a run cache is
+// attached.
 type Harness struct {
 	Suite *core.Suite
 
 	mu      sync.Mutex
-	cache   map[string]*flight
-	memos   map[string]*flight // memo flights by run-cache key (memo.go)
-	failed  map[string]bool    // keys whose last execution errored
-	planned map[RunKey]bool    // plans fully executed (Execute's fast path)
-
-	keysMu   sync.Mutex
-	keyCache map[string][]RunKey // memoized plan enumerations (keysMemo)
+	flights map[RunKey]*flight
+	failed  map[RunKey]bool // keys whose last computation errored
 
 	rc *runcache.Cache // persistent run cache; nil = in-memory only
-
-	histMu sync.Mutex
-	hist   map[string]*metrics.Histogram // per-workload run_seconds, resolved once
 }
 
-// flight is one singleflight cache entry: the first caller for a key owns
-// the execution; later callers block on done and share the outcome.
+// flight is one plan key's in-memory entry: the first caller owns the
+// computation; later callers block on done and share the outcome. val is
+// a run's *workload.Result, a reference's []float64, or a memo's value.
 type flight struct {
 	done chan struct{}
-	res  *workload.Result // a run's or reference's result
-	val  any              // a memo's value
+	val  any
 	err  error
 }
 
 // New creates a harness over a fresh suite, without a persistent cache
 // (AttachCache opts in).
 func New() *Harness {
-	h := &Harness{
-		Suite:    core.NewSuite(),
-		cache:    map[string]*flight{},
-		memos:    map[string]*flight{},
-		failed:   map[string]bool{},
-		planned:  map[RunKey]bool{},
-		keyCache: map[string][]RunKey{},
-		hist:     map[string]*metrics.Histogram{},
+	return &Harness{
+		Suite:   core.NewSuite(),
+		flights: map[RunKey]*flight{},
+		failed:  map[RunKey]bool{},
 	}
-	// Resolve the per-workload latency histograms once, up front: the run
-	// path then observes into a cached pointer instead of re-resolving the
-	// instrument through the registry on every execution.
-	for _, w := range h.Suite.Workloads() {
-		h.hist[w.Name()] = runSeconds(w.Name())
-	}
-	return h
 }
 
 // AttachCache binds a persistent run cache (nil detaches) and returns h.
@@ -141,79 +123,89 @@ func (h *Harness) RunCache() *runcache.Cache {
 	return h.rc
 }
 
-// runSecondsFor returns the cached per-workload histogram, resolving and
-// memoizing it for workloads outside the suite (tests inject those).
-func (h *Harness) runSecondsFor(workloadName string) *metrics.Histogram {
-	h.histMu.Lock()
-	hg := h.hist[workloadName]
-	if hg == nil {
-		hg = runSeconds(workloadName)
-		h.hist[workloadName] = hg
-	}
-	h.histMu.Unlock()
-	return hg
-}
-
-// run executes (or returns the cached) result for one workload/case/variant.
-// Concurrent callers with the same key are deduplicated: exactly one
-// executes w.Run, the rest wait for it (the old check-then-run pattern let
-// Figure3's fan-out and a concurrent speedups walk both execute the same
-// case). A failed run is evicted so a later caller may retry. With a
-// persistent cache attached, a key is first looked up on disk — a hit is
-// not an execution — and a completed execution is written through.
-func (h *Harness) run(w workload.Workload, c workload.Case, v workload.Variant) (*workload.Result, error) {
-	key := w.Name() + "|" + c.Name + "|" + string(v)
+// do returns the value of plan key k: from its in-memory flight when one
+// exists, else from load (the run cache), else from compute. Concurrent
+// callers for k share one flight, so exactly one of them loads or
+// computes, and every caller gets the same value. A failed computation is
+// evicted before done closes, so a later caller retries. The run counters
+// see run and reference keys only; a memo counts itself (memoDef.run).
+func (h *Harness) do(k RunKey, load func() (any, bool), compute func() (any, error)) (any, error) {
+	isRun := k.Variant != MemoVariant
 	h.mu.Lock()
-	if f, ok := h.cache[key]; ok {
+	if f, ok := h.flights[k]; ok {
 		h.mu.Unlock()
-		metRunsDeduped.Inc()
+		if isRun {
+			metRunsDeduped.Inc()
+		}
 		<-f.done
-		return f.res, f.err
+		return f.val, f.err
 	}
 	f := &flight{done: make(chan struct{})}
-	h.cache[key] = f
-	retry := h.failed[key]
-	delete(h.failed, key)
+	h.flights[k] = f
+	retry := h.failed[k]
+	delete(h.failed, k)
 	h.mu.Unlock()
+	defer close(f.done)
 
-	if res, ok := h.rc.GetResult(w.Name(), c.Name, string(v)); ok {
-		metRunsCached.Inc()
-		f.res = res
-		close(f.done)
-		return f.res, nil
+	if v, ok := load(); ok {
+		if isRun {
+			metRunsCached.Inc()
+		}
+		f.val = v
+		return v, nil
 	}
-
-	if retry {
+	if retry && isRun {
 		metRunsRetried.Inc()
 	}
-	h.timed(w, v, key, func() {
-		f.res, f.err = w.Run(c, v)
-	})
+	f.val, f.err = compute()
 	if f.err != nil {
-		metRunsFailed.Inc()
-		h.mu.Lock()
-		delete(h.cache, key)
-		h.failed[key] = true
-		h.mu.Unlock()
-	} else {
-		kept := cacheable(f.res)
-		h.rc.PutResult(w.Name(), c.Name, string(v), kept)
-		if c.Name != w.Representative().Name {
-			f.res = kept // only Table 6 reads outputs, of representative cases
+		if isRun {
+			metRunsFailed.Inc()
 		}
+		h.mu.Lock()
+		delete(h.flights, k)
+		h.failed[k] = true
+		h.mu.Unlock()
 	}
-	close(f.done)
-	return f.res, f.err
+	return f.val, f.err
 }
 
-// timed executes fn as one started execution of key: inside a harness-run
-// host span, under pprof labels, observed in w's latency histogram.
-func (h *Harness) timed(w workload.Workload, v workload.Variant, key string, fn func()) {
+// run returns the result of one workload/case/variant, executing w.Run
+// only when neither a flight nor the run cache has it. A completed
+// execution is written through to the run cache without its Output, and
+// keeps its Output in memory only for a representative case: only Table 6
+// reads outputs, of representative cases.
+func (h *Harness) run(w workload.Workload, c workload.Case, v workload.Variant) (*workload.Result, error) {
+	k := RunKey{w.Name(), c.Name, v}
+	val, err := h.do(k, func() (any, bool) {
+		return h.rc.GetResult(w.Name(), c.Name, string(v))
+	}, func() (any, error) {
+		var res *workload.Result
+		var err error
+		timed(k, func() { res, err = w.Run(c, v) })
+		if err != nil {
+			return res, err
+		}
+		kept := cacheable(res)
+		h.rc.PutResult(w.Name(), c.Name, string(v), kept)
+		if c.Name != w.Representative().Name {
+			return kept, nil
+		}
+		return res, nil
+	})
+	res, _ := val.(*workload.Result)
+	return res, err
+}
+
+// timed executes fn as one started execution of k: inside a harness-run
+// host span, under pprof labels, observed in its workload's latency
+// histogram.
+func timed(k RunKey, fn func()) {
 	metRunsStarted.Inc()
-	endSpan := trace.HostSpan("harness-run", key)
+	endSpan := trace.HostSpan("harness-run", k.String())
 	t0 := time.Now()
-	par.DoLabeled(w.Name(), string(v), "run", fn)
-	h.runSecondsFor(w.Name()).Observe(time.Since(t0).Seconds())
+	par.DoLabeled(k.Workload, string(k.Variant), "run", fn)
+	runSeconds(k.Workload).Observe(time.Since(t0).Seconds())
 	endSpan()
 }
 
@@ -238,71 +230,34 @@ func (h *Harness) output(w workload.Workload, c workload.Case, v workload.Varian
 	if err != nil || res.Output != nil {
 		return res, err
 	}
-	h.timed(w, v, w.Name()+"|"+c.Name+"|"+string(v), func() {
+	timed(RunKey{w.Name(), c.Name, v}, func() {
 		res, err = w.Run(c, v)
 	})
 	return res, err
 }
 
-// reference computes (or returns the cached) CPU-serial ground truth of
-// one workload case — the Table 6 baseline. References run through the
-// same singleflight cache as variant executions, under the pseudo-variant
-// RefVariant, and persist to the run cache. Only a Table 6 computation
-// reads them: a warm Table 6 is the table6 memo's rows, so it reads no
-// reference. The persisted entries serve a Table 6 recomputed without
-// that memo, and readers of PlanAll's RefVariant keys.
+// reference returns the CPU-serial ground truth of one workload case — the
+// Table 6 baseline — under the plan key of the pseudo-variant RefVariant,
+// persisted to the run cache. Only a Table 6 computation reads it: a warm
+// Table 6 is the table6 memo's rows, so it reads no reference. The
+// persisted entries serve a Table 6 recomputed without that memo, and
+// readers of PlanAll's RefVariant keys.
 func (h *Harness) reference(w workload.Workload, c workload.Case) ([]float64, error) {
-	key := w.Name() + "|" + c.Name + "|" + string(RefVariant)
-	h.mu.Lock()
-	if f, ok := h.cache[key]; ok {
-		h.mu.Unlock()
-		metRunsDeduped.Inc()
-		<-f.done
-		return refOutput(f)
-	}
-	f := &flight{done: make(chan struct{})}
-	h.cache[key] = f
-	retry := h.failed[key]
-	delete(h.failed, key)
-	h.mu.Unlock()
-
+	k := RunKey{w.Name(), c.Name, RefVariant}
 	rcKey := runcache.ResultKey(w.Name(), c.Name, string(RefVariant))
-	if out, ok := h.rc.GetFloats(runcache.KindReference, rcKey); ok {
-		metRunsCached.Inc()
-		f.res = &workload.Result{Output: out}
-		close(f.done)
-		return out, nil
-	}
-
-	if retry {
-		metRunsRetried.Inc()
-	}
-	var out []float64
-	var err error
-	h.timed(w, RefVariant, key, func() {
-		out, err = w.Reference(c)
+	val, err := h.do(k, func() (any, bool) {
+		return h.rc.GetFloats(runcache.KindReference, rcKey)
+	}, func() (any, error) {
+		var out []float64
+		var err error
+		timed(k, func() { out, err = w.Reference(c) })
+		if err == nil {
+			h.rc.PutFloats(runcache.KindReference, rcKey, out)
+		}
+		return out, err
 	})
-	if err != nil {
-		f.err = err
-		metRunsFailed.Inc()
-		h.mu.Lock()
-		delete(h.cache, key)
-		h.failed[key] = true
-		h.mu.Unlock()
-	} else {
-		f.res = &workload.Result{Output: out}
-		h.rc.PutFloats(runcache.KindReference, rcKey, out)
-	}
-	close(f.done)
+	out, _ := val.([]float64)
 	return out, err
-}
-
-// refOutput unwraps a reference flight.
-func refOutput(f *flight) ([]float64, error) {
-	if f.err != nil {
-		return nil, f.err
-	}
-	return f.res.Output, nil
 }
 
 // RunOne executes a single (workload, case, variant) through the harness
@@ -553,34 +508,21 @@ func (h *Harness) Table6() ([]accuracy.Row, error) {
 }
 
 // table6Rows computes the table6 memo: one accuracy row per floating-point
-// workload. Through a harness, each representative output comes from its
-// run's flight (output) and each reference through h.reference; a nil
-// harness measures a fresh suite without caching.
+// workload, each representative output from its run's flight (output) and
+// each reference through h.reference.
 func table6Rows(h *Harness) ([]accuracy.Row, error) {
-	var suite *core.Suite
-	if h != nil {
-		suite = h.Suite
-	} else {
-		suite = core.NewSuite()
-	}
 	var rows []accuracy.Row
-	for _, w := range suite.Workloads() {
+	for _, w := range h.Suite.Workloads() {
 		if w.Name() == "BFS" {
 			continue // no floating-point computation (Section 8)
 		}
-		var row accuracy.Row
-		var err error
-		if h == nil {
-			row, err = accuracy.MeasureWorkload(w)
-		} else {
-			row, err = accuracy.MeasureWorkloadWith(w,
-				func(c workload.Case, v workload.Variant) (*workload.Result, error) {
-					return h.output(w, c, v)
-				},
-				func(c workload.Case) ([]float64, error) {
-					return h.reference(w, c)
-				})
-		}
+		row, err := accuracy.MeasureWorkloadWith(w,
+			func(c workload.Case, v workload.Variant) (*workload.Result, error) {
+				return h.output(w, c, v)
+			},
+			func(c workload.Case) ([]float64, error) {
+				return h.reference(w, c)
+			})
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", w.Name(), err)
 		}

@@ -8,8 +8,8 @@ package harness
 // memoDefs, keyed by its name. A memo is also a plan key (MemoVariant), so
 // the plan executor schedules it on the same pool as the runs, and a
 // `cubie dist` worker can compute it; renderers read it through memo. Both
-// paths meet in one in-memory flight per key, so a process reads or
-// computes each memo at most once.
+// paths meet in the memo's plan-key flight (do, harness.go), so a process
+// reads or computes each memo at most once.
 
 import (
 	"fmt"
@@ -55,8 +55,7 @@ type memoDef struct {
 }
 
 // memoOf builds a memoDef whose value has type T. compute receives the
-// harness that asked (nil computes without caching) and the key's integer
-// parameters.
+// harness that asked and the key's integer parameters.
 func memoOf[T any](kind, cat string, params int, secs float64, compute func(h *Harness, p []int64) (T, error)) memoDef {
 	return memoDef{
 		kind: kind, cat: cat, params: params, secs: secs,
@@ -138,51 +137,29 @@ func resolveMemo(k RunKey) (memoDef, error) {
 	return d, nil
 }
 
-// memo returns the value of the memo stored under key. It is the only
-// read-or-compute path for memoized values.
+// memo returns the value of the memo stored under key, as a T.
 func memo[T any](h *Harness, key string) (T, error) {
 	v, err := h.memoValue(key)
 	t, _ := v.(T)
 	return t, err
 }
 
-// memoValue returns the memo under key from this process's flight, else
-// from the run cache, else computes and stores it. Concurrent callers
-// share one flight; a failed computation is evicted so a later caller can
-// retry. A nil harness (the package-level figure functions) computes
-// without caching.
+// memoValue returns the memo under key through its plan key's flight
+// (do): from memory, else from the run cache, else computed and stored.
 func (h *Harness) memoValue(key string) (any, error) {
 	d, p, err := parseMemoKey(key)
 	if err != nil {
 		return nil, err
 	}
-	if h == nil {
-		return d.run(nil, key, p)
-	}
-	h.mu.Lock()
-	if f, ok := h.memos[key]; ok {
-		h.mu.Unlock()
-		<-f.done
-		return f.val, f.err
-	}
-	f := &flight{done: make(chan struct{})}
-	h.memos[key] = f
-	h.mu.Unlock()
-	defer close(f.done)
-
-	if v, ok := d.get(h.rc, key); ok {
-		f.val = v
-		return v, nil
-	}
-	f.val, f.err = d.run(h, key, p)
-	if f.err != nil {
-		h.mu.Lock()
-		delete(h.memos, key)
-		h.mu.Unlock()
-		return nil, f.err
-	}
-	h.rc.Put(d.kind, key, f.val)
-	return f.val, nil
+	return h.do(memoPlanKey(key), func() (any, bool) {
+		return d.get(h.rc, key)
+	}, func() (any, error) {
+		v, err := d.run(h, key, p)
+		if err == nil {
+			h.rc.Put(d.kind, key, v)
+		}
+		return v, err
+	})
 }
 
 // run computes one memo for h inside a host span of its category, named by

@@ -1,34 +1,31 @@
 package harness
 
-// Plan-ahead scheduling. Each experiment (figure, table, sweep) can state
-// up front exactly which (workload, case, variant) executions it needs —
-// the run grid is static. Instead of pulling runs on demand one figure at
-// a time, the harness enumerates the full key set, deduplicates it,
-// orders it, and executes it on a bounded worker pool (Execute). Figures
-// then assemble their rows from the cache in deterministic paper order.
-// `cubie all` goes one step further: it unions every experiment's keys
-// into one whole-campaign plan (PlanCampaign) and prefetches it in the
-// background (Prefetch), so the work a later figure needs executes while
-// an earlier figure renders.
+// Plan-ahead scheduling over one flight table. Everything the harness
+// computes is a plan key (RunKey): a workload execution, a case's
+// CPU-serial reference (RefVariant), or a memoized value (MemoVariant,
+// memo.go: the Figure 10 feature matrices, the dataset-level ablation arms
+// and the Table 6 rows). Each key has one flight in the harness's flight
+// table, reached through do (harness.go). Each experiment (figure, table,
+// sweep) states up front exactly which keys it needs — the grid is static
+// — so the harness deduplicates them, orders them and executes them on a
+// bounded worker pool (Execute); the figure then assembles its rows from
+// the flights in deterministic paper order. `cubie all` unions every
+// experiment's keys into one whole-campaign plan (PlanCampaign) and
+// prefetches it in the background (Prefetch), so the work a later figure
+// needs executes while an earlier figure renders. Planner and figure
+// pulls meet in the same flight: whichever reaches a key first computes
+// it, the other joins. Output stays byte-identical regardless of
+// scheduling — assembly order is fixed, and every run and memo is
+// deterministic.
 //
-// A plan holds two kinds of key on one pool. Run keys are workload
-// executions and CPU-serial references. Memo keys (MemoVariant) are the
-// memoized values of memo.go: the Figure 10 feature matrices, the
-// dataset-level ablation arms, and the Table 6 rows. Dataset memos start
-// first, longest first by their traced seconds; run keys follow,
-// longest-estimated first; a memo that reads runs (table6) starts last, so
-// its pool slot never waits on a run that has not started. In a cold
-// `cubie all` traced on a 2-vCPU Xeon before memos were plan keys, the
-// pool drained at 4.17 s and the renderers then computed graph-corpus
-// (0.48 s), matrix-corpus (2.77 s) and bfs-relabel (0.68 s) one after
-// another on one core, to 8.22 s. Started first, the single-threaded
-// corpus overlaps the runs instead of trailing them.
-//
-// Because each key lands in a singleflight cache (h.cache for runs,
-// h.memos for memos), planner execution and on-demand figure pulls
-// compose: whichever path reaches a key first runs it, the other joins.
-// Output stays byte-identical regardless of scheduling — assembly order is
-// fixed, and every run and memo is deterministic.
+// Dataset memos start first, longest first by their traced seconds; run
+// keys follow, longest-estimated first; a memo that reads runs (table6)
+// starts last, so its pool slot never waits on a run that has not
+// started. In a cold `cubie all` traced on a 2-vCPU Xeon before memos were
+// plan keys, the pool drained at 4.17 s and the renderers then computed
+// graph-corpus (0.48 s), matrix-corpus (2.77 s) and bfs-relabel (0.68 s)
+// one after another on one core, to 8.22 s. Started first, the
+// single-threaded corpus overlaps the runs instead of trailing them.
 
 import (
 	"fmt"
@@ -36,10 +33,7 @@ import (
 	"sort"
 	"sync"
 
-	"repro/internal/graph"
 	"repro/internal/metrics"
-	"repro/internal/runcache"
-	"repro/internal/sparse"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -54,8 +48,6 @@ var (
 		"Distinct plan keys (runs and memos) submitted to the plan executor (after deduplication).")
 	metPlanDuplicates = metrics.NewCounter("cubie_harness_plan_duplicates_total",
 		"Plan keys dropped by plan deduplication (requested by more than one experiment).")
-	metPlanPrewarmed = metrics.NewCounter("cubie_harness_plan_prewarmed_datasets_total",
-		"Table 3/4 dataset syntheses started ahead of the runs that need them.")
 )
 
 // RunKey identifies one workload execution a plan needs: a (workload,
@@ -71,34 +63,10 @@ func (k RunKey) String() string {
 	return k.Workload + "|" + k.Case + "|" + string(k.Variant)
 }
 
-// keysMemo returns the named plan's memoized key slice, building it on
-// first use. The suite is immutable, so every enumeration is a constant
-// of the harness — re-planning figures (and their benchmarks) should not
-// pay the Cases()/Variants() allocations on each call. The returned slice
-// is read-only by contract; concurrent first callers may build twice,
-// identically.
-func (h *Harness) keysMemo(name string, build func() []RunKey) []RunKey {
-	h.keysMu.Lock()
-	ks, ok := h.keyCache[name]
-	h.keysMu.Unlock()
-	if ok {
-		return ks
-	}
-	ks = build()
-	h.keysMu.Lock()
-	h.keyCache[name] = ks
-	h.keysMu.Unlock()
-	return ks
-}
-
 // keysFigure3 is the full performance grid: every workload × case ×
 // variant. It is a superset of what Figures 4–9, 11, the sweeps, the
 // counterfactual, and the run-backed ablations need.
 func (h *Harness) keysFigure3() []RunKey {
-	return h.keysMemo("figure3", h.buildKeysFigure3)
-}
-
-func (h *Harness) buildKeysFigure3() []RunKey {
 	var keys []RunKey
 	for _, w := range h.Suite.Workloads() {
 		for _, c := range w.Cases() {
@@ -112,12 +80,6 @@ func (h *Harness) buildKeysFigure3() []RunKey {
 
 // keysSpeedups covers one Figure 4/5/6 variant pair across all cases.
 func (h *Harness) keysSpeedups(num, den workload.Variant) []RunKey {
-	return h.keysMemo("speedups|"+string(num)+"|"+string(den), func() []RunKey {
-		return h.buildKeysSpeedups(num, den)
-	})
-}
-
-func (h *Harness) buildKeysSpeedups(num, den workload.Variant) []RunKey {
 	var keys []RunKey
 	for _, w := range h.Suite.Workloads() {
 		if !workload.HasVariant(w, num) || !workload.HasVariant(w, den) {
@@ -132,10 +94,6 @@ func (h *Harness) buildKeysSpeedups(num, den workload.Variant) []RunKey {
 
 // keysPower covers Figures 7 and 8: every variant on the power case.
 func (h *Harness) keysPower() []RunKey {
-	return h.keysMemo("power", h.buildKeysPower)
-}
-
-func (h *Harness) buildKeysPower() []RunKey {
 	var keys []RunKey
 	for _, w := range h.Suite.Workloads() {
 		for _, v := range w.Variants() {
@@ -149,10 +107,6 @@ func (h *Harness) buildKeysPower() []RunKey {
 // floating-point workload on its representative case, plus the CPU-serial
 // reference of that case. These are the table6 memo's inputs.
 func (h *Harness) keysTable6() []RunKey {
-	return h.keysMemo("table6", h.buildKeysTable6)
-}
-
-func (h *Harness) buildKeysTable6() []RunKey {
 	var keys []RunKey
 	for _, w := range h.Suite.Workloads() {
 		if w.Name() == "BFS" {
@@ -170,10 +124,6 @@ func (h *Harness) buildKeysTable6() []RunKey {
 // keysFigure9 covers the roofline: representative case, every variant,
 // floating-point workloads only.
 func (h *Harness) keysFigure9() []RunKey {
-	return h.keysMemo("figure9", h.buildKeysFigure9)
-}
-
-func (h *Harness) buildKeysFigure9() []RunKey {
 	var keys []RunKey
 	for _, w := range h.Suite.Workloads() {
 		if w.Name() == "BFS" {
@@ -189,10 +139,6 @@ func (h *Harness) buildKeysFigure9() []RunKey {
 // keysRepresentative covers one variant-complete pass over the
 // representative cases (Figure 11's architectural metrics).
 func (h *Harness) keysRepresentative() []RunKey {
-	return h.keysMemo("representative", h.buildKeysRepresentative)
-}
-
-func (h *Harness) buildKeysRepresentative() []RunKey {
 	var keys []RunKey
 	for _, w := range h.Suite.Workloads() {
 		for _, v := range w.Variants() {
@@ -205,10 +151,6 @@ func (h *Harness) buildKeysRepresentative() []RunKey {
 // keysTC covers one variant on the power (largest) case of every workload
 // — the sweeps and the Section 11 counterfactual.
 func (h *Harness) keysTC() []RunKey {
-	return h.keysMemo("tc", h.buildKeysTC)
-}
-
-func (h *Harness) buildKeysTC() []RunKey {
 	var keys []RunKey
 	for _, w := range h.Suite.Workloads() {
 		keys = append(keys, RunKey{w.Name(), powerCase(w).Name, workload.TC})
@@ -224,7 +166,14 @@ func (h *Harness) buildKeysTC() []RunKey {
 // campaign ran. The campaign itself executes PlanCampaign, in which the
 // references are inputs of the table6 memo rather than keys.
 func (h *Harness) PlanAll() []RunKey {
-	return h.keysMemo("all", h.buildPlanAll)
+	var keys []RunKey
+	keys = append(keys, h.keysFigure3()...)
+	keys = append(keys, h.keysPower()...)
+	keys = append(keys, h.keysTable6()...)
+	keys = append(keys, h.keysFigure9()...)
+	keys = append(keys, h.keysRepresentative()...)
+	keys = append(keys, h.keysTC()...)
+	return keys
 }
 
 // PlanCampaign returns everything `cubie all` computes: the memo keys its
@@ -234,33 +183,20 @@ func (h *Harness) PlanAll() []RunKey {
 // inputs of the table6 memo (Execute). This is the plan "all" of
 // PlanByName, so `cubie dist` hands memos to workers too.
 func (h *Harness) PlanCampaign() []RunKey {
-	return h.keysMemo("campaign", func() []RunKey {
-		keys := []RunKey{
-			memoPlanKey(corpusKey("graph-corpus", campaignCorpus, graphCorpusSeed)),
-			memoPlanKey("graph-reps"),
-			memoPlanKey(corpusKey("matrix-corpus", campaignCorpus, matrixCorpusSeed)),
-			memoPlanKey("matrix-reps"),
-			memoPlanKey("dasp-padding"),
-			memoPlanKey("bfs-relabel"),
-			memoPlanKey("table6"),
+	keys := []RunKey{
+		memoPlanKey(corpusKey("graph-corpus", campaignCorpus, graphCorpusSeed)),
+		memoPlanKey("graph-reps"),
+		memoPlanKey(corpusKey("matrix-corpus", campaignCorpus, matrixCorpusSeed)),
+		memoPlanKey("matrix-reps"),
+		memoPlanKey("dasp-padding"),
+		memoPlanKey("bfs-relabel"),
+		memoPlanKey("table6"),
+	}
+	for _, k := range h.PlanAll() {
+		if k.Variant != RefVariant {
+			keys = append(keys, k)
 		}
-		for _, k := range h.PlanAll() {
-			if k.Variant != RefVariant {
-				keys = append(keys, k)
-			}
-		}
-		return keys
-	})
-}
-
-func (h *Harness) buildPlanAll() []RunKey {
-	var keys []RunKey
-	keys = append(keys, h.keysFigure3()...)
-	keys = append(keys, h.keysPower()...)
-	keys = append(keys, h.keysTable6()...)
-	keys = append(keys, h.keysFigure9()...)
-	keys = append(keys, h.keysRepresentative()...)
-	keys = append(keys, h.keysTC()...)
+	}
 	return keys
 }
 
@@ -306,7 +242,7 @@ func (h *Harness) Progress(keys []RunKey) int {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	for _, k := range keys {
-		f, ok := h.flightLocked(k)
+		f, ok := h.flights[k]
 		if !ok {
 			continue
 		}
@@ -319,17 +255,6 @@ func (h *Harness) Progress(keys []RunKey) int {
 		}
 	}
 	return done
-}
-
-// flightLocked returns k's in-memory flight, if one exists: a memo's in
-// h.memos, a run's or reference's in h.cache. h.mu must be held.
-func (h *Harness) flightLocked(k RunKey) (*flight, bool) {
-	if k.Variant == MemoVariant {
-		f, ok := h.memos[k.Case]
-		return f, ok
-	}
-	f, ok := h.cache[k.String()]
-	return f, ok
 }
 
 // Prefetch starts executing a plan in the background and returns
@@ -378,8 +303,8 @@ func (h *Harness) resolveJob(k RunKey) (planJob, error) {
 // work a distributed worker executes. A RefVariant key computes the case's
 // CPU-serial reference, a MemoVariant key reads or computes a memo, and
 // every other key is a workload-variant execution. The result lands in
-// the in-memory singleflight cache and, when a run cache is attached, in
-// its persistent tiers (the local directory, then the remote store) —
+// the key's in-memory flight and, when a run cache is attached, in its
+// persistent tiers (the local directory, then the remote store) —
 // which is how a `cubie work` worker publishes results back to its
 // coordinator.
 func (h *Harness) ExecuteKey(k RunKey) error {
@@ -466,32 +391,14 @@ func before(a, b planJob) bool {
 }
 
 // Execute runs a plan: deduplicate the keys, drop the ones whose flight
-// already exists in memory (in flight or completed — the assembly pull
-// joins those), add the inputs of every memo that must be computed, order
-// the rest (before), pre-warm the Table 3/4 datasets the executing keys
-// will touch, and run everything on a worker pool bounded by the host's
+// already exists (in flight or completed — the assembly pull joins those),
+// add the inputs of every memo that must be computed, order the rest
+// (before), and run everything on a worker pool bounded by the host's
 // cores, started strictly in that order. The first error in plan order is
-// returned with its key context. Execute composes
-// with concurrent figure pulls through the singleflight caches, and
-// re-executing an already-satisfied plan costs one map lookup per key.
+// returned with its key context. Execute composes with concurrent figure
+// pulls through the flight table, and re-executing an already-satisfied
+// plan costs one map lookup per key.
 func (h *Harness) Execute(keys []RunKey) error {
-	// Fast path: a plan whose every key already completed an Execute costs
-	// one allocation-free map lookup per key — figure drivers re-plan on
-	// every call, and a warm driver should pay assembly cost only.
-	h.mu.Lock()
-	done := true
-	for _, k := range keys {
-		if !h.planned[k] {
-			done = false
-			break
-		}
-	}
-	if done {
-		h.mu.Unlock()
-		return nil
-	}
-	h.mu.Unlock()
-
 	// Deduplicate, preserving first-seen order (error reporting is
 	// deterministic in plan order, independent of pool scheduling).
 	seen := map[RunKey]bool{}
@@ -503,7 +410,7 @@ func (h *Harness) Execute(keys []RunKey) error {
 			continue
 		}
 		seen[k] = true
-		if _, ok := h.flightLocked(k); ok {
+		if _, ok := h.flights[k]; ok {
 			continue // in flight or done; a failed flight is evicted
 		}
 		pending = append(pending, k)
@@ -516,25 +423,28 @@ func (h *Harness) Execute(keys []RunKey) error {
 			return err
 		}
 		jobs = append(jobs, j)
-		// A memo that reads runs, and that neither this process nor the run
-		// cache holds, brings its inputs in as keys of their own, so they
-		// start by their estimates (the references early) and not in its
-		// one pool slot. A warm plan reads the memo and none of its inputs.
-		if j.rank == rankReader && !h.satisfied(j) {
-			d, _ := resolveMemo(j.key)
-			inputs := d.inputs(h)
-			h.mu.Lock()
-			for _, in := range inputs {
-				if _, ok := h.flightLocked(in); !ok && !seen[in] {
-					seen[in] = true
-					pending = append(pending, in)
-				}
-			}
-			h.mu.Unlock()
+		// A memo that reads runs, and that the run cache does not hold,
+		// brings its inputs in as keys of their own, so they start by their
+		// estimates (the references early) and not in its one pool slot. A
+		// warm plan reads the memo and none of its inputs.
+		if j.rank != rankReader {
+			continue
 		}
+		d, _ := resolveMemo(j.key)
+		if h.rc.Has(d.kind, j.key.Case) {
+			continue
+		}
+		inputs := d.inputs(h)
+		h.mu.Lock()
+		for _, in := range inputs {
+			if _, ok := h.flights[in]; !ok && !seen[in] {
+				seen[in] = true
+				pending = append(pending, in)
+			}
+		}
+		h.mu.Unlock()
 	}
 	if len(jobs) == 0 {
-		h.markPlanned(keys)
 		return nil
 	}
 	metPlanKeys.Add(uint64(len(jobs)))
@@ -546,8 +456,6 @@ func (h *Harness) Execute(keys []RunKey) error {
 		order[i] = i
 	}
 	sort.SliceStable(order, func(a, b int) bool { return before(jobs[order[a]], jobs[order[b]]) })
-
-	h.prewarmDatasets(jobs)
 
 	errs := make([]error, len(jobs))
 	var wg sync.WaitGroup
@@ -568,72 +476,5 @@ func (h *Harness) Execute(keys []RunKey) error {
 			return err
 		}
 	}
-	h.markPlanned(keys)
 	return nil
-}
-
-// markPlanned records a plan's keys as executed, enabling Execute's
-// allocation-free fast path for the re-plans every figure driver issues.
-// Keys joined from a still-running prefetch flight are marked optimistically;
-// if that flight later fails, the figure's assembly pull retries and
-// surfaces the error.
-func (h *Harness) markPlanned(keys []RunKey) {
-	h.mu.Lock()
-	for _, k := range keys {
-		h.planned[k] = true
-	}
-	h.mu.Unlock()
-}
-
-// prewarmDatasets kicks off the Table 3/4 dataset syntheses the plan's
-// to-be-executed keys depend on, so first-touch synthesis overlaps with
-// unrelated runs instead of serializing inside the first kernel that
-// needs each dataset. Keys already satisfied by the in-memory or
-// persistent cache are skipped — a warm process synthesizes nothing. The
-// dataset caches are per-entry singleflight, so the kernel that needs a
-// dataset joins the pre-warm instead of re-synthesizing.
-func (h *Harness) prewarmDatasets(jobs []planJob) {
-	graphs := map[string]bool{}
-	matrices := map[string]bool{}
-	for _, j := range jobs {
-		name := j.c.Dataset
-		if name == "" || h.satisfied(j) {
-			continue
-		}
-		if j.w.Name() == "BFS" {
-			graphs[name] = true
-		} else {
-			matrices[name] = true
-		}
-	}
-	for name := range graphs {
-		metPlanPrewarmed.Inc()
-		go func(name string) { _, _ = graph.SynthesizeShared(name) }(name)
-	}
-	for name := range matrices {
-		metPlanPrewarmed.Inc()
-		go func(name string) { _, _ = sparse.SynthesizeShared(name) }(name)
-	}
-}
-
-// satisfied reports whether a job will complete without executing: its
-// flight already exists in memory, or the persistent cache has an entry
-// file for it (a cheap stat — a corrupt entry just costs one wasted
-// pre-warm skip).
-func (h *Harness) satisfied(j planJob) bool {
-	h.mu.Lock()
-	_, inMem := h.flightLocked(j.key)
-	h.mu.Unlock()
-	if inMem {
-		return true
-	}
-	if j.key.Variant == MemoVariant {
-		d, _ := resolveMemo(j.key)
-		return h.rc.Has(d.kind, j.key.Case)
-	}
-	kind := runcache.KindResult
-	if j.key.Variant == RefVariant {
-		kind = runcache.KindReference
-	}
-	return h.rc.Has(kind, runcache.ResultKey(j.key.Workload, j.key.Case, string(j.key.Variant)))
 }

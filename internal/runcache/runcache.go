@@ -296,8 +296,8 @@ func (c *Cache) path(kind, key string) string {
 
 // Has reports whether an entry file exists for (kind, key) without reading
 // it. It is a cheap scheduling heuristic — the entry may still turn out
-// corrupt on Get — used by the harness planner to decide which datasets
-// are worth pre-warming.
+// corrupt on Get — used by the harness planner to decide whether a memo's
+// input runs must join the plan.
 func (c *Cache) Has(kind, key string) bool {
 	if c == nil {
 		return false

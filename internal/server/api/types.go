@@ -55,8 +55,8 @@ type Health struct {
 
 // FigureInfo describes one servable figure (GET /api/v1/figures).
 type FigureInfo struct {
-	Name  string `json:"name"`  // endpoint name: GET /api/v1/figures/{name}
-	Title string `json:"title"` // one-line description
+	Name  string `json:"name"`   // endpoint name: GET /api/v1/figures/{name}
+	Title string `json:"title"`  // one-line description
 	InAll bool   `json:"in_all"` // rendered by `cubie all`
 }
 
@@ -83,11 +83,11 @@ type RunResponse struct {
 	Case       string  `json:"case"`
 	Variant    string  `json:"variant"`
 	GPU        string  `json:"gpu"`
-	Work       float64 `json:"work"`        // the workload's work metric count
-	Metric     string  `json:"metric"`      // the metric's unit name
-	SimTimeS   float64 `json:"sim_time_s"`  // simulated kernel time on GPU
-	Throughput float64 `json:"throughput"`  // Work / SimTimeS / 1e9, Figure 3's unit
-	Bottleneck string  `json:"bottleneck"`  // binding resource in the model
+	Work       float64 `json:"work"`       // the workload's work metric count
+	Metric     string  `json:"metric"`     // the metric's unit name
+	SimTimeS   float64 `json:"sim_time_s"` // simulated kernel time on GPU
+	Throughput float64 `json:"throughput"` // Work / SimTimeS / 1e9, Figure 3's unit
+	Bottleneck string  `json:"bottleneck"` // binding resource in the model
 }
 
 // CampaignRequest starts a sweep/campaign: the named run plan executes in

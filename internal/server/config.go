@@ -170,4 +170,3 @@ func (c Config) retryAfterSeconds() string {
 	}
 	return strconv.Itoa(s)
 }
-

@@ -190,7 +190,7 @@ func main() {
 		tl := trace.NewTimeline()
 		for _, w := range h.Suite.Workloads() {
 			for _, v := range w.Variants() {
-				res, err := w.Run(w.Representative(), v)
+				res, err := w.Profile(w.Representative(), v)
 				if err != nil {
 					fatal(err)
 				}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/device"
@@ -127,6 +128,43 @@ func TestWorkIsVariantInvariant(t *testing.T) {
 				t.Errorf("%s: variant %s reports work %v, others %v",
 					w.Name(), v, res.Work, work)
 			}
+		}
+	}
+}
+
+// TestProfileIsRunWithoutOutput pins the workload contract the campaign
+// relies on to profile every non-representative cell: over the full grid,
+// Profile returns exactly what Run returns, with Output nil, and both
+// reject a variant the workload does not implement.
+func TestProfileIsRunWithoutOutput(t *testing.T) {
+	s := NewSuite()
+	for _, w := range s.Workloads() {
+		for _, c := range w.Cases() {
+			for _, v := range w.Variants() {
+				what := w.Name() + "/" + c.Name + "/" + string(v)
+				prof, err := w.Profile(c, v)
+				if err != nil {
+					t.Fatalf("%s: Profile: %v", what, err)
+				}
+				run, err := w.Run(c, v)
+				if err != nil {
+					t.Fatalf("%s: Run: %v", what, err)
+				}
+				if prof.Output != nil {
+					t.Fatalf("%s: Profile returned %d outputs", what, len(prof.Output))
+				}
+				want := *run
+				want.Output = nil
+				if !reflect.DeepEqual(*prof, want) {
+					t.Fatalf("%s: Profile = %+v, Run without Output = %+v", what, *prof, want)
+				}
+			}
+		}
+		if _, err := w.Profile(w.Representative(), "bogus"); err == nil {
+			t.Errorf("%s: Profile accepted an unknown variant", w.Name())
+		}
+		if _, err := w.Run(w.Representative(), "bogus"); err == nil {
+			t.Errorf("%s: Run accepted an unknown variant", w.Name())
 		}
 	}
 }

@@ -42,43 +42,24 @@ var (
 // The restructuring (and its padding) is the data-structure change that Key
 // Observation 1 attributes to MMU adoption.
 //
-// The build is a counted two-pass mirroring sparse.ToMBSR: pass 1 counts
-// distinct column segments per slice against a pooled stamp directory
-// (stamp si+1), sizing SlicePtr and one exact allocation each for ColSegs
-// and Bits; pass 2 re-discovers each slice's segments under the -(si+1)
-// stamp, sorts them, and ORs the adjacency bits straight into the assigned
-// fragments. The map-of-heap-fragments version this replaced allocated a
-// map, a 128-byte fragment, and repeated slice growth per slice.
+// The build is a counted two-pass mirroring sparse.ToMBSR: pass 1
+// (blockCount, all of BlockCount) counts the distinct column segments of
+// every slice against a pooled stamp directory (stamp si+1), sizing one
+// exact allocation each for ColSegs and Bits; pass 2 re-discovers each
+// slice's segments under the -(si+1) stamp, records the slice's extent in
+// SlicePtr, sorts its segments, and ORs the adjacency bits straight into
+// the assigned fragments. The map-of-heap-fragments version this replaced
+// allocated a map, a 128-byte fragment, and repeated slice growth per
+// slice.
 func ToSliceSet(g *Graph) *SliceSet {
 	rs := (g.N + 7) / 8
 	segs := (g.N + 127) / 128
-	s := &SliceSet{N: g.N, RowSlices: rs, SlicePtr: make([]int, rs+1)}
 	stamp := sliceStampScratch.Get(segs)
 	defer sliceStampScratch.Put(stamp)
-	clear(stamp)
-	// Pass 1: count distinct column segments per slice.
-	total := 0
-	for si := 0; si < rs; si++ {
-		gen := int32(si + 1)
-		for r := 0; r < 8; r++ {
-			v := si*8 + r
-			if v >= g.N {
-				break
-			}
-			for _, u := range g.Adj(v) {
-				seg := u / 128
-				if stamp[seg] != gen {
-					stamp[seg] = gen
-					total++
-				}
-			}
-		}
-		s.SlicePtr[si+1] = total
-	}
-	// Pass 2: fill the exactly-sized block arrays (fresh allocations, so the
-	// bit fragments start zeroed).
-	s.ColSegs = make([]int32, total)
-	s.Bits = make([]mmu.BitFragA, total)
+	total := blockCount(g, stamp)
+	// Fresh allocations, so the bit fragments start zeroed.
+	s := &SliceSet{N: g.N, RowSlices: rs, SlicePtr: make([]int, rs+1),
+		ColSegs: make([]int32, total), Bits: make([]mmu.BitFragA, total)}
 	slot := sliceSlotScratch.Get(segs)
 	defer sliceSlotScratch.Put(slot)
 	list := sliceSegsScratch.Get(segs)
@@ -101,6 +82,7 @@ func ToSliceSet(g *Graph) *SliceSet {
 				}
 			}
 		}
+		s.SlicePtr[si+1] = base + n
 		run := list[:n]
 		slices.Sort(run)
 		for idx, seg := range run {
@@ -119,6 +101,35 @@ func ToSliceSet(g *Graph) *SliceSet {
 		}
 	}
 	return s
+}
+
+// BlockCount returns the number of 8×128 blocks ToSliceSet(g) stores —
+// the distinct column segments of every 8-row slice — without building
+// them: pass 1 of ToSliceSet.
+func BlockCount(g *Graph) int {
+	stamp := sliceStampScratch.Get((g.N + 127) / 128)
+	defer sliceStampScratch.Put(stamp)
+	return blockCount(g, stamp)
+}
+
+// blockCount is BlockCount against a caller's stamp directory of one entry
+// per column segment, which it clears and leaves stamped si+1 wherever
+// slice si last saw a segment.
+func blockCount(g *Graph, stamp []int32) int {
+	clear(stamp)
+	total := 0
+	for si := 0; si < (g.N+7)/8; si++ {
+		gen := int32(si + 1)
+		for v := si * 8; v < min(si*8+8, g.N); v++ {
+			for _, u := range g.Adj(v) {
+				if seg := u / 128; stamp[seg] != gen {
+					stamp[seg] = gen
+					total++
+				}
+			}
+		}
+	}
+	return total
 }
 
 // BlockCount returns the number of stored 8×128 blocks.

@@ -75,6 +75,33 @@ func FuzzFromEdges(f *testing.F) {
 	})
 }
 
+// FuzzBlockCount pins BlockCount, the count-only pass, to the block count
+// of the slice set ToSliceSet builds, on random edge lists over up to 16
+// column segments.
+func FuzzBlockCount(f *testing.F) {
+	f.Add(uint8(0), []byte{})
+	f.Add(uint8(15), []byte{0, 1, 0, 200, 1, 3, 7, 255, 2, 2})
+	f.Add(uint8(255), []byte{9, 0, 8, 1, 7, 2, 6, 3, 5, 4, 4, 0, 255, 255})
+	dense := make([]byte, 4*400) // slices sharing segments, segments shared by slices
+	for i := range dense {
+		dense[i] = byte(i*37 + i/5)
+	}
+	f.Add(uint8(40), dense)
+	f.Fuzz(func(t *testing.T, nb uint8, data []byte) {
+		n := int(nb)*8 + 1
+		var edges [][2]int32
+		for i := 0; i+3 < len(data); i += 4 {
+			u := (int(data[i])<<8 | int(data[i+1])) % n
+			v := (int(data[i+2])<<8 | int(data[i+3])) % n
+			edges = append(edges, [2]int32{int32(u), int32(v)})
+		}
+		g := FromEdges(n, edges)
+		if got, want := BlockCount(g), ToSliceSet(g).BlockCount(); got != want {
+			t.Fatalf("BlockCount = %d, ToSliceSet stores %d blocks (n %d, %d edges)", got, want, n, len(edges))
+		}
+	})
+}
+
 func TestUndirectedSymmetric(t *testing.T) {
 	g := Undirected(3, [][2]int32{{0, 1}, {1, 2}})
 	if g.Edges() != 4 {

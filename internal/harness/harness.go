@@ -170,27 +170,28 @@ func (h *Harness) do(k RunKey, load func() (any, bool), compute func() (any, err
 	return f.val, f.err
 }
 
-// run returns the result of one workload/case/variant, executing w.Run
-// only when neither a flight nor the run cache has it. A completed
-// execution is written through to the run cache without its Output, and
-// keeps its Output in memory only for a representative case: only Table 6
-// reads outputs, of representative cases.
+// run returns the result of one workload/case/variant, computing it only
+// when neither a flight nor the run cache has it. Only Table 6 reads
+// outputs, of representative cases, so a representative case executes
+// (w.Run) and keeps its Output in memory, and every other case is profiled
+// (w.Profile) and has none. A computed result is written through to the
+// run cache without its Output.
 func (h *Harness) run(w workload.Workload, c workload.Case, v workload.Variant) (*workload.Result, error) {
 	k := RunKey{w.Name(), c.Name, v}
 	val, err := h.do(k, func() (any, bool) {
 		return h.rc.GetResult(w.Name(), c.Name, string(v))
 	}, func() (any, error) {
+		compute := w.Profile
+		if c.Name == w.Representative().Name {
+			compute = w.Run
+		}
 		var res *workload.Result
 		var err error
-		timed(k, func() { res, err = w.Run(c, v) })
+		timed(k, func() { res, err = compute(c, v) })
 		if err != nil {
 			return res, err
 		}
-		kept := cacheable(res)
-		h.rc.PutResult(w.Name(), c.Name, string(v), kept)
-		if c.Name != w.Representative().Name {
-			return kept, nil
-		}
+		h.rc.PutResult(w.Name(), c.Name, string(v), cacheable(res))
 		return res, nil
 	})
 	res, _ := val.(*workload.Result)
@@ -264,25 +265,36 @@ func (h *Harness) reference(w workload.Workload, c workload.Case) ([]float64, er
 // cache — the entry point behind `cubie run`. An empty caseName selects the
 // workload's representative case. The returned Case reports what actually
 // ran. The result carries its Output only when this process executed a
-// representative case: a result loaded from the run cache, or one of any
-// other case, has none.
+// representative case: a result loaded from the run cache has none, and
+// any other case is profiled, not executed.
 func (h *Harness) RunOne(workloadName, caseName string, v workload.Variant) (workload.Case, *workload.Result, error) {
-	w, err := h.Suite.ByName(workloadName)
+	w, c, err := h.ResolveRun(workloadName, caseName, v)
 	if err != nil {
 		return workload.Case{}, nil, err
+	}
+	res, err := h.run(w, c, v)
+	return c, res, err
+}
+
+// ResolveRun resolves the workload and case a RunOne call names, and
+// fails if either is unknown or the workload lacks the variant. An empty
+// caseName selects the workload's representative case.
+func (h *Harness) ResolveRun(workloadName, caseName string, v workload.Variant) (workload.Workload, workload.Case, error) {
+	w, err := h.Suite.ByName(workloadName)
+	if err != nil {
+		return nil, workload.Case{}, err
 	}
 	c := w.Representative()
 	if caseName != "" {
 		if c, err = workload.FindCase(w, caseName); err != nil {
-			return workload.Case{}, nil, err
+			return nil, workload.Case{}, err
 		}
 	}
 	if !workload.HasVariant(w, v) {
-		return workload.Case{}, nil, fmt.Errorf("workload %s: variant %q not implemented (have %v)",
+		return nil, workload.Case{}, fmt.Errorf("workload %s: variant %q not implemented (have %v)",
 			w.Name(), v, w.Variants())
 	}
-	res, err := h.run(w, c, v)
-	return c, res, err
+	return w, c, nil
 }
 
 // PerfCell is one marker of Figure 3: absolute performance of one workload

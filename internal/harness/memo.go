@@ -43,8 +43,8 @@ type memoDef struct {
 	kind, cat string
 	params    int
 	// secs is the value's traced compute time in a cold `cubie all` on a
-	// 2-vCPU Xeon (corpora at size 199); the plan executor starts memos
-	// longest first by it.
+	// 2-vCPU Xeon (corpora at size 199, median of three traced runs); the
+	// plan executor starts memos longest first by it.
 	secs float64
 	// inputs, when set, lists the run keys the memo reads. The plan
 	// executor starts such a memo after every run key, and runs its inputs
@@ -71,19 +71,19 @@ func memoOf[T any](kind, cat string, params int, secs float64, compute func(h *H
 // memoDefs maps each memo name — the first "|" field of its key — to its
 // definition. The corpus memos take (size, seed) from the key.
 var memoDefs = map[string]memoDef{
-	"matrix-corpus": memoOf(runcache.KindFeatures, "coverage", 2, 2.77,
+	"matrix-corpus": memoOf(runcache.KindFeatures, "coverage", 2, 1.59,
 		func(_ *Harness, p []int64) ([][]float64, error) { return matrixCorpusFeatures(int(p[0]), p[1]), nil }),
-	"bfs-relabel": memoOf(runcache.KindAblation, "ablation", 0, 0.68,
+	"bfs-relabel": memoOf(runcache.KindAblation, "ablation", 0, 1.14,
 		func(*Harness, []int64) ([]AblationRow, error) { return AblateBFSRelabel() }),
-	"graph-corpus": memoOf(runcache.KindFeatures, "coverage", 2, 0.48,
+	"graph-corpus": memoOf(runcache.KindFeatures, "coverage", 2, 0.35,
 		func(_ *Harness, p []int64) ([][]float64, error) { return graphCorpusFeatures(int(p[0]), p[1]), nil }),
-	"dasp-padding": memoOf(runcache.KindAblation, "ablation", 0, 0.06,
+	"dasp-padding": memoOf(runcache.KindAblation, "ablation", 0, 0.17,
 		func(*Harness, []int64) ([]AblationRow, error) { return AblateDASPPadding() }),
-	"matrix-reps": memoOf(runcache.KindFeatures, "coverage", 0, 0.03,
+	"matrix-reps": memoOf(runcache.KindFeatures, "coverage", 0, 0.04,
 		func(*Harness, []int64) ([][]float64, error) { return matrixRepFeatures() }),
 	"graph-reps": memoOf(runcache.KindFeatures, "coverage", 0, 0.01,
 		func(*Harness, []int64) ([][]float64, error) { return graphRepFeatures() }),
-	"table6": withInputs(memoOf(runcache.KindAccuracy, "accuracy", 0, 0.03,
+	"table6": withInputs(memoOf(runcache.KindAccuracy, "accuracy", 0, 0.11,
 		func(h *Harness, _ []int64) ([]accuracy.Row, error) { return table6Rows(h) }),
 		(*Harness).keysTable6),
 }
@@ -195,13 +195,13 @@ func graphRepFeatures() ([][]float64, error) {
 	return feats, nil
 }
 
-// matrixCorpusFeatures is the Figure 10b background, streamed one matrix at
-// a time.
+// matrixCorpusFeatures is the Figure 10b background: the corpus's
+// features, from its patterns alone, built on the par pool.
 func matrixCorpusFeatures(size int, seed int64) [][]float64 {
 	var feats [][]float64
-	sparse.CorpusEach(size, seed, func(m *sparse.CSR) {
-		feats = append(feats, sparse.ExtractFeatures(m).Vector())
-	})
+	for _, f := range sparse.CorpusFeatures(size, seed) {
+		feats = append(feats, f.Vector())
+	}
 	return feats
 }
 

@@ -1,6 +1,8 @@
 package harness
 
 import (
+	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -61,5 +63,40 @@ func TestRunOne(t *testing.T) {
 	if _, _, err := h.RunOne("GEMM", "", workload.Variant("bogus")); err == nil ||
 		!strings.Contains(err.Error(), "not implemented") {
 		t.Errorf("bad variant error = %v", err)
+	}
+}
+
+// executeRefused is a suite workload whose Run fails: a run the harness
+// only profiles succeeds through it, and a run the harness executes fails.
+type executeRefused struct{ workload.Workload }
+
+func (executeRefused) Run(workload.Case, workload.Variant) (*workload.Result, error) {
+	return nil, errors.New("executed")
+}
+
+// TestRunProfilesNonRepresentativeCases: the harness executes a
+// representative case (Run) and profiles every other one (Profile), and a
+// profiled result is the workload's Profile, with no output.
+func TestRunProfilesNonRepresentativeCases(t *testing.T) {
+	h := New()
+	gemm, err := h.Suite.ByName("GEMM")
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := executeRefused{gemm}
+	large := gemm.Cases()[len(gemm.Cases())-1]
+	res, err := h.run(w, large, workload.TC)
+	if err != nil {
+		t.Fatalf("non-representative run executed: %v", err)
+	}
+	want, err := gemm.Profile(large, workload.TC)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res, want) {
+		t.Fatalf("profiled result = %+v, want the workload's Profile %+v", res, want)
+	}
+	if _, err := h.run(w, gemm.Representative(), workload.TC); err == nil || err.Error() != "executed" {
+		t.Fatalf("representative run err = %v, want it executed", err)
 	}
 }

@@ -24,8 +24,11 @@ package harness
 // started. In a cold `cubie all` traced on a 2-vCPU Xeon before memos were
 // plan keys, the pool drained at 4.17 s and the renderers then computed
 // graph-corpus (0.48 s), matrix-corpus (2.77 s) and bfs-relabel (0.68 s)
-// one after another on one core, to 8.22 s. Started first, the
-// single-threaded corpus overlaps the runs instead of trailing them.
+// one after another on one core, to 8.22 s. Started first, the memos
+// overlap the runs instead of trailing them: traced on the same host with
+// non-representative cells profiled and the corpus built on the par pool,
+// matrix-corpus (1.6 s) and bfs-relabel (1.1 s) start at 0 s and the last
+// span ends at about 1.9 s.
 
 import (
 	"fmt"

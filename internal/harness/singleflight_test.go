@@ -40,6 +40,15 @@ func (w *countingWorkload) Run(c workload.Case, v workload.Variant) (*workload.R
 	return &workload.Result{Work: 1, MetricName: "ops", Output: []float64{42}}, nil
 }
 
+func (w *countingWorkload) Profile(c workload.Case, v workload.Variant) (*workload.Result, error) {
+	res, err := w.Run(c, v)
+	if err != nil {
+		return nil, err
+	}
+	res.Output = nil
+	return res, nil
+}
+
 func (w *countingWorkload) Reference(c workload.Case) ([]float64, error) {
 	w.refs.Add(1)
 	if w.block != nil {

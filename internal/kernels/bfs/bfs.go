@@ -101,11 +101,34 @@ type counters struct {
 	levels     float64
 }
 
-// Run implements workload.Workload.
+// Profile implements workload.Workload. A BFS profile is made of the
+// traversal's counters, so it traverses; it drops the level array.
+func (w *Workload) Profile(c workload.Case, v workload.Variant) (*workload.Result, error) {
+	res, _, err := w.traverse(c, v)
+	return res, err
+}
+
+// Run implements workload.Workload: the traversal's profile, plus every
+// vertex's BFS level as the output.
 func (w *Workload) Run(c workload.Case, v workload.Variant) (*workload.Result, error) {
-	d, err := w.data(c)
+	res, levels, err := w.traverse(c, v)
 	if err != nil {
 		return nil, err
+	}
+	out := make([]float64, len(levels))
+	for i, l := range levels {
+		out[i] = float64(l)
+	}
+	res.Output = out
+	return res, nil
+}
+
+// traverse runs the variant's traversal of the case's graph and returns
+// the result without an output, plus the level of every vertex.
+func (w *Workload) traverse(c workload.Case, v workload.Variant) (*workload.Result, []int32, error) {
+	d, err := w.data(c)
+	if err != nil {
+		return nil, nil, err
 	}
 	res := &workload.Result{
 		Work:       float64(d.g.Edges()),
@@ -126,7 +149,7 @@ func (w *Workload) Run(c workload.Case, v workload.Variant) (*workload.Result, e
 	case workload.Baseline:
 		levels, ct = topDownBFS(d)
 	default:
-		return nil, fmt.Errorf("bfs: unknown variant %q", v)
+		return nil, nil, fmt.Errorf("bfs: unknown variant %q", v)
 	}
 	switch v {
 	case workload.TC:
@@ -138,12 +161,7 @@ func (w *Workload) Run(c workload.Case, v workload.Variant) (*workload.Result, e
 	case workload.Baseline:
 		res.Profile = baselineProfile(ct, d)
 	}
-	out := make([]float64, len(levels))
-	for i, l := range levels {
-		out[i] = float64(l)
-	}
-	res.Output = out
-	return res, nil
+	return res, levels, nil
 }
 
 // Reference implements workload.Workload: a serial queue-based BFS.

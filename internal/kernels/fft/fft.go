@@ -302,8 +302,9 @@ func transform2DRadix2(re, im []float64, r, c int) {
 	}
 }
 
-// Run implements workload.Workload.
-func (w *Workload) Run(c workload.Case, v workload.Variant) (*workload.Result, error) {
+// Profile implements workload.Workload: the closed-form profile, with no
+// transform executed.
+func (w *Workload) Profile(c workload.Case, v workload.Variant) (*workload.Result, error) {
 	r, cc, err := dims(c)
 	if err != nil {
 		return nil, err
@@ -326,6 +327,17 @@ func (w *Workload) Run(c workload.Case, v workload.Variant) (*workload.Result, e
 	default:
 		return nil, fmt.Errorf("fft: unknown variant %q", v)
 	}
+	return res, nil
+}
+
+// Run implements workload.Workload: the profile, plus the sampled images
+// transformed by the variant's algorithm.
+func (w *Workload) Run(c workload.Case, v workload.Variant) (*workload.Result, error) {
+	res, err := w.Profile(c, v)
+	if err != nil {
+		return nil, err
+	}
+	r, cc, _ := dims(c)
 	re, im := inputs(r, cc)
 	n := r * cc
 	for img := 0; img < sampleImages; img++ {

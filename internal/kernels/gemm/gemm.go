@@ -81,8 +81,9 @@ func inputs(m, n, k int) (*tensor.Matrix, *tensor.Matrix) {
 	return a, b
 }
 
-// Run implements workload.Workload.
-func (w *Workload) Run(c workload.Case, v workload.Variant) (*workload.Result, error) {
+// Profile implements workload.Workload: the closed-form profile, with no
+// arithmetic executed.
+func (w *Workload) Profile(c workload.Case, v workload.Variant) (*workload.Result, error) {
 	m, n, k, err := dims(c)
 	if err != nil {
 		return nil, err
@@ -103,6 +104,17 @@ func (w *Workload) Run(c workload.Case, v workload.Variant) (*workload.Result, e
 	default:
 		return nil, fmt.Errorf("gemm: unknown variant %q", v)
 	}
+	return res, nil
+}
+
+// Run implements workload.Workload: the profile, plus the variant's output
+// when the case fits the compute budget.
+func (w *Workload) Run(c workload.Case, v workload.Variant) (*workload.Result, error) {
+	res, err := w.Profile(c, v)
+	if err != nil {
+		return nil, err
+	}
+	m, n, k, _ := dims(c)
 	if float64(m)*float64(n)*float64(k) <= computeBudget {
 		a, b := inputs(m, n, k)
 		var out *tensor.Matrix

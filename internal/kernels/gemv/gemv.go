@@ -73,13 +73,13 @@ func inputs(m, n int) (*tensor.Matrix, []float64) {
 	return a, x
 }
 
-// Run implements workload.Workload.
-func (w *Workload) Run(c workload.Case, v workload.Variant) (*workload.Result, error) {
+// Profile implements workload.Workload: the closed-form profile, with no
+// product computed.
+func (w *Workload) Profile(c workload.Case, v workload.Variant) (*workload.Result, error) {
 	m, n, err := dims(c)
 	if err != nil {
 		return nil, err
 	}
-	a, x := inputs(m, n)
 	res := &workload.Result{
 		Work:       2 * float64(m) * float64(n),
 		MetricName: "GFLOPS",
@@ -87,20 +87,35 @@ func (w *Workload) Run(c workload.Case, v workload.Variant) (*workload.Result, e
 	switch v {
 	case workload.TC:
 		res.Profile = tcProfile(m, n)
-		res.Output = computeMMA(a, x)
 		res.InputUtil, res.OutputUtil = 1, 1.0/mmu.N
 	case workload.CC:
 		res.Profile = ccProfile(m, n)
-		res.Output = computeMMA(a, x) // identical algorithm on the vector unit
 		res.InputUtil, res.OutputUtil = 1, 1.0/mmu.N
 	case workload.CCE:
 		res.Profile = cceProfile(m, n)
-		res.Output = computeEssential(a, x)
 	case workload.Baseline:
 		res.Profile = baselineProfile(m, n)
-		res.Output = computeBaseline(a, x)
 	default:
 		return nil, fmt.Errorf("gemv: unknown variant %q", v)
+	}
+	return res, nil
+}
+
+// Run implements workload.Workload: the profile, plus the product y = A·x
+// computed by the variant's algorithm.
+func (w *Workload) Run(c workload.Case, v workload.Variant) (*workload.Result, error) {
+	res, err := w.Profile(c, v)
+	if err != nil {
+		return nil, err
+	}
+	a, x := inputs(c.Dims[0], c.Dims[1])
+	switch v {
+	case workload.TC, workload.CC:
+		res.Output = computeMMA(a, x) // CC: identical algorithm on the vector unit
+	case workload.CCE:
+		res.Output = computeEssential(a, x)
+	case workload.Baseline:
+		res.Output = computeBaseline(a, x)
 	}
 	return res, nil
 }

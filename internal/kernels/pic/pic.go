@@ -87,8 +87,9 @@ func initState(n int) []float64 {
 	return s
 }
 
-// Run implements workload.Workload.
-func (w *Workload) Run(c workload.Case, v workload.Variant) (*workload.Result, error) {
+// Profile implements workload.Workload: the closed-form profile, with no
+// particle pushed.
+func (w *Workload) Profile(c workload.Case, v workload.Variant) (*workload.Result, error) {
 	n, err := particles(c)
 	if err != nil {
 		return nil, err
@@ -107,7 +108,17 @@ func (w *Workload) Run(c workload.Case, v workload.Variant) (*workload.Result, e
 	default:
 		return nil, fmt.Errorf("pic: unknown variant %q", v)
 	}
-	if n <= computeBudget {
+	return res, nil
+}
+
+// Run implements workload.Workload: the profile, plus the pushed particle
+// state when the case fits the compute budget.
+func (w *Workload) Run(c workload.Case, v workload.Variant) (*workload.Result, error) {
+	res, err := w.Profile(c, v)
+	if err != nil {
+		return nil, err
+	}
+	if n := c.Dims[0]; n <= computeBudget {
 		st := initState(n)
 		pushMMA(st)
 		res.Output = st

@@ -114,8 +114,9 @@ func mma8x8(c, a, b, aPanel []float64) {
 	mmu.DMMAPanel(c, aPanel, b, 2)
 }
 
-// Run implements workload.Workload.
-func (w *Workload) Run(c workload.Case, v workload.Variant) (*workload.Result, error) {
+// Profile implements workload.Workload: the closed-form profile, with no
+// segment reduced.
+func (w *Workload) Profile(c workload.Case, v workload.Variant) (*workload.Result, error) {
 	s, err := segSize(c)
 	if err != nil {
 		return nil, err
@@ -124,26 +125,41 @@ func (w *Workload) Run(c workload.Case, v workload.Variant) (*workload.Result, e
 		Work:       float64(s) * Batch,
 		MetricName: "GElem/s",
 	}
-	data := input(s)
 	switch v {
 	case workload.TC:
 		res.Profile = tcProfile(s)
-		res.Output = computeMMAReduce(data, s)
 		// Constant operands carry a single meaningful row/column; only one
 		// element of the final output tile is consumed.
 		res.InputUtil, res.OutputUtil = 0.5, 1.0/64
 	case workload.CC:
 		res.Profile = ccProfile(s)
-		res.Output = computeMMAReduce(data, s)
 		res.InputUtil, res.OutputUtil = 0.5, 1.0/64
 	case workload.CCE:
 		res.Profile = cceProfile(s)
-		res.Output = computePairwise(data, s)
 	case workload.Baseline:
 		res.Profile = baselineProfile(s)
-		res.Output = computeShuffleTree(data, s)
 	default:
 		return nil, fmt.Errorf("reduction: unknown variant %q", v)
+	}
+	return res, nil
+}
+
+// Run implements workload.Workload: the profile, plus the sampled segments
+// reduced by the variant's algorithm.
+func (w *Workload) Run(c workload.Case, v workload.Variant) (*workload.Result, error) {
+	res, err := w.Profile(c, v)
+	if err != nil {
+		return nil, err
+	}
+	s := c.Dims[0]
+	data := input(s)
+	switch v {
+	case workload.TC, workload.CC:
+		res.Output = computeMMAReduce(data, s)
+	case workload.CCE:
+		res.Output = computePairwise(data, s)
+	case workload.Baseline:
+		res.Output = computeShuffleTree(data, s)
 	}
 	return res, nil
 }

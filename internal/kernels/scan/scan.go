@@ -129,8 +129,9 @@ func mma8x8(c, a, b, aPanel []float64) {
 	mmu.DMMAPanel(c, aPanel, b, 2)
 }
 
-// Run implements workload.Workload.
-func (w *Workload) Run(c workload.Case, v workload.Variant) (*workload.Result, error) {
+// Profile implements workload.Workload: the closed-form profile, with no
+// segment scanned.
+func (w *Workload) Profile(c workload.Case, v workload.Variant) (*workload.Result, error) {
 	s, err := segSize(c)
 	if err != nil {
 		return nil, err
@@ -139,26 +140,41 @@ func (w *Workload) Run(c workload.Case, v workload.Variant) (*workload.Result, e
 		Work:       float64(s) * Batch, // elements scanned
 		MetricName: "GElem/s",
 	}
-	data := input(s)
 	switch v {
 	case workload.TC:
 		res.Profile = tcProfile(s)
-		res.Output = computeMMAScan(data, s)
 		// One operand of every MMA is a constant 0/1 matrix: half the
 		// input payload is constant structure; the output is fully used.
 		res.InputUtil, res.OutputUtil = 0.5, 1
 	case workload.CC:
 		res.Profile = ccProfile(s)
-		res.Output = computeMMAScan(data, s)
 		res.InputUtil, res.OutputUtil = 0.5, 1
 	case workload.CCE:
 		res.Profile = cceProfile(s)
-		res.Output = computeBlelloch(data, s)
 	case workload.Baseline:
 		res.Profile = baselineProfile(s)
-		res.Output = computeHillisSteele(data, s)
 	default:
 		return nil, fmt.Errorf("scan: unknown variant %q", v)
+	}
+	return res, nil
+}
+
+// Run implements workload.Workload: the profile, plus the sampled segments
+// scanned by the variant's algorithm.
+func (w *Workload) Run(c workload.Case, v workload.Variant) (*workload.Result, error) {
+	res, err := w.Profile(c, v)
+	if err != nil {
+		return nil, err
+	}
+	s := c.Dims[0]
+	data := input(s)
+	switch v {
+	case workload.TC, workload.CC:
+		res.Output = computeMMAScan(data, s)
+	case workload.CCE:
+		res.Output = computeBlelloch(data, s)
+	case workload.Baseline:
+		res.Output = computeHillisSteele(data, s)
 	}
 	return res, nil
 }

@@ -155,8 +155,10 @@ func symbolic(d *caseData) symbolicStats {
 	return s
 }
 
-// Run implements workload.Workload.
-func (w *Workload) Run(c workload.Case, v workload.Variant) (*workload.Result, error) {
+// Profile implements workload.Workload: the profile of the case's mBSR
+// layout and symbolic pass (built once per dataset), with no product
+// computed.
+func (w *Workload) Profile(c workload.Case, v workload.Variant) (*workload.Result, error) {
 	d, err := w.data(c)
 	if err != nil {
 		return nil, err
@@ -180,6 +182,17 @@ func (w *Workload) Run(c workload.Case, v workload.Variant) (*workload.Result, e
 	default:
 		return nil, fmt.Errorf("spgemm: unknown variant %q", v)
 	}
+	return res, nil
+}
+
+// Run implements workload.Workload: the profile, plus the product's row
+// sums when the case fits the compute budget.
+func (w *Workload) Run(c workload.Case, v workload.Variant) (*workload.Result, error) {
+	res, err := w.Profile(c, v)
+	if err != nil {
+		return nil, err
+	}
+	d, _ := w.data(c)
 	if d.stat.flopsNNZ <= computeBudget {
 		switch v {
 		case workload.TC, workload.CC:

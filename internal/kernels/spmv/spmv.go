@@ -80,8 +80,9 @@ func (w *Workload) data(c workload.Case) (*caseData, error) {
 	return d, nil
 }
 
-// Run implements workload.Workload.
-func (w *Workload) Run(c workload.Case, v workload.Variant) (*workload.Result, error) {
+// Profile implements workload.Workload: the profile of the case's DASP
+// layout (built once per dataset), with no product computed.
+func (w *Workload) Profile(c workload.Case, v workload.Variant) (*workload.Result, error) {
 	d, err := w.data(c)
 	if err != nil {
 		return nil, err
@@ -91,22 +92,37 @@ func (w *Workload) Run(c workload.Case, v workload.Variant) (*workload.Result, e
 	switch v {
 	case workload.TC:
 		res.Profile = tcProfile(d)
-		res.Output = computeDASPMMA(d)
 		res.InputUtil = d.dasp.InputUtilization()
 		res.OutputUtil = 1.0 / mmu.N // diagonal of each 8×8 tile
 	case workload.CC:
 		res.Profile = ccProfile(d)
-		res.Output = computeDASPMMA(d) // same algorithm on the vector unit
 		res.InputUtil = d.dasp.InputUtilization()
 		res.OutputUtil = 1.0 / mmu.N
 	case workload.CCE:
 		res.Profile = cceProfile(d)
-		res.Output = computeEssential(d)
 	case workload.Baseline:
 		res.Profile = baselineProfile(d)
-		res.Output = computeBaseline(d)
 	default:
 		return nil, fmt.Errorf("spmv: unknown variant %q", v)
+	}
+	return res, nil
+}
+
+// Run implements workload.Workload: the profile, plus the product y = A·x
+// computed by the variant's algorithm.
+func (w *Workload) Run(c workload.Case, v workload.Variant) (*workload.Result, error) {
+	res, err := w.Profile(c, v)
+	if err != nil {
+		return nil, err
+	}
+	d, _ := w.data(c)
+	switch v {
+	case workload.TC, workload.CC:
+		res.Output = computeDASPMMA(d) // CC: same algorithm on the vector unit
+	case workload.CCE:
+		res.Output = computeEssential(d)
+	case workload.Baseline:
+		res.Output = computeBaseline(d)
 	}
 	return res, nil
 }

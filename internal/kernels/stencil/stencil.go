@@ -86,8 +86,9 @@ func input2D(nx, ny int) *tensor.Matrix {
 	return m
 }
 
-// Run implements workload.Workload.
-func (w *Workload) Run(c workload.Case, v workload.Variant) (*workload.Result, error) {
+// Profile implements workload.Workload: the closed-form profile, with no
+// sweep executed.
+func (w *Workload) Profile(c workload.Case, v workload.Variant) (*workload.Result, error) {
 	pts, err := points(c)
 	if err != nil {
 		return nil, err
@@ -113,7 +114,18 @@ func (w *Workload) Run(c workload.Case, v workload.Variant) (*workload.Result, e
 	default:
 		return nil, fmt.Errorf("stencil: unknown variant %q", v)
 	}
-	if !threeD && pts <= computeBudget {
+	return res, nil
+}
+
+// Run implements workload.Workload: the profile, plus the swept grid for a
+// 2D case that fits the compute budget.
+func (w *Workload) Run(c workload.Case, v workload.Variant) (*workload.Result, error) {
+	res, err := w.Profile(c, v)
+	if err != nil {
+		return nil, err
+	}
+	pts, _ := points(c)
+	if len(c.Dims) == 2 && pts <= computeBudget {
 		u := input2D(c.Dims[0], c.Dims[1])
 		switch v {
 		case workload.TC, workload.CC, workload.CCE:

@@ -48,6 +48,21 @@ func (g *Generator) Next() int64 {
 	return x
 }
 
+// Skip advances the generator by k draws, to the state k calls to Next
+// would leave, in O(log k) steps: that state is state·16807^k mod 2^31-1,
+// and the power is taken by square-and-multiply. Every operand is below
+// 2^31, so each product fits in an int64. k ≤ 0 leaves the state as is.
+func (g *Generator) Skip(k int) {
+	m, p := int64(1), int64(multiplier)
+	for ; k > 0; k >>= 1 {
+		if k&1 == 1 {
+			m = m * p % modulus
+		}
+		p = p * p % modulus
+	}
+	g.state = g.state * m % modulus
+}
+
 // Uniform returns a float64 uniformly distributed in (0, 1).
 func (g *Generator) Uniform() float64 {
 	return float64(g.Next()) / float64(modulus)

@@ -77,6 +77,29 @@ func TestNextMatchesModulo(t *testing.T) {
 	}
 }
 
+// TestSkipMatchesNext pins Skip(k) to k calls of Next, including the
+// draws after the jump.
+func TestSkipMatchesNext(t *testing.T) {
+	for _, seed := range []int64{1, 42, 20260817} {
+		for _, k := range []int{0, 1, 2, 1_000_007} {
+			want := New(seed)
+			for i := 0; i < k; i++ {
+				want.Next()
+			}
+			got := New(seed)
+			got.Skip(k)
+			if got.state != want.state {
+				t.Fatalf("seed %d: Skip(%d) state %d, %d calls of Next %d", seed, k, got.state, k, want.state)
+			}
+			for i := 0; i < 3; i++ {
+				if a, b := got.Next(), want.Next(); a != b {
+					t.Fatalf("seed %d, Skip(%d): draw %d after the jump = %d, want %d", seed, k, i, a, b)
+				}
+			}
+		}
+	}
+}
+
 func TestSymmetricRange(t *testing.T) {
 	g := New(7)
 	for i := 0; i < 100000; i++ {

@@ -470,6 +470,10 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, api.CodeBadRequest, "%v", err)
 		return
 	}
+	if _, _, err := s.h.ResolveRun(req.Workload, req.Case, workload.Variant(req.Variant)); err != nil {
+		writeError(w, http.StatusBadRequest, api.CodeBadRequest, "%v", err)
+		return
+	}
 
 	release, ok := s.admit(w)
 	if !ok {

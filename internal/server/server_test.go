@@ -282,6 +282,9 @@ func TestErrorEnvelopes(t *testing.T) {
 		{"POST", "/api/v1/runs", `{"workload":""}`, http.StatusBadRequest, api.CodeBadRequest},
 		{"POST", "/api/v1/runs", `{"werkload":"GEMM"}`, http.StatusBadRequest, api.CodeBadRequest},
 		{"POST", "/api/v1/runs", `{"workload":"GEMM","gpu":"H900"}`, http.StatusBadRequest, api.CodeBadRequest},
+		{"POST", "/api/v1/runs", `{"workload":"NoSuchKernel"}`, http.StatusBadRequest, api.CodeBadRequest},
+		{"POST", "/api/v1/runs", `{"workload":"GEMM","case":"3x3x3"}`, http.StatusBadRequest, api.CodeBadRequest},
+		{"POST", "/api/v1/runs", `{"workload":"PiC","variant":"Baseline"}`, http.StatusBadRequest, api.CodeBadRequest},
 		{"POST", "/api/v1/campaigns", `{"plan":"everything"}`, http.StatusBadRequest, api.CodeBadRequest},
 	} {
 		req, err := http.NewRequest(tc.method, ts.URL+tc.path, strings.NewReader(tc.body))

@@ -128,7 +128,9 @@ func (s *Server) handleWorkLease(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req api.WorkLeaseRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil && err != io.EOF {
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil && err != io.EOF {
 		writeError(w, http.StatusBadRequest, api.CodeBadRequest, "decode request: %v", err)
 		return
 	}
@@ -153,7 +155,9 @@ func (s *Server) handleWorkComplete(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req api.WorkCompleteRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
 		writeError(w, http.StatusBadRequest, api.CodeBadRequest, "decode request: %v", err)
 		return
 	}

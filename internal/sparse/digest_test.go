@@ -77,8 +77,8 @@ func synthDigests(t *testing.T) [][2]string {
 		out = append(out, [2]string{"table4/" + d.Name, hex.EncodeToString(hashCSR(m))})
 	}
 	var feats [][]float64
-	for _, m := range Corpus(digestCorpusSize, digestCorpusSeed) {
-		feats = append(feats, ExtractFeatures(m).Vector())
+	for _, f := range CorpusFeatures(digestCorpusSize, digestCorpusSeed) {
+		feats = append(feats, f.Vector())
 	}
 	out = append(out, [2]string{
 		fmt.Sprintf("corpus-features/%d/%d", digestCorpusSize, digestCorpusSeed),

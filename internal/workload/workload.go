@@ -82,8 +82,15 @@ type Workload interface {
 	Repeats() int
 	// Run executes the (case, variant) pair: it performs the variant's real
 	// arithmetic (or a documented representative subset for very large
-	// cases) and returns the profile plus outputs.
+	// cases) and returns the profile plus outputs. It is Profile plus the
+	// output computation.
 	Run(c Case, v Variant) (*Result, error)
+	// Profile returns exactly what Run returns except Output, which is nil:
+	// the profile, work, metric and utilization fractions, without the
+	// output computation. Closed-form kernels execute nothing; the sparse
+	// kernels still build their layouts and BFS still traverses, because
+	// their profiles are measured on those.
+	Profile(c Case, v Variant) (*Result, error)
 	// Reference computes the CPU-serial ground truth (Table 6's baseline
 	// for error measurement) for the case, aligned with Result.Output.
 	Reference(c Case) ([]float64, error)

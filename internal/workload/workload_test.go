@@ -19,7 +19,8 @@ func (fake) Cases() []Case        { return []Case{{Name: "a"}, {Name: "b", Dims:
 func (fake) Run(Case, Variant) (*Result, error) {
 	return &Result{Profile: sim.Profile{VectorFLOPs: 1}, Work: 1, MetricName: "X"}, nil
 }
-func (fake) Reference(Case) ([]float64, error) { return []float64{1}, nil }
+func (w fake) Profile(c Case, v Variant) (*Result, error) { return w.Run(c, v) }
+func (fake) Reference(Case) ([]float64, error)            { return []float64{1}, nil }
 
 func TestFindCase(t *testing.T) {
 	w := fake{}

@@ -14,7 +14,6 @@ import (
 	"repro/internal/par"
 	"repro/internal/sim"
 	"repro/internal/sparse"
-	"repro/internal/tensor"
 	"repro/internal/workload"
 )
 
@@ -153,29 +152,24 @@ func computeDASPMMA(d *caseData) []float64 {
 	return ApplyDASP(d.dasp, d.x)
 }
 
-// daspScratch pools the per-block C accumulator of ApplyDASP.
-var daspScratch = par.NewScratch(mmu.M * mmu.N)
-
-// daspPanelScratch pools the gathered B panel, sized to the layout's
-// longest block (DASP.MaxSegs).
-var daspPanelScratch = par.NewSizedScratch()
-
 // segTile is the element count of one packed 8×4 (or 4×8) operand tile.
 const segTile = mmu.M * mmu.K
 
 // ApplyDASP computes y = A·x with the DASP tensor-core algorithm: per
 // block, the C tile accumulates over all segments (one MMA each, gathering
-// x into the per-lane B columns); the diagonal is then extracted. Long-row
-// blocks sum their eight lane partials pairwise in lane order. Exported so
-// applications (e.g. iterative solvers) can reuse the MMU SpMV as a linear
-// operator.
+// x into the per-lane B columns) and its diagonal holds the lane results.
+// Long-row blocks sum their eight lane partials pairwise in lane order.
+// Exported so applications (e.g. iterative solvers) can reuse the MMU SpMV
+// as a linear operator.
 //
-// The static A operand comes prepacked from the layout (DASP.APanels, built
-// once on the first apply via DASP.Prestage), and the B gather runs 4-wide
-// off the flat prestaged index slab — the hot loop stages no A bytes at all
-// and allocates nothing but y. The slabs hold exactly the bytes that
-// per-call staging from Segments packs; that staging survives in the tests
-// as the bitwise oracle of this route.
+// Each block is one mmu.DMMAPanelDiag sweep off the prestaged slabs
+// (DASP.APanels and the BCols gather indices, built once on the first apply
+// via DASP.Prestage): it computes only the diagonal the algorithm reads,
+// bit-identical to the full 8×8 tile, with x read through the index slab,
+// so the hot loop stages nothing and allocates nothing but y. The full-tile
+// route (gathered B panel, DMMAPanel, diagonal extraction) and the per-call
+// staging from Segments survive in the tests as the bitwise oracles of this
+// route.
 //
 // Blocks are independent — ToDASP assigns each output row to exactly one
 // block (long rows occupy all eight lanes of a single block) — so the block
@@ -185,47 +179,32 @@ func ApplyDASP(dasp *sparse.DASP, x []float64) []float64 {
 	y := make([]float64, dasp.Rows)
 	dasp.Prestage()
 	par.ForTiles(len(dasp.Blocks), func(lo, hi int) {
-		cT := daspScratch.Get()
-		defer daspScratch.Put(cT)
-		bPanel := daspPanelScratch.Get(dasp.MaxSegs * segTile)
-		defer daspPanelScratch.Put(bPanel)
 		for bi := lo; bi < hi; bi++ {
-			blk := &dasp.Blocks[bi]
-			for i := range cT {
-				cT[i] = 0
-			}
-			// Gather the block's B panel 4-wide off the flat index slab and
-			// sweep all its segments fused with the prepacked A tiles.
+			var diag [mmu.M]float64
 			segs := int(dasp.SegOff[bi+1] - dasp.SegOff[bi])
 			off := int(dasp.SegOff[bi]) * segTile
-			tensor.Gather4(bPanel[:segs*segTile], x, dasp.BCols[off:])
-			mmu.DMMAPanel(cT, dasp.APanels[off:], bPanel, segs)
-			finishDASPBlock(blk, cT, y)
+			mmu.DMMAPanelDiag(&diag, dasp.APanels[off:], x, dasp.BCols[off:], segs)
+			finishDASPBlock(&dasp.Blocks[bi], &diag, y)
 		}
 	})
 	return y
 }
 
-// finishDASPBlock extracts the block's diagonal results into y: long-row
+// finishDASPBlock writes the block's diagonal results into y: long-row
 // blocks sum their eight lane partials pairwise in lane order, short/medium
-// blocks write each live lane's diagonal element.
-func finishDASPBlock(blk *sparse.DASPBlock, cT, y []float64) {
+// blocks write each live lane's element.
+func finishDASPBlock(blk *sparse.DASPBlock, diag *[mmu.M]float64, y []float64) {
 	if blk.Category == sparse.LongRow {
-		r := blk.RowOf[0]
-		var partial [mmu.M]float64
-		for l := 0; l < mmu.M; l++ {
-			partial[l] = cT[l*mmu.N+l]
-		}
-		s01 := partial[0] + partial[1]
-		s23 := partial[2] + partial[3]
-		s45 := partial[4] + partial[5]
-		s67 := partial[6] + partial[7]
-		y[r] += (s01 + s23) + (s45 + s67)
+		s01 := diag[0] + diag[1]
+		s23 := diag[2] + diag[3]
+		s45 := diag[4] + diag[5]
+		s67 := diag[6] + diag[7]
+		y[blk.RowOf[0]] += (s01 + s23) + (s45 + s67)
 		return
 	}
 	for l := 0; l < mmu.M; l++ {
 		if r := blk.RowOf[l]; r >= 0 {
-			y[r] = cT[l*mmu.N+l]
+			y[r] = diag[l]
 		}
 	}
 }

@@ -173,6 +173,24 @@ func (v *chainVector) panels(kTiles int) (aPanel, bPanel []float64) {
 	return aPanel, bPanel
 }
 
+// gathered lays out the vector's first kTiles B tiles as DMMAPanelDiag's
+// operands: x holds b[t][k] at t·K+k, and the index slab points every lane
+// of tile t's row k at it, so every column of the gathered B tile t is b[t]
+// and every lane runs the vector's chain.
+func (v *chainVector) gathered(kTiles int) (x []float64, bIdx []int32) {
+	x = make([]float64, kTiles*K)
+	bIdx = make([]int32, kTiles*K*N)
+	for t := 0; t < kTiles; t++ {
+		for k := 0; k < K; k++ {
+			x[t*K+k] = v.b[t][k]
+			for j := 0; j < N; j++ {
+				bIdx[t*K*N+k*N+j] = int32(t*K + k)
+			}
+		}
+	}
+	return x, bIdx
+}
+
 // filled returns n accumulator elements set to c0.
 func filled(n int, c0 float64) []float64 {
 	c := make([]float64, n)
@@ -201,7 +219,9 @@ func checkBits(t *testing.T, what string, got []float64, want uint64) {
 }
 
 // TestMMAChainVectors runs every vector through DMMATile (as the ascending
-// tile loop), DMMAPanel, DMMAPanelPair and DMMABatch at kTiles 1..5.
+// tile loop), DMMAPanel, DMMAPanelDiag, DMMAPanelPair and DMMABatch at
+// kTiles 1..5. DMMAPanelDiag's lanes are diagonal elements of DMMAPanel's
+// accumulator, so they must reproduce the panel words.
 func TestMMAChainVectors(t *testing.T) {
 	for _, v := range chainVectors() {
 		t.Run(v.name, func(t *testing.T) {
@@ -217,6 +237,12 @@ func TestMMAChainVectors(t *testing.T) {
 				panel := filled(M*N, v.c0)
 				DMMAPanel(panel, aPanel, bPanel, kTiles)
 				checkBits(t, fmt.Sprintf("DMMAPanel kTiles=%d", kTiles), panel, v.panel[kTiles-1])
+
+				var diag [M]float64
+				copy(diag[:], filled(M, v.c0))
+				x, bIdx := v.gathered(kTiles)
+				DMMAPanelDiag(&diag, aPanel, x, bIdx, kTiles)
+				checkBits(t, fmt.Sprintf("DMMAPanelDiag kTiles=%d", kTiles), diag[:], v.panel[kTiles-1])
 
 				even, odd := filled(M*N, v.c0), filled(M*N, v.c0)
 				DMMAPanelPair(even, odd, aPanel, bPanel, kTiles)

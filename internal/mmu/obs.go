@@ -22,7 +22,7 @@ var (
 	metBMMAOps = metrics.NewShardedCounter("cubie_mmu_bmma_ops_total",
 		"Single-bit m8n8k128 AND+POPC MMA executions (×2048 for bit ops).")
 	metDMMAPanels = metrics.NewShardedCounter("cubie_mmu_dmma_panels_total",
-		"Fused panel k-sweeps executed (DMMAPanel/DMMAPanelPair/DMMABatch calls).")
+		"Fused panel k-sweeps executed (DMMAPanel/DMMAPanelDiag/DMMAPanelPair/DMMABatch calls).")
 	metFragmentOps = metrics.NewShardedCounter("cubie_mmu_fragment_ops_total",
 		"Warp fragment load/store operations (FragA/FragB/FragC traffic).")
 )

@@ -12,6 +12,8 @@
 //
 //   - DMMAPanel     — c(8×8) += Σ_kt a_kt(8×4)·b_kt(4×8), accumulator held in
 //     a fixed-size local across all k-tiles.
+//   - DMMAPanelDiag — DMMAPanel's sweep computing only the diagonal of c,
+//     with B read from x through a gather index slab (the DASP SpMV sweep).
 //   - DMMAPanelPair — the software-pipelined double-buffered variant the
 //     cudaSample GEMM uses: even k-tiles accumulate into cEven, odd into cOdd.
 //   - DMMABatch     — n independent c_i += a_i·b_i products with one metrics
@@ -178,6 +180,51 @@ func DMMAPanel(c, aPanel, bPanel []float64, kTiles int) {
 	metDMMAPanels.AddAt(h, 1)
 	// Operand staging traffic: one A and one B fragment per k-tile, plus the
 	// panel-resident C fragment load + store.
+	AddFragmentOps(2*kTiles + 2)
+}
+
+// DMMAPanelDiag executes the k-sweep of DMMAPanel for a consumer that reads
+// only the accumulator's diagonal, taking the B operand through a gather
+// index slab instead of a packed panel:
+//
+//	diag[l] += Σ_{kt<kTiles} Σ_k a_kt[l][k] · x[bIdx_kt[k·N+l]]
+//
+// where aPanel holds kTiles row-major 8×4 tiles and bIdx kTiles 4×8 tiles of
+// indices into x. That is exactly diag(c) after DMMAPanel(c, aPanel, b,
+// kTiles) with b[i] = x[bIdx[i]]: each lane runs the same ascending-k FMA
+// chain from its C input, and no off-diagonal element ever feeds a diagonal
+// one, so even NaN, ±Inf and −0 come out bit-identical (pinned by
+// TestDMMAPanelDiagMatchesPanel and the chain vectors). The modeled device
+// still issues kTiles m8n8k4 MMAs, so the metrics updates are DMMAPanel's.
+func DMMAPanelDiag(diag *[M]float64, aPanel, x []float64, bIdx []int32, kTiles int) {
+	if kTiles < 0 {
+		panic("mmu: negative kTiles")
+	}
+	if len(aPanel) < kTiles*M*K || len(bIdx) < kTiles*K*N {
+		panic("mmu: operand panels shorter than kTiles tiles")
+	}
+	if kTiles == 0 {
+		return
+	}
+	// Tile-outer, lane-inner: the eight lane chains are independent, so
+	// their FMAs and gathers overlap.
+	d := *diag
+	for kt := 0; kt < kTiles; kt++ {
+		a := (*[M * K]float64)(aPanel[kt*M*K:])
+		ix := (*[K * N]int32)(bIdx[kt*K*N:])
+		for l := 0; l < M; l++ {
+			v := d[l]
+			v = math.FMA(a[l*K], x[ix[l]], v)
+			v = math.FMA(a[l*K+1], x[ix[N+l]], v)
+			v = math.FMA(a[l*K+2], x[ix[2*N+l]], v)
+			v = math.FMA(a[l*K+3], x[ix[3*N+l]], v)
+			d[l] = v
+		}
+	}
+	*diag = d
+	h := hintOf(unsafe.Pointer(diag))
+	metDMMATiles.AddAt(h, uint64(kTiles))
+	metDMMAPanels.AddAt(h, 1)
 	AddFragmentOps(2*kTiles + 2)
 }
 

@@ -40,6 +40,60 @@ func TestDMMAPanelMatchesTileLoop(t *testing.T) {
 	}
 }
 
+// randomGather builds a random x of n values and kTiles 4×8 tiles of
+// indices into it.
+func randomGather(seed int64, n, kTiles int) (x []float64, bIdx []int32) {
+	g := lcg.New(seed)
+	x = make([]float64, n)
+	g.Fill(x)
+	bIdx = make([]int32, kTiles*K*N)
+	for i := range bIdx {
+		bIdx[i] = int32(g.Intn(n))
+	}
+	return x, bIdx
+}
+
+// TestDMMAPanelDiagMatchesPanel pins DMMAPanelDiag bitwise to the diagonal
+// of DMMAPanel over the gathered B panel, from a random accumulator, for
+// every kTiles in 0..17. At odd kTiles five x values are ±Inf, NaN, −0 and
+// a subnormal, so some off-diagonal elements of the full tile turn NaN or
+// Inf while the diagonal must still match.
+func TestDMMAPanelDiagMatchesPanel(t *testing.T) {
+	specials := []float64{math.Inf(1), math.Inf(-1), math.NaN(),
+		math.Copysign(0, -1), math.SmallestNonzeroFloat64}
+	for kTiles := 0; kTiles <= 17; kTiles++ {
+		c, aPanel, _ := randomPanels(int64(kTiles)+700, kTiles)
+		x, bIdx := randomGather(int64(kTiles)+900, 61, kTiles)
+		if kTiles%2 == 1 {
+			for i, v := range specials {
+				x[i*11] = v
+			}
+		}
+		bPanel := make([]float64, len(bIdx))
+		for i, j := range bIdx {
+			bPanel[i] = x[j]
+		}
+		var diag [M]float64
+		for l := range diag {
+			diag[l] = c[l*N+l]
+		}
+		DMMAPanel(c, aPanel, bPanel, kTiles)
+		DMMAPanelDiag(&diag, aPanel, x, bIdx, kTiles)
+		for l := range diag {
+			want := c[l*N+l]
+			if math.IsNaN(want) {
+				if !math.IsNaN(diag[l]) {
+					t.Fatalf("kTiles=%d: lane %d = %v, want NaN", kTiles, l, diag[l])
+				}
+				continue
+			}
+			if math.Float64bits(diag[l]) != math.Float64bits(want) {
+				t.Fatalf("kTiles=%d: lane %d differs: %v != %v", kTiles, l, diag[l], want)
+			}
+		}
+	}
+}
+
 // TestDMMAPanelBlockDepths pins each blocking depth of the fused
 // micro-kernels bit-identical to the tile loop for every kTiles in 0..17:
 // single tiles (dmmaTileInto), pairs with a lone-tile remainder
@@ -331,6 +385,30 @@ func TestDMMAPanelShortOperandsPanic(t *testing.T) {
 	DMMAPanel(c, short, b, 2)
 }
 
+// TestDMMAPanelDiagShortOperandsPanic pins the early panics on a short A
+// panel or index slab.
+func TestDMMAPanelDiagShortOperandsPanic(t *testing.T) {
+	x := make([]float64, 4)
+	for _, tc := range []struct {
+		name   string
+		aPanel []float64
+		bIdx   []int32
+	}{
+		{"short A panel", make([]float64, M*K), make([]int32, 2*K*N)},
+		{"short index slab", make([]float64, 2*M*K), make([]int32, K*N)},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s: expected panic", tc.name)
+				}
+			}()
+			var diag [M]float64
+			DMMAPanelDiag(&diag, tc.aPanel, x, tc.bIdx, 2)
+		}()
+	}
+}
+
 // TestPanelFastPathsAllocFree pins the panel engine's hot paths to zero heap
 // allocations: the accumulator residency must come from locals, not escapes.
 func TestPanelFastPathsAllocFree(t *testing.T) {
@@ -346,6 +424,13 @@ func TestPanelFastPathsAllocFree(t *testing.T) {
 		DMMAPanelPair(c, cOdd, aPanel, bPanel, kTiles)
 	}); n != 0 {
 		t.Fatalf("DMMAPanelPair allocates %v times per call", n)
+	}
+	x, bIdx := randomGather(98, 40, kTiles)
+	var diag [M]float64
+	if n := testing.AllocsPerRun(100, func() {
+		DMMAPanelDiag(&diag, aPanel, x, bIdx, kTiles)
+	}); n != 0 {
+		t.Fatalf("DMMAPanelDiag allocates %v times per call", n)
 	}
 	cBatch := make([]float64, 2*M*N)
 	if n := testing.AllocsPerRun(100, func() {
@@ -367,6 +452,18 @@ func BenchmarkDMMAPanel8(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		DMMAPanel(c, aPanel, bPanel, 8)
+	}
+}
+
+// BenchmarkDMMAPanelDiag is the SpMV block sweep: the diagonal of an
+// 8-tile DMMAPanel, B gathered from x through the index slab.
+func BenchmarkDMMAPanelDiag(b *testing.B) {
+	_, aPanel, _ := randomPanels(1, 8)
+	x, bIdx := randomGather(2, 4096, 8)
+	var diag [M]float64
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		DMMAPanelDiag(&diag, aPanel, x, bIdx, 8)
 	}
 }
 

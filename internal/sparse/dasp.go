@@ -70,10 +70,6 @@ type DASP struct {
 	// (8·4·segments·blocks); NNZ/PaddedSlots is the MMA input utilization.
 	PaddedSlots int
 
-	// MaxSegs is the longest Segments length over all blocks — the per-apply
-	// operand-panel sizing bound, hoisted here so ApplyDASP does not rescan
-	// the blocks on every call.
-	MaxSegs int
 	// SegOff[bi] is the cumulative segment count of blocks before bi
 	// (length len(Blocks)+1): block bi's prestaged tiles live at element
 	// offset 32·SegOff[bi] in both slabs below. Built by Prestage.
@@ -184,11 +180,6 @@ func ToDASP(m *CSR) *DASP {
 		d.PaddedSlots += segs * DASPRowsPerBlock * DASPSegWidth
 	}
 
-	for bi := range d.Blocks {
-		if s := len(d.Blocks[bi].Segments); s > d.MaxSegs {
-			d.MaxSegs = s
-		}
-	}
 	return d
 }
 

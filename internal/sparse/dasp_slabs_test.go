@@ -33,9 +33,8 @@ func mixedDASPCSR(t *testing.T) *CSR {
 
 // TestDASPPrestagedSlabs pins the prestaged operand slabs against the
 // segment structure they were flattened from: SegOff is the exact cumulative
-// segment count, MaxSegs the true maximum, APanels the row-major flatten of
-// every segment's Vals, and BCols the transposed (B-tile layout) flatten of
-// every segment's Cols.
+// segment count, APanels the row-major flatten of every segment's Vals, and
+// BCols the transposed (B-tile layout) flatten of every segment's Cols.
 func TestDASPPrestagedSlabs(t *testing.T) {
 	d := ToDASP(mixedDASPCSR(t))
 	if d.SegOff != nil || d.APanels != nil || d.BCols != nil {
@@ -47,22 +46,15 @@ func TestDASPPrestagedSlabs(t *testing.T) {
 	if len(d.SegOff) != len(d.Blocks)+1 {
 		t.Fatalf("len(SegOff) = %d, want %d", len(d.SegOff), len(d.Blocks)+1)
 	}
-	total, maxSegs := 0, 0
+	total := 0
 	for bi := range d.Blocks {
 		if int(d.SegOff[bi]) != total {
 			t.Fatalf("SegOff[%d] = %d, want %d", bi, d.SegOff[bi], total)
 		}
-		s := len(d.Blocks[bi].Segments)
-		total += s
-		if s > maxSegs {
-			maxSegs = s
-		}
+		total += len(d.Blocks[bi].Segments)
 	}
 	if int(d.SegOff[len(d.Blocks)]) != total {
 		t.Fatalf("SegOff tail = %d, want %d", d.SegOff[len(d.Blocks)], total)
-	}
-	if d.MaxSegs != maxSegs {
-		t.Fatalf("MaxSegs = %d, want %d", d.MaxSegs, maxSegs)
 	}
 	if len(d.APanels) != total*segFloats || len(d.BCols) != total*segFloats {
 		t.Fatalf("slab sizes %d/%d, want %d", len(d.APanels), len(d.BCols), total*segFloats)

@@ -172,28 +172,6 @@ func PackBRows(dst, src []float64, stride, rows int) {
 	}
 }
 
-// Gather4 sets dst[i] = src[idx[i]] for every i, 4-wide unrolled so the
-// compiler hoists the dst/idx bounds checks out of the unrolled body — the
-// SpMV B-operand gather (prestaged flat column indices → packed 4×8 tiles)
-// runs through it on every apply. len(idx) must be at least len(dst); the
-// indices must be valid for src (the DASP builder guarantees both).
-func Gather4(dst, src []float64, idx []int32) {
-	n := len(dst)
-	idx = idx[:n] // one bound, hoisted out of the loop below
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		d := (*[4]float64)(dst[i:])
-		x := (*[4]int32)(idx[i:])
-		d[0] = src[x[0]]
-		d[1] = src[x[1]]
-		d[2] = src[x[2]]
-		d[3] = src[x[3]]
-	}
-	for ; i < n; i++ {
-		dst[i] = src[idx[i]]
-	}
-}
-
 // Pack4Stride copies rows groups of 4 contiguous floats from a strided
 // source into a strided destination: group r moves from src[r·srcStride:]
 // to dst[r·dstStride:]. Like PackARows, the fixed-size array assignments

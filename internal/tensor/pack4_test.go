@@ -2,47 +2,6 @@ package tensor
 
 import "testing"
 
-// TestGather4 pins the 4-wide gather against the scalar definition
-// dst[i] = src[idx[i]] across remainder lengths 0..3.
-func TestGather4(t *testing.T) {
-	src := make([]float64, 100)
-	for i := range src {
-		src[i] = float64(i)*1.5 + 0.25
-	}
-	for _, n := range []int{0, 1, 2, 3, 4, 5, 7, 8, 15, 16, 33} {
-		idx := make([]int32, n)
-		for i := range idx {
-			idx[i] = int32((i*37 + 11) % len(src))
-		}
-		dst := make([]float64, n)
-		for i := range dst {
-			dst[i] = -1 // dirty, must be fully overwritten
-		}
-		Gather4(dst, src, idx)
-		for i := range dst {
-			if dst[i] != src[idx[i]] {
-				t.Fatalf("n=%d: dst[%d] = %v, want src[%d] = %v",
-					n, i, dst[i], idx[i], src[idx[i]])
-			}
-		}
-	}
-}
-
-// TestGather4LongIndex checks an index slice longer than dst only
-// contributes its prefix.
-func TestGather4LongIndex(t *testing.T) {
-	src := []float64{10, 20, 30, 40, 50}
-	idx := []int32{4, 3, 2, 1, 0, 4, 4}
-	dst := make([]float64, 5)
-	Gather4(dst, src, idx)
-	want := []float64{50, 40, 30, 20, 10}
-	for i := range dst {
-		if dst[i] != want[i] {
-			t.Fatalf("dst[%d] = %v, want %v", i, dst[i], want[i])
-		}
-	}
-}
-
 // TestPack4Stride pins the strided 4-wide row move: rows of panelK floats
 // copied between arbitrary strides, everything outside the written lanes
 // untouched.

@@ -4,10 +4,7 @@
 // structural classes of the SuiteSparse graphs in Table 3.
 package graph
 
-import (
-	"fmt"
-	"slices"
-)
+import "fmt"
 
 // Graph is a directed graph in CSR adjacency form. For the (symmetric)
 // Table 3 graphs every edge is stored in both directions, matching how
@@ -55,30 +52,59 @@ func (g *Graph) Validate() error {
 	return nil
 }
 
-// FromEdges builds a graph from a directed edge list, sorting and removing
-// duplicates and self-loops. It is a counted two-pass CSR build: count the
-// out-degrees, scatter the edges into their rows, then sort each row and
-// compact it in place. Neighbors stays nil when no edge survives.
-func FromEdges(n int, edges [][2]int32) *Graph {
+// FromEdges builds a graph from a directed edge list, dropping duplicates
+// and self-loops.
+func FromEdges(n int, edges [][2]int32) *Graph { return build(n, edges, false) }
+
+// Undirected builds the graph of an edge list taken in both directions.
+func Undirected(n int, edges [][2]int32) *Graph { return build(n, edges, true) }
+
+// build is the counted CSR build FromEdges and Undirected share, with no
+// comparison sort. It counts the out-degrees, buckets every edge's source
+// by its destination, then walks the destinations in ascending order and
+// appends each to its sources' rows, so every row comes out sorted and its
+// duplicates adjacent; a last pass compacts them away. Self-loops are never
+// stored. With both set, every edge also counts reversed. Neighbors stays
+// nil when no edge survives.
+func build(n int, edges [][2]int32, both bool) *Graph {
 	g := &Graph{N: n, Offsets: make([]int, n+1)}
+	in := make([]int, n+1) // bucket bounds by destination
 	for _, e := range edges {
 		if e[0] != e[1] {
 			g.Offsets[e[0]+1]++
+			in[e[1]+1]++
+			if both {
+				g.Offsets[e[1]+1]++
+				in[e[0]+1]++
+			}
 		}
 	}
 	for v := 0; v < n; v++ {
 		g.Offsets[v+1] += g.Offsets[v]
+		in[v+1] += in[v]
 	}
 	if g.Offsets[n] == 0 {
 		return g
 	}
-	nb := make([]int32, g.Offsets[n])
+	srcs := make([]int32, in[n])
 	next := make([]int, n)
-	copy(next, g.Offsets[:n])
+	copy(next, in[:n])
 	for _, e := range edges {
 		if e[0] != e[1] {
-			nb[next[e[0]]] = e[1]
-			next[e[0]]++
+			srcs[next[e[1]]] = e[0]
+			next[e[1]]++
+			if both {
+				srcs[next[e[0]]] = e[1]
+				next[e[0]]++
+			}
+		}
+	}
+	nb := make([]int32, g.Offsets[n])
+	copy(next, g.Offsets[:n])
+	for d := 0; d < n; d++ {
+		for _, s := range srcs[in[d]:in[d+1]] {
+			nb[next[s]] = int32(d)
+			next[s]++
 		}
 	}
 	// Compact toward the front: row v's unique neighbors land at w, which
@@ -86,10 +112,8 @@ func FromEdges(n int, edges [][2]int32) *Graph {
 	w, lo := 0, 0
 	for v := 0; v < n; v++ {
 		hi := g.Offsets[v+1]
-		row := nb[lo:hi]
-		slices.Sort(row)
 		start := w
-		for _, u := range row {
+		for _, u := range nb[lo:hi] {
 			if w == start || nb[w-1] != u {
 				nb[w] = u
 				w++
@@ -100,13 +124,4 @@ func FromEdges(n int, edges [][2]int32) *Graph {
 	}
 	g.Neighbors = nb[:w]
 	return g
-}
-
-// Undirected symmetrizes an edge list before building the graph.
-func Undirected(n int, edges [][2]int32) *Graph {
-	sym := make([][2]int32, 0, 2*len(edges))
-	for _, e := range edges {
-		sym = append(sym, e, [2]int32{e[1], e[0]})
-	}
-	return FromEdges(n, sym)
 }

@@ -1,7 +1,7 @@
 package graph
 
 import (
-	"reflect"
+	"fmt"
 	"slices"
 	"testing"
 
@@ -25,20 +25,93 @@ func TestFromEdges(t *testing.T) {
 	}
 }
 
-// FuzzFromEdges checks the counted CSR build against a map-based
-// reference: per vertex, the set of distinct non-self targets, ascending.
-// The fuzzer picks the vertex count (1..64) and the edge list, two bytes
-// per edge taken modulo the vertex count.
+// fromEdgesSort is the comparison-sort CSR build FromEdges replaced, kept
+// as its oracle: count the out-degrees, scatter the edges into their rows,
+// then sort each row and compact it in place.
+func fromEdgesSort(n int, edges [][2]int32) *Graph {
+	g := &Graph{N: n, Offsets: make([]int, n+1)}
+	for _, e := range edges {
+		if e[0] != e[1] {
+			g.Offsets[e[0]+1]++
+		}
+	}
+	for v := 0; v < n; v++ {
+		g.Offsets[v+1] += g.Offsets[v]
+	}
+	if g.Offsets[n] == 0 {
+		return g
+	}
+	nb := make([]int32, g.Offsets[n])
+	next := make([]int, n)
+	copy(next, g.Offsets[:n])
+	for _, e := range edges {
+		if e[0] != e[1] {
+			nb[next[e[0]]] = e[1]
+			next[e[0]]++
+		}
+	}
+	w, lo := 0, 0
+	for v := 0; v < n; v++ {
+		hi := g.Offsets[v+1]
+		row := nb[lo:hi]
+		slices.Sort(row)
+		start := w
+		for _, u := range row {
+			if w == start || nb[w-1] != u {
+				nb[w] = u
+				w++
+			}
+		}
+		g.Offsets[v+1] = w
+		lo = hi
+	}
+	g.Neighbors = nb[:w]
+	return g
+}
+
+// symmetric returns edges followed by each edge reversed, in the
+// interleaved order Undirected once built before sorting.
+func symmetric(edges [][2]int32) [][2]int32 {
+	sym := make([][2]int32, 0, 2*len(edges))
+	for _, e := range edges {
+		sym = append(sym, e, [2]int32{e[1], e[0]})
+	}
+	return sym
+}
+
+// sameGraph fails unless got and want have equal offsets and neighbor
+// storage, nil-ness included.
+func sameGraph(t *testing.T, what string, got, want *Graph) {
+	t.Helper()
+	if err := got.Validate(); err != nil {
+		t.Fatalf("%s: %v", what, err)
+	}
+	if got.N != want.N || !slices.Equal(got.Offsets, want.Offsets) || !slices.Equal(got.Neighbors, want.Neighbors) {
+		t.Fatalf("%s = %v %v, want %v %v", what, got.Offsets, got.Neighbors, want.Offsets, want.Neighbors)
+	}
+	if (got.Neighbors == nil) != (want.Neighbors == nil) {
+		t.Fatalf("%s: Neighbors nil = %v, want %v", what, got.Neighbors == nil, want.Neighbors == nil)
+	}
+}
+
+// FuzzFromEdges checks the sort-free CSR build against two oracles: the
+// comparison-sort build it replaced (fromEdgesSort) and a map-based
+// reference, per vertex the set of distinct non-self targets, ascending.
+// Undirected is checked against fromEdgesSort over the symmetric list. The
+// fuzzer picks the vertex count (0..64; an empty graph takes no edges) and
+// the edge list, two bytes per edge taken modulo the vertex count.
 func FuzzFromEdges(f *testing.F) {
-	f.Add(uint8(0), []byte{0, 0, 0, 0})                      // n == 1, self-loops only
-	f.Add(uint8(3), []byte{0, 1, 0, 2, 1, 3, 0, 1, 2, 2})    // TestFromEdges' shape
-	f.Add(uint8(7), []byte{5, 1, 5, 1, 5, 1, 0, 7, 7, 0})    // duplicates, empty rows
-	f.Add(uint8(63), []byte{})                               // no edges
-	f.Add(uint8(9), []byte{9, 0, 8, 1, 7, 2, 6, 3, 5, 4, 4}) // odd byte dropped
+	f.Add(uint8(0), []byte{0, 0, 0, 0})                                    // n == 1, self-loops only
+	f.Add(uint8(3), []byte{0, 1, 0, 2, 1, 3, 0, 1, 2, 2})                  // TestFromEdges' shape
+	f.Add(uint8(7), []byte{5, 1, 5, 1, 5, 1, 0, 7, 7, 0})                  // duplicates, empty rows
+	f.Add(uint8(63), []byte{})                                             // no edges
+	f.Add(uint8(9), []byte{9, 0, 8, 1, 7, 2, 6, 3, 5, 4, 4})               // odd byte dropped
+	f.Add(uint8(64), []byte{1, 2, 3, 4})                                   // n == 0
+	f.Add(uint8(40), []byte{3, 9, 9, 3, 3, 9, 0, 39, 39, 0, 5, 5, 20, 21}) // both directions, isolated vertices
 	f.Fuzz(func(t *testing.T, nb uint8, data []byte) {
-		n := int(nb)%64 + 1
+		n := (int(nb) + 1) % 65
 		var edges [][2]int32
-		for i := 0; i+1 < len(data); i += 2 {
+		for i := 0; n > 0 && i+1 < len(data); i += 2 {
 			edges = append(edges, [2]int32{int32(int(data[i]) % n), int32(int(data[i+1]) % n)})
 		}
 		ref := make([]map[int32]bool, n)
@@ -62,17 +135,49 @@ func FuzzFromEdges(f *testing.F) {
 			want.Offsets[v+1] = len(want.Neighbors)
 		}
 
+		what := fmt.Sprintf("FromEdges(%d, %v)", n, edges)
 		g := FromEdges(n, edges)
-		if err := g.Validate(); err != nil {
+		sameGraph(t, what, g, fromEdgesSort(n, edges))
+		sameGraph(t, what+" vs map reference", g, want)
+		sameGraph(t, fmt.Sprintf("Undirected(%d, %v)", n, edges), Undirected(n, edges), fromEdgesSort(n, symmetric(edges)))
+	})
+}
+
+// TestBuildsMatchSortOracle pins the sort-free builds to fromEdgesSort on
+// campaign-sized inputs. Each Table 3 graph's edges, shuffled, with every
+// fifth edge repeated and a self-loop per hundred, are built as directed
+// (FromEdges), and their one-directional half (u < v) as undirected.
+func TestBuildsMatchSortOracle(t *testing.T) {
+	for _, d := range Table3() {
+		g, err := Synthesize(d.Name)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(g.Offsets, want.Offsets) || !slices.Equal(g.Neighbors, want.Neighbors) {
-			t.Fatalf("FromEdges(%d, %v) = %v %v, want %v %v", n, edges, g.Offsets, g.Neighbors, want.Offsets, want.Neighbors)
+		gen := lcg.New(7)
+		var edges, half [][2]int32
+		for v := 0; v < g.N; v++ {
+			for _, u := range g.Adj(v) {
+				e := [2]int32{int32(v), u}
+				edges = append(edges, e)
+				if len(edges)%5 == 0 {
+					edges = append(edges, e)
+				}
+				if len(edges)%100 == 0 {
+					edges = append(edges, [2]int32{u, u})
+				}
+				if int32(v) < u {
+					half = append(half, e)
+				}
+			}
 		}
-		if (g.Neighbors == nil) != (want.Neighbors == nil) {
-			t.Fatalf("Neighbors nil = %v, want %v", g.Neighbors == nil, want.Neighbors == nil)
+		for i := len(edges) - 1; i > 0; i-- {
+			j := gen.Intn(i + 1)
+			edges[i], edges[j] = edges[j], edges[i]
 		}
-	})
+		sameGraph(t, "FromEdges "+d.Name, FromEdges(g.N, edges), fromEdgesSort(g.N, edges))
+		sameGraph(t, "Undirected "+d.Name, Undirected(g.N, half), fromEdgesSort(g.N, symmetric(half)))
+		sameGraph(t, "Undirected half of "+d.Name, Undirected(g.N, half), g)
+	}
 }
 
 // FuzzBlockCount pins BlockCount, the count-only pass, to the block count

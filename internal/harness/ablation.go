@@ -135,13 +135,7 @@ func AblateBFSRelabel() ([]AblationRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		src, best := 0, -1
-		for v := 0; v < g.N; v++ {
-			if dg := g.Degree(v); dg > best {
-				src, best = v, dg
-			}
-		}
-		rl, _ := bfs.Relabel(g, src)
+		rl, _ := bfs.Relabel(g, bfs.Hub(g))
 		rows = append(rows, AblationRow{
 			Study:    "bfs-relabel",
 			Subject:  d.Name,

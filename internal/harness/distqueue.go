@@ -116,8 +116,7 @@ type WorkQueue struct {
 // NewWorkQueue builds the queue for a key set: deduplicate, resolve each
 // key — a run key against the suite, a memo key against the memo table
 // (unknown keys are coordinator-side errors — a worker should never
-// discover them) — and order the keys as the in-process executor starts
-// them (before): dataset memos, then runs longest-estimated first, then
+// discover them) — and order the keys by before: costliest first, then
 // the table6 memo, which reads runs. The queue does not add a memo's
 // inputs: the worker that computes it reads or runs them itself. A
 // leaseTimeout of 0 selects DefaultLeaseTimeout.

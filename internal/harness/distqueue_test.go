@@ -46,40 +46,66 @@ func newTestQueue(t *testing.T, keys []RunKey, timeout time.Duration) (*WorkQueu
 	return q, clk
 }
 
+// TestWorkQueueOrdersLongestFirst: the queue leases keys as the
+// in-process executor starts them — costliest first by the cost table,
+// the FFT reference ahead of a profile-only run, and the table6 memo,
+// which reads runs, last — and drops duplicates.
 func TestWorkQueueOrdersLongestFirst(t *testing.T) {
 	h := New()
 	w, err := h.Suite.ByName("GEMM")
 	if err != nil {
 		t.Fatal(err)
 	}
-	small := w.Cases()[0].Name
-	large := w.Cases()[len(w.Cases())-1].Name
+	fft, err := h.Suite.ByName("FFT")
+	if err != nil {
+		t.Fatal(err)
+	}
+	large := w.Cases()[len(w.Cases())-1].Name // profiled, not executed
 	keys := []RunKey{
-		{"GEMM", small, workload.TC},
-		{"GEMM", large, RefVariant}, // est ×64: must lease first
 		{"GEMM", large, workload.TC},
-		{"GEMM", small, workload.TC}, // duplicate: dropped
+		memoPlanKey("table6"),
+		{"FFT", fft.Representative().Name, RefVariant},
+		{"GEMM", w.Representative().Name, workload.TC},
+		memoPlanKey("graph-reps"),
+		{"GEMM", large, workload.TC}, // duplicate: dropped
 	}
 	q, err := h.NewWorkQueue(keys, time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := q.Status(); st.Total != 3 {
-		t.Fatalf("total = %d, want 3 after dedup", st.Total)
+	if st := q.Status(); st.Total != 5 {
+		t.Fatalf("total = %d, want 5 after dedup", st.Total)
 	}
-	want := []RunKey{
-		{"GEMM", large, RefVariant},
-		{"GEMM", large, workload.TC},
-		{"GEMM", small, workload.TC},
-	}
-	for i, wk := range want {
+	var leased []planJob
+	for i := 0; i < 5; i++ {
 		g := q.Lease("w1")
-		if g.State != LeaseGranted || g.Key != wk {
-			t.Fatalf("lease %d = %+v, want key %v", i, g, wk)
+		if g.State != LeaseGranted {
+			t.Fatalf("lease %d = %+v, want a key", i, g)
 		}
+		j, err := h.resolveJob(g.Key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		leased = append(leased, j)
 	}
 	if g := q.Lease("w1"); g.State != LeaseWait {
 		t.Fatalf("exhausted queue must answer wait, got %+v", g)
+	}
+	if last := leased[4].key; last != memoPlanKey("table6") {
+		t.Fatalf("last lease = %s, want the table6 memo", last)
+	}
+	for i := 1; i < 4; i++ {
+		if leased[i].cost > leased[i-1].cost {
+			t.Fatalf("lease %d (%s, %vs) after the cheaper %s (%vs)", i, leased[i].key, leased[i].cost, leased[i-1].key, leased[i-1].cost)
+		}
+	}
+	for _, j := range leased {
+		if profileOnly(j) {
+			t.Fatalf("profile-only run %s leased ahead of the FFT reference", j.key)
+		}
+		if j.key == keys[2] {
+			break
+		}
 	}
 }
 

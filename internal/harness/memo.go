@@ -19,6 +19,7 @@ import (
 	"repro/internal/accuracy"
 	"repro/internal/graph"
 	"repro/internal/metrics"
+	"repro/internal/par"
 	"repro/internal/runcache"
 	"repro/internal/sparse"
 	"repro/internal/trace"
@@ -37,15 +38,12 @@ var metMemosComputed = metrics.NewCounter("cubie_harness_memos_computed_total",
 
 // memoDef is one memoized value: the run-cache kind it persists under, its
 // host-span category (also the Workload of its plan key), how many integer
-// parameters its key carries after the name, its traced cost, the run keys
-// it reads, and how to read and compute it.
+// parameters its key carries after the name, the run keys it reads, and
+// how to read and compute it. Its cost is in the committed table
+// (memoSecs, costs.go).
 type memoDef struct {
 	kind, cat string
 	params    int
-	// secs is the value's traced compute time in a cold `cubie all` on a
-	// 2-vCPU Xeon (corpora at size 199, median of three traced runs); the
-	// plan executor starts memos longest first by it.
-	secs float64
 	// inputs, when set, lists the run keys the memo reads. The plan
 	// executor starts such a memo after every run key, and runs its inputs
 	// as keys of their own when it must compute it (Execute).
@@ -56,9 +54,9 @@ type memoDef struct {
 
 // memoOf builds a memoDef whose value has type T. compute receives the
 // harness that asked and the key's integer parameters.
-func memoOf[T any](kind, cat string, params int, secs float64, compute func(h *Harness, p []int64) (T, error)) memoDef {
+func memoOf[T any](kind, cat string, params int, compute func(h *Harness, p []int64) (T, error)) memoDef {
 	return memoDef{
-		kind: kind, cat: cat, params: params, secs: secs,
+		kind: kind, cat: cat, params: params,
 		get: func(rc *runcache.Cache, key string) (any, bool) {
 			var v T
 			ok := rc.Get(kind, key, &v)
@@ -71,19 +69,19 @@ func memoOf[T any](kind, cat string, params int, secs float64, compute func(h *H
 // memoDefs maps each memo name — the first "|" field of its key — to its
 // definition. The corpus memos take (size, seed) from the key.
 var memoDefs = map[string]memoDef{
-	"matrix-corpus": memoOf(runcache.KindFeatures, "coverage", 2, 1.59,
+	"matrix-corpus": memoOf(runcache.KindFeatures, "coverage", 2,
 		func(_ *Harness, p []int64) ([][]float64, error) { return matrixCorpusFeatures(int(p[0]), p[1]), nil }),
-	"bfs-relabel": memoOf(runcache.KindAblation, "ablation", 0, 1.14,
+	"bfs-relabel": memoOf(runcache.KindAblation, "ablation", 0,
 		func(*Harness, []int64) ([]AblationRow, error) { return AblateBFSRelabel() }),
-	"graph-corpus": memoOf(runcache.KindFeatures, "coverage", 2, 0.35,
+	"graph-corpus": memoOf(runcache.KindFeatures, "coverage", 2,
 		func(_ *Harness, p []int64) ([][]float64, error) { return graphCorpusFeatures(int(p[0]), p[1]), nil }),
-	"dasp-padding": memoOf(runcache.KindAblation, "ablation", 0, 0.17,
+	"dasp-padding": memoOf(runcache.KindAblation, "ablation", 0,
 		func(*Harness, []int64) ([]AblationRow, error) { return AblateDASPPadding() }),
-	"matrix-reps": memoOf(runcache.KindFeatures, "coverage", 0, 0.04,
+	"matrix-reps": memoOf(runcache.KindFeatures, "coverage", 0,
 		func(*Harness, []int64) ([][]float64, error) { return matrixRepFeatures() }),
-	"graph-reps": memoOf(runcache.KindFeatures, "coverage", 0, 0.01,
+	"graph-reps": memoOf(runcache.KindFeatures, "coverage", 0,
 		func(*Harness, []int64) ([][]float64, error) { return graphRepFeatures() }),
-	"table6": withInputs(memoOf(runcache.KindAccuracy, "accuracy", 0, 0.11,
+	"table6": withInputs(memoOf(runcache.KindAccuracy, "accuracy", 0,
 		func(h *Harness, _ []int64) ([]accuracy.Row, error) { return table6Rows(h) }),
 		(*Harness).keysTable6),
 }
@@ -163,12 +161,14 @@ func (h *Harness) memoValue(key string) (any, error) {
 }
 
 // run computes one memo for h inside a host span of its category, named by
-// the memo's name.
-func (d memoDef) run(h *Harness, key string, p []int64) (any, error) {
+// the memo's name, under pprof labels {workload: name, variant:
+// MemoVariant, phase: category}; pool tasks it fans out inherit them.
+func (d memoDef) run(h *Harness, key string, p []int64) (v any, err error) {
 	metMemosComputed.Inc()
 	name, _, _ := strings.Cut(key, "|")
 	defer trace.HostSpan(d.cat, name)()
-	return d.compute(h, p)
+	par.DoLabeled(name, string(MemoVariant), d.cat, func() { v, err = d.compute(h, p) })
+	return v, err
 }
 
 // graphCorpusFeatures is the Figure 10a background: the feature vectors of

@@ -54,39 +54,50 @@ func TestPlanCampaignMemoKeys(t *testing.T) {
 	}
 }
 
-// TestExecuteStartsMemosLongestFirst: the dataset memos order ahead of
-// every run key, the longest (by traced seconds) first, and the table6
-// memo, which reads runs, after every run key.
-func TestExecuteStartsMemosLongestFirst(t *testing.T) {
+// TestExecuteStartsLongestFirst: a cold campaign brings the table6 memo's
+// inputs in as jobs of their own, each ranked by its cost plus the memo's.
+// It starts the two long dataset memos first and the CPU-serial FFT
+// reference right behind them, and the table6 memo, which reads runs,
+// after every run.
+func TestExecuteStartsLongestFirst(t *testing.T) {
 	h := New()
-	var jobs []planJob
-	for _, k := range h.PlanCampaign() {
-		j, err := h.resolveJob(k)
+	jobs := startOrder(t, h, h.PlanCampaign())
+	ref := func(name string) RunKey {
+		w, err := h.Suite.ByName(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		jobs = append(jobs, j)
+		return RunKey{name, w.Representative().Name, RefVariant}
 	}
-	slices.SortStableFunc(jobs, func(a, b planJob) int {
-		if before(a, b) {
-			return -1
-		}
-		if before(b, a) {
-			return 1
-		}
-		return 0
-	})
-	var got []string
-	for _, j := range jobs[:3] {
-		got = append(got, j.key.Case)
+	want := []RunKey{memoPlanKey("matrix-corpus|199|2"), memoPlanKey("bfs-relabel"), ref("FFT")}
+	var got []RunKey
+	for _, j := range jobs[:len(want)] {
+		got = append(got, j.key)
 	}
-	if want := []string{"matrix-corpus|199|2", "bfs-relabel", "graph-corpus|199|1"}; !slices.Equal(got, want) {
-		t.Fatalf("first three started = %v, want %v", got, want)
+	if !slices.Equal(got, want) {
+		t.Fatalf("first started = %v, want %v", got, want)
 	}
-	for i, j := range jobs {
-		if memo := j.key.Variant == MemoVariant; memo != (i < 6 || i == len(jobs)-1) {
-			t.Fatalf("job %d (%s): dataset memos must start before every run, table6 after", i, j.key)
+	inTable6 := map[RunKey]bool{}
+	for _, k := range h.keysTable6() {
+		inTable6[k] = true
+	}
+	refs := 0
+	for _, j := range jobs {
+		if j.key.Variant == RefVariant {
+			refs++
 		}
+		if want := cost(j) + memoSecs["table6"]; inTable6[j.key] && j.cost != want {
+			t.Errorf("table6 input %s ranks at %v, want its cost plus the memo's, %v", j.key, j.cost, want)
+		}
+	}
+	inputs := 0
+	for _, k := range h.keysTable6() {
+		if k.Variant == RefVariant {
+			inputs++
+		}
+	}
+	if refs != inputs {
+		t.Fatalf("cold campaign starts %d references, want the table6 memo's %d", refs, inputs)
 	}
 	if last := jobs[len(jobs)-1].key; last != memoPlanKey("table6") {
 		t.Fatalf("last job = %s, want the table6 memo", last)

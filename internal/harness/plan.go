@@ -18,22 +18,23 @@ package harness
 // scheduling — assembly order is fixed, and every run and memo is
 // deterministic.
 //
-// Dataset memos start first, longest first by their traced seconds; run
-// keys follow, longest-estimated first; a memo that reads runs (table6)
-// starts last, so its pool slot never waits on a run that has not
-// started. In a cold `cubie all` traced on a 2-vCPU Xeon before memos were
-// plan keys, the pool drained at 4.17 s and the renderers then computed
-// graph-corpus (0.48 s), matrix-corpus (2.77 s) and bfs-relabel (0.68 s)
-// one after another on one core, to 8.22 s. Started first, the memos
-// overlap the runs instead of trailing them: traced on the same host with
-// non-representative cells profiled and the corpus built on the par pool,
-// matrix-corpus (1.6 s) and bfs-relabel (1.1 s) start at 0 s and the last
-// span ends at about 1.9 s.
+// One cost model in seconds ranks every job: a memo by its name, a run by
+// its workload and kind (a representative case executes, any other case
+// is profiled, or the CPU-serial reference), from a table folded out of
+// traced cold campaigns (costs.go, regenerated by TestCostTable). The
+// costliest job starts first; a job the table6 memo reads ranks by its
+// cost plus the memo's; the memo itself, which reads runs, starts last, so
+// its pool slot never waits on a run that has not started. Traced cold on
+// a 2-vCPU Xeon, matrix-corpus (~2 s) and bfs-relabel (~0.7 s) start at
+// 0 s, the CPU-serial FFT reference follows bfs-relabel at ~0.7 s rather
+// than trailing the grid at ~2.4 s, and the last span ends ~0.05 s after
+// the last grid run, at ~2.3–2.5 s.
 
 import (
 	"fmt"
 	"runtime"
 	"sort"
+	"strings"
 	"sync"
 
 	"repro/internal/metrics"
@@ -282,23 +283,20 @@ func (h *Harness) resolveKey(k RunKey) (workload.Workload, workload.Case, error)
 }
 
 // resolveJob resolves one plan key — a memo key against the memo table,
-// any other against the suite — into a job with its start rank and cost
-// estimate.
+// any other against the suite — into a job with its cost.
 func (h *Harness) resolveJob(k RunKey) (planJob, error) {
-	j := planJob{key: k, rank: rankRun}
+	j := planJob{key: k}
 	if k.Variant == MemoVariant {
 		d, err := resolveMemo(k)
-		j.est, j.rank = d.secs, rankMemo
-		if d.inputs != nil {
-			j.rank = rankReader
-		}
+		j.reads = d.inputs != nil
+		j.cost = cost(j)
 		return j, err
 	}
 	var err error
 	if j.w, j.c, err = h.resolveKey(k); err != nil {
 		return j, err
 	}
-	j.est = estimate(j)
+	j.cost = cost(j)
 	return j, nil
 }
 
@@ -337,118 +335,61 @@ func (h *Harness) execute(j planJob) error {
 
 // planJob is one resolved plan entry. Memo jobs leave w and c unset.
 type planJob struct {
-	key  RunKey
-	w    workload.Workload
-	c    workload.Case
-	rank int     // start rank: rankMemo, rankRun or rankReader
-	est  float64 // cost estimate: a memo's traced seconds, a run's size score
+	key   RunKey
+	w     workload.Workload
+	c     workload.Case
+	reads bool    // a memo that reads runs (table6)
+	cost  float64 // traced seconds (cost), plus those of a memo that reads it (jobs)
 }
 
-// Start ranks: dataset memos, then runs, then memos that read runs.
-const (
-	rankMemo = iota
-	rankRun
-	rankReader
-)
+// runCost is one workload's traced seconds per plan key of each kind: an
+// execution of its representative case, a profile of any other case, and
+// its CPU-serial reference.
+type runCost struct{ executes, profiles, reference float64 }
 
-// estimate scores a run job for scheduling: the product of the case
-// dimensions when present, the 1-based case position otherwise (Table 2
-// orders cases small to large), with CPU-serial references weighted
-// heavily — they run single-threaded and tend to dominate the tail. Only
-// the relative order matters; results never depend on it.
-func estimate(j planJob) float64 {
-	e := 1.0
-	for _, d := range j.c.Dims {
-		if d > 1 {
-			e *= float64(d)
-		}
+// cost returns a job's traced seconds in a cold `cubie all` from the
+// committed table (costs.go): a memo's by its name, a run's by its
+// workload and kind. Only the order it induces matters; results never
+// depend on it.
+func cost(j planJob) float64 {
+	switch j.key.Variant {
+	case MemoVariant:
+		name, _, _ := strings.Cut(j.key.Case, "|")
+		return memoSecs[name]
+	case RefVariant:
+		return runSecs[j.key.Workload].reference
 	}
-	if e == 1 {
-		for i, c := range j.w.Cases() {
-			if c.Name == j.c.Name {
-				e = float64(i + 1)
-				break
-			}
-		}
+	if j.c.Name == j.w.Representative().Name {
+		return runSecs[j.key.Workload].executes
 	}
-	if j.key.Variant == RefVariant {
-		e *= 64
-	}
-	return e
+	return runSecs[j.key.Workload].profiles
 }
 
-// before reports whether job a starts ahead of job b: the lower rank, then
-// the larger estimate, then key order. The run estimates are size scores,
-// not seconds, so memos and runs are not ranked against each other by
-// them. Dataset memos go first because the longest of them outlasts any
-// single run; a memo that reads runs goes last, after every run it reads
-// has started.
+// before reports whether job a starts ahead of job b: a memo that reads
+// runs goes last, after every run it reads has started; otherwise the
+// costlier job first, then key order. One cost in seconds ranks memos,
+// runs and references against each other, so a long CPU-serial reference
+// starts beside the long memos rather than behind them.
 func before(a, b planJob) bool {
-	if a.rank != b.rank {
-		return a.rank < b.rank
+	if a.reads != b.reads {
+		return b.reads
 	}
-	if a.est != b.est {
-		return a.est > b.est
+	if a.cost != b.cost {
+		return a.cost > b.cost
 	}
 	return a.key.String() < b.key.String()
 }
 
-// Execute runs a plan: deduplicate the keys, drop the ones whose flight
-// already exists (in flight or completed — the assembly pull joins those),
-// add the inputs of every memo that must be computed, order the rest
-// (before), and run everything on a worker pool bounded by the host's
-// cores, started strictly in that order. The first error in plan order is
-// returned with its key context. Execute composes with concurrent figure
-// pulls through the flight table, and re-executing an already-satisfied
-// plan costs one map lookup per key.
+// Execute runs a plan: resolve its jobs (jobs), order them (before), and
+// run them on a worker pool bounded by the host's cores, started strictly
+// in that order. The first error in plan order is returned with its key
+// context. Execute composes with concurrent figure pulls through the
+// flight table, and re-executing an already-satisfied plan costs one map
+// lookup per key.
 func (h *Harness) Execute(keys []RunKey) error {
-	// Deduplicate, preserving first-seen order (error reporting is
-	// deterministic in plan order, independent of pool scheduling).
-	seen := map[RunKey]bool{}
-	var pending []RunKey
-	h.mu.Lock()
-	for _, k := range keys {
-		if seen[k] {
-			metPlanDuplicates.Inc()
-			continue
-		}
-		seen[k] = true
-		if _, ok := h.flights[k]; ok {
-			continue // in flight or done; a failed flight is evicted
-		}
-		pending = append(pending, k)
-	}
-	h.mu.Unlock()
-	var jobs []planJob
-	for i := 0; i < len(pending); i++ {
-		j, err := h.resolveJob(pending[i])
-		if err != nil {
-			return err
-		}
-		jobs = append(jobs, j)
-		// A memo that reads runs, and that the run cache does not hold,
-		// brings its inputs in as keys of their own, so they start by their
-		// estimates (the references early) and not in its one pool slot. A
-		// warm plan reads the memo and none of its inputs.
-		if j.rank != rankReader {
-			continue
-		}
-		d, _ := resolveMemo(j.key)
-		if h.rc.Has(d.kind, j.key.Case) {
-			continue
-		}
-		inputs := d.inputs(h)
-		h.mu.Lock()
-		for _, in := range inputs {
-			if _, ok := h.flights[in]; !ok && !seen[in] {
-				seen[in] = true
-				pending = append(pending, in)
-			}
-		}
-		h.mu.Unlock()
-	}
-	if len(jobs) == 0 {
-		return nil
+	jobs, err := h.jobs(keys)
+	if err != nil || len(jobs) == 0 {
+		return err
 	}
 	metPlanKeys.Add(uint64(len(jobs)))
 	endSpan := trace.HostSpan("harness-plan", fmt.Sprintf("execute %d keys", len(jobs)))
@@ -480,4 +421,62 @@ func (h *Harness) Execute(keys []RunKey) error {
 		}
 	}
 	return nil
+}
+
+// jobs resolves the jobs a plan must run, in first-seen plan order (error
+// reporting is deterministic in plan order, independent of pool
+// scheduling): it deduplicates the keys, drops the ones whose flight
+// already exists (in flight or completed — the assembly pull joins those),
+// and adds the inputs of every memo that must be computed. A job such a
+// memo reads ranks by the path through it, its cost plus the memo's, so
+// the memo's inputs do not trail jobs nothing waits on.
+func (h *Harness) jobs(keys []RunKey) ([]planJob, error) {
+	seen := map[RunKey]bool{}
+	var pending []RunKey
+	h.mu.Lock()
+	for _, k := range keys {
+		if seen[k] {
+			metPlanDuplicates.Inc()
+			continue
+		}
+		seen[k] = true
+		if _, ok := h.flights[k]; ok {
+			continue // in flight or done; a failed flight is evicted
+		}
+		pending = append(pending, k)
+	}
+	h.mu.Unlock()
+	var jobs []planJob
+	path := map[RunKey]float64{} // the cost of the memo reading a key
+	for i := 0; i < len(pending); i++ {
+		j, err := h.resolveJob(pending[i])
+		if err != nil {
+			return nil, err
+		}
+		jobs = append(jobs, j)
+		// A memo that reads runs, and that the run cache does not hold,
+		// brings its inputs in as keys of their own, so they start by their
+		// costs (the references early) and not in its one pool slot. A
+		// warm plan reads the memo and none of its inputs.
+		if !j.reads {
+			continue
+		}
+		d, _ := resolveMemo(j.key)
+		if h.rc.Has(d.kind, j.key.Case) {
+			continue
+		}
+		h.mu.Lock()
+		for _, in := range d.inputs(h) {
+			path[in] += j.cost
+			if _, ok := h.flights[in]; !ok && !seen[in] {
+				seen[in] = true
+				pending = append(pending, in)
+			}
+		}
+		h.mu.Unlock()
+	}
+	for i := range jobs {
+		jobs[i].cost += path[jobs[i].key]
+	}
+	return jobs, nil
 }

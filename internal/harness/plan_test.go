@@ -159,26 +159,78 @@ func TestPlanAllCoversCampaign(t *testing.T) {
 	}
 }
 
-// TestEstimateOrdering: references are scheduled ahead of same-case variant
-// runs, and dimensioned cases rank by volume — the longest-first heuristic
-// the pool relies on to keep the tail short.
-func TestEstimateOrdering(t *testing.T) {
+// startOrder returns the jobs Execute would run for keys on h, in the
+// order it starts them.
+func startOrder(t *testing.T, h *Harness, keys []RunKey) []planJob {
+	t.Helper()
+	jobs, err := h.jobs(keys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	slices.SortStableFunc(jobs, func(a, b planJob) int {
+		if before(a, b) {
+			return -1
+		}
+		if before(b, a) {
+			return 1
+		}
+		return 0
+	})
+	return jobs
+}
+
+// profileOnly reports whether j is a run of a non-representative case,
+// which is profiled, not executed.
+func profileOnly(j planJob) bool {
+	return j.w != nil && j.key.Variant != RefVariant && j.c.Name != j.w.Representative().Name
+}
+
+// TestCostOrdering: a run costs its workload's executes entry on the
+// representative case and its profiles entry on any other case, a
+// reference its reference entry and a memo its own. In a cold campaign's
+// start order costs never rise, the table6 memo starts last, and the FFT
+// reference starts ahead of every profile-only run.
+func TestCostOrdering(t *testing.T) {
 	h := New()
 	w, err := h.Suite.ByName("GEMM")
 	if err != nil {
 		t.Fatal(err)
 	}
-	cases := w.Cases()
-	first, last := cases[0], cases[len(cases)-1]
-
-	jSmall := planJob{key: RunKey{"GEMM", first.Name, workload.TC}, w: w, c: first}
-	jLarge := planJob{key: RunKey{"GEMM", last.Name, workload.TC}, w: w, c: last}
-	jRef := planJob{key: RunKey{"GEMM", last.Name, RefVariant}, w: w, c: last}
-
-	if estimate(jLarge) <= estimate(jSmall) {
-		t.Fatalf("largest case must outrank smallest: %v <= %v", estimate(jLarge), estimate(jSmall))
+	rep, large := w.Cases()[0], w.Cases()[len(w.Cases())-1]
+	if rep.Name != w.Representative().Name {
+		t.Fatalf("GEMM representative is %s, want its first case", w.Representative().Name)
 	}
-	if estimate(jRef) <= estimate(jLarge) {
-		t.Fatalf("reference must outrank its variant run: %v <= %v", estimate(jRef), estimate(jLarge))
+	for _, tc := range []struct {
+		j    planJob
+		want float64
+	}{
+		{planJob{key: RunKey{"GEMM", rep.Name, workload.TC}, w: w, c: rep}, runSecs["GEMM"].executes},
+		{planJob{key: RunKey{"GEMM", large.Name, workload.TC}, w: w, c: large}, runSecs["GEMM"].profiles},
+		{planJob{key: RunKey{"GEMM", rep.Name, RefVariant}, w: w, c: rep}, runSecs["GEMM"].reference},
+		{planJob{key: memoPlanKey(corpusKey("matrix-corpus", 199, 2))}, memoSecs["matrix-corpus"]},
+	} {
+		if got := cost(tc.j); got != tc.want {
+			t.Errorf("cost(%s) = %v, want %v", tc.j.key, got, tc.want)
+		}
+	}
+
+	jobs := startOrder(t, h, h.PlanCampaign())
+	if last := jobs[len(jobs)-1].key; last != memoPlanKey("table6") {
+		t.Fatalf("last job = %s, want the table6 memo", last)
+	}
+	fft := -1
+	for i, j := range jobs[:len(jobs)-1] {
+		if i > 0 && j.cost > jobs[i-1].cost {
+			t.Fatalf("job %d (%s, %vs) starts after the cheaper %s (%vs)", i, j.key, j.cost, jobs[i-1].key, jobs[i-1].cost)
+		}
+		if j.key.Workload == "FFT" && j.key.Variant == RefVariant {
+			fft = i
+		}
+		if profileOnly(j) && fft < 0 {
+			t.Fatalf("profile-only run %s starts ahead of the FFT reference", j.key)
+		}
+	}
+	if fft < 0 {
+		t.Fatal("cold campaign does not start the FFT reference")
 	}
 }

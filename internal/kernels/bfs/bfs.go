@@ -74,17 +74,10 @@ func (w *Workload) data(c workload.Case) (*caseData, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Start from the highest-degree vertex for a substantial traversal.
-	src, best := 0, -1
-	for v := 0; v < g0.N; v++ {
-		if d := g0.Degree(v); d > best {
-			src, best = v, d
-		}
-	}
 	// BerryBees-style preprocessing: relabel vertices in BFS order from the
 	// hub so neighborhoods pack into nearby bitmap columns, raising the
 	// 8×128 block fill (part of the format construction, done once).
-	g, src := Relabel(g0, src)
+	g, src := Relabel(g0, Hub(g0))
 	d := &caseData{g: g, slices: graph.ToSliceSet(g), source: src}
 	w.cache[c.Dataset] = d
 	return d, nil
@@ -189,27 +182,44 @@ func (w *Workload) Reference(c workload.Case) ([]float64, error) {
 	return levels, nil
 }
 
+// Hub returns the traversal source: the first vertex of highest degree,
+// so the traversal is substantial.
+func Hub(g *graph.Graph) int {
+	src, best := 0, -1
+	for v := 0; v < g.N; v++ {
+		if d := g.Degree(v); d > best {
+			src, best = v, d
+		}
+	}
+	return src
+}
+
 // Relabel renumbers vertices by BFS visit order from src (unreached
 // vertices keep their relative order at the end) and returns the relabeled
 // graph plus the new source id (always 0). Exported for the ablation study
 // of the BerryBees preprocessing step.
+//
+// g must be symmetric, as every Table 3 graph is (graph.Undirected builds
+// them): new row r then holds exactly the new ids u whose old vertex lists
+// order[r] as a neighbor. So the build counts row r's length as
+// order[r]'s degree, walks the new ids u in ascending order and appends u
+// to the row of each neighbor of order[u]: every row comes out sorted,
+// with no edge list and no sort.
 func Relabel(g *graph.Graph, src int) (*graph.Graph, int) {
+	// order doubles as the BFS queue: a vertex is queued exactly when it
+	// is numbered.
 	order := make([]int32, 0, g.N)
 	newID := make([]int32, g.N)
 	for i := range newID {
 		newID[i] = -1
 	}
-	queue := []int32{int32(src)}
 	newID[src] = 0
 	order = append(order, int32(src))
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		for _, u := range g.Adj(int(v)) {
+	for head := 0; head < len(order); head++ {
+		for _, u := range g.Adj(int(order[head])) {
 			if newID[u] < 0 {
 				newID[u] = int32(len(order))
 				order = append(order, u)
-				queue = append(queue, u)
 			}
 		}
 	}
@@ -219,13 +229,26 @@ func Relabel(g *graph.Graph, src int) (*graph.Graph, int) {
 			order = append(order, int32(v))
 		}
 	}
-	edges := make([][2]int32, 0, g.Edges())
-	for v := 0; v < g.N; v++ {
-		for _, u := range g.Adj(v) {
-			edges = append(edges, [2]int32{newID[v], newID[u]})
+	out := &graph.Graph{N: g.N, Offsets: make([]int, g.N+1)}
+	for r, v := range order {
+		out.Offsets[r+1] = out.Offsets[r] + g.Degree(int(v))
+	}
+	out.Neighbors = make([]int32, out.Offsets[g.N])
+	next := make([]int, g.N)
+	copy(next, out.Offsets[:g.N])
+	for u, v := range order {
+		for _, x := range g.Adj(int(v)) {
+			r := newID[x]
+			out.Neighbors[next[r]] = int32(u)
+			next[r]++
 		}
 	}
-	return graph.FromEdges(g.N, edges), 0
+	for r := range next {
+		if next[r] != out.Offsets[r+1] {
+			panic("bfs: Relabel needs a symmetric graph")
+		}
+	}
+	return out, 0
 }
 
 // bitmapBFS is the BerryBees pull traversal: each level, every slice with

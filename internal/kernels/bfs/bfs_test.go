@@ -1,9 +1,12 @@
 package bfs
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/device"
+	"repro/internal/graph"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -78,6 +81,111 @@ func TestRelabelPreservesStructure(t *testing.T) {
 	if d.source != 0 {
 		t.Errorf("relabeled source = %d, want 0", d.source)
 	}
+}
+
+// relabelEdgeList is the Relabel the direct permuted build replaced, kept
+// as its oracle: number the vertices in BFS order from src, then rebuild
+// the graph from the renumbered edge list through graph.FromEdges.
+func relabelEdgeList(g *graph.Graph, src int) *graph.Graph {
+	order := make([]int32, 0, g.N)
+	newID := make([]int32, g.N)
+	for i := range newID {
+		newID[i] = -1
+	}
+	queue := []int32{int32(src)}
+	newID[src] = 0
+	order = append(order, int32(src))
+	for len(queue) > 0 {
+		v := queue[0]
+		queue = queue[1:]
+		for _, u := range g.Adj(int(v)) {
+			if newID[u] < 0 {
+				newID[u] = int32(len(order))
+				order = append(order, u)
+				queue = append(queue, u)
+			}
+		}
+	}
+	for v := 0; v < g.N; v++ {
+		if newID[v] < 0 {
+			newID[v] = int32(len(order))
+			order = append(order, int32(v))
+		}
+	}
+	edges := make([][2]int32, 0, g.Edges())
+	for v := 0; v < g.N; v++ {
+		for _, u := range g.Adj(v) {
+			edges = append(edges, [2]int32{newID[v], newID[u]})
+		}
+	}
+	return graph.FromEdges(g.N, edges)
+}
+
+// relabelInputs are the graphs Relabel is pinned on: the five Table 3
+// graphs and the Figure 10a corpus of `cubie all`.
+func relabelInputs(t *testing.T) map[string]*graph.Graph {
+	t.Helper()
+	in := map[string]*graph.Graph{}
+	for _, d := range graph.Table3() {
+		g, err := graph.Synthesize(d.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		in[d.Name] = g
+	}
+	for i, g := range graph.Corpus(199, 1) {
+		in[fmt.Sprintf("corpus %d", i)] = g
+	}
+	return in
+}
+
+// TestRelabelMatchesEdgeListOracle pins the direct permuted build to the
+// edge-list rebuild it replaced, from the hub and from the last vertex.
+func TestRelabelMatchesEdgeListOracle(t *testing.T) {
+	if testing.Short() {
+		t.Skip("Table 3 and corpus synthesis in -short mode")
+	}
+	for name, g := range relabelInputs(t) {
+		for _, src := range []int{Hub(g), g.N - 1} {
+			got, s := Relabel(g, src)
+			want := relabelEdgeList(g, src)
+			if s != 0 || !slices.Equal(got.Offsets, want.Offsets) || !slices.Equal(got.Neighbors, want.Neighbors) {
+				t.Fatalf("%s from %d: Relabel differs from the edge-list oracle", name, src)
+			}
+			if err := got.Validate(); err != nil {
+				t.Fatalf("%s from %d: %v", name, src, err)
+			}
+		}
+	}
+}
+
+// TestRelabelInputsSymmetric checks Relabel's precondition on every graph
+// it is given: u lists v whenever v lists u.
+func TestRelabelInputsSymmetric(t *testing.T) {
+	if testing.Short() {
+		t.Skip("Table 3 and corpus synthesis in -short mode")
+	}
+	for name, g := range relabelInputs(t) {
+		for v := 0; v < g.N; v++ {
+			for _, u := range g.Adj(v) {
+				if _, ok := slices.BinarySearch(g.Adj(int(u)), int32(v)); !ok {
+					t.Fatalf("%s: %d lists %d, but %d does not list %d", name, v, u, u, v)
+				}
+			}
+		}
+	}
+}
+
+// TestRelabelRejectsAsymmetric: a directed graph breaks the row counts
+// the build relies on, and Relabel says so instead of returning a wrong
+// graph.
+func TestRelabelRejectsAsymmetric(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Relabel accepted a directed graph")
+		}
+	}()
+	Relabel(graph.FromEdges(3, [][2]int32{{0, 1}, {0, 2}}), 0)
 }
 
 func TestBitMMAOnlyOnTC(t *testing.T) {

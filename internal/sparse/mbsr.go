@@ -135,14 +135,6 @@ func countBlocks(m *CSR, stamp []int32, rowPtr []int) int {
 	return total
 }
 
-// blockFill is ToMBSR(m).FillRatio(m.NNZ()) from the block count alone,
-// without building the blocks.
-func blockFill(m *CSR) float64 {
-	stamp := mbsrStampScratch.Get((m.Cols + BlockSize - 1) / BlockSize)
-	defer mbsrStampScratch.Put(stamp)
-	return fillRatio(m.NNZ(), countBlocks(m, stamp, nil))
-}
-
 // BlockNNZ returns the number of stored 4×4 blocks.
 func (m *MBSR) BlockNNZ() int { return len(m.Blocks) }
 

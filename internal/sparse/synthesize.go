@@ -147,11 +147,11 @@ func (b blockBand) nnz() int {
 
 // blockBanded generates a block-banded matrix of dense bs×bs blocks with
 // blocksPerRow block-columns per block-row centered on the diagonal.
-// Every row of block row bi spans the same column range, so row lengths
-// come from the block geometry alone; each entry, drawn block by block,
-// lands at its row's offset of its column inside that range. It draws
-// exactly one value per stored entry, so with g nil it builds the pattern
-// alone, and a caller that still owes the draws skips
+// Every row of block row bi spans the same contiguous column range, so row
+// lengths come from the block geometry alone; each entry, drawn block by
+// block, lands at its row's offset of its column inside that range. It
+// draws exactly one value per stored entry, so with g nil it writes each
+// row's column run alone, and a caller that still owes the draws skips
 // newBlockBand(rows, bs, blocksPerRow).nnz() of them.
 func blockBanded(rows, bs, blocksPerRow int, g *lcg.Generator) *CSR {
 	band := newBlockBand(rows, bs, blocksPerRow)
@@ -161,9 +161,16 @@ func blockBanded(rows, bs, blocksPerRow int, g *lcg.Generator) *CSR {
 		m.RowPtr[i+1] = m.RowPtr[i] + hi - lo
 	}
 	m.ColIdx = make([]int32, m.RowPtr[rows])
-	if g != nil {
-		m.Vals = make([]float64, m.RowPtr[rows])
+	if g == nil {
+		for i := 0; i < rows; i++ {
+			lo, _ := band.cols(i / bs)
+			for k, j := m.RowPtr[i], int32(lo); k < m.RowPtr[i+1]; k, j = k+1, j+1 {
+				m.ColIdx[k] = j
+			}
+		}
+		return m
 	}
+	m.Vals = make([]float64, m.RowPtr[rows])
 	for bi := 0; bi < band.brows; bi++ {
 		lo, _ := band.cols(bi)
 		for bj := max(bi-band.half, 0); bj <= min(bi+band.half, band.brows-1); bj++ {
@@ -175,9 +182,6 @@ func blockBanded(rows, bs, blocksPerRow int, g *lcg.Generator) *CSR {
 					}
 					k := m.RowPtr[i] + j - lo
 					m.ColIdx[k] = int32(j)
-					if g == nil {
-						continue
-					}
 					v := g.Symmetric()
 					if i == j {
 						v += float64(bs * blocksPerRow)
@@ -388,7 +392,10 @@ type Features struct {
 	BlockFill    float64 // density inside touched 4×4 blocks
 }
 
-// ExtractFeatures computes the Figure 10b feature vector for a matrix.
+// ExtractFeatures computes the Figure 10b feature vector for a matrix. One
+// row-major sweep gathers the row degrees, the band distances and the
+// distinct 4×4 blocks (counted against a stamp per block column, as
+// ToMBSR's pass 1 does), each summed in row order.
 func ExtractFeatures(m *CSR) Features {
 	n := float64(m.Rows)
 	nnz := float64(m.NNZ())
@@ -397,12 +404,28 @@ func ExtractFeatures(m *CSR) Features {
 	f.LogNNZ = log10(nnz)
 	f.AvgRowDegree = nnz / n
 
-	var sumSq, maxDeg float64
+	stamp := mbsrStampScratch.Get((m.Cols + BlockSize - 1) / BlockSize)
+	defer mbsrStampScratch.Put(stamp)
+	clear(stamp)
+	var sumSq, maxDeg, distSum float64
+	blocks := 0
 	for i := 0; i < m.Rows; i++ {
 		d := float64(m.RowNNZ(i))
 		sumSq += d * d
 		if d > maxDeg {
 			maxDeg = d
+		}
+		br := int32(i/BlockSize + 1)
+		for _, c := range m.ColIdx[m.RowPtr[i]:m.RowPtr[i+1]] {
+			dist := float64(int(c) - i)
+			if dist < 0 {
+				dist = -dist
+			}
+			distSum += dist
+			if b := c / BlockSize; stamp[b] != br {
+				stamp[b] = br
+				blocks++
+			}
 		}
 	}
 	mean := f.AvgRowDegree
@@ -414,21 +437,10 @@ func ExtractFeatures(m *CSR) Features {
 		f.RowDegreeCV = math.Sqrt(variance) / mean
 		f.MaxAvgRatio = maxDeg / mean
 	}
-
-	var distSum float64
-	for i := 0; i < m.Rows; i++ {
-		for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
-			d := float64(int(m.ColIdx[k]) - i)
-			if d < 0 {
-				d = -d
-			}
-			distSum += d
-		}
-	}
 	if nnz > 0 && n > 1 {
 		f.BandFraction = distSum / nnz / (n - 1)
 	}
-	f.BlockFill = blockFill(m)
+	f.BlockFill = fillRatio(m.NNZ(), blocks)
 	return f
 }
 

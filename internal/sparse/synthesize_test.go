@@ -345,3 +345,73 @@ func TestCorpusMatchesCOOOracle(t *testing.T) {
 		}
 	}
 }
+
+// extractFeaturesTwoPass is the ExtractFeatures the one-sweep version
+// replaced, kept as its oracle: a row-degree loop, a band-distance loop,
+// then ToMBSR's block count (countBlocks) as a third pass.
+func extractFeaturesTwoPass(m *CSR) Features {
+	n := float64(m.Rows)
+	nnz := float64(m.NNZ())
+	var f Features
+	f.LogRows = log10(n)
+	f.LogNNZ = log10(nnz)
+	f.AvgRowDegree = nnz / n
+
+	var sumSq, maxDeg float64
+	for i := 0; i < m.Rows; i++ {
+		d := float64(m.RowNNZ(i))
+		sumSq += d * d
+		if d > maxDeg {
+			maxDeg = d
+		}
+	}
+	mean := f.AvgRowDegree
+	variance := sumSq/n - mean*mean
+	if variance < 0 {
+		variance = 0
+	}
+	if mean > 0 {
+		f.RowDegreeCV = math.Sqrt(variance) / mean
+		f.MaxAvgRatio = maxDeg / mean
+	}
+
+	var distSum float64
+	for i := 0; i < m.Rows; i++ {
+		for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
+			d := float64(int(m.ColIdx[k]) - i)
+			if d < 0 {
+				d = -d
+			}
+			distSum += d
+		}
+	}
+	if nnz > 0 && n > 1 {
+		f.BandFraction = distSum / nnz / (n - 1)
+	}
+	stamp := make([]int32, (m.Cols+BlockSize-1)/BlockSize)
+	f.BlockFill = fillRatio(m.NNZ(), countBlocks(m, stamp, nil))
+	return f
+}
+
+// TestExtractFeaturesMatchesTwoPass pins the one-sweep ExtractFeatures to
+// its two-pass oracle, bit for bit, over the digest corpus (every matrix
+// in full) and the Table 4 matrices.
+func TestExtractFeaturesMatchesTwoPass(t *testing.T) {
+	if testing.Short() {
+		t.Skip("corpus synthesis in -short mode")
+	}
+	i := 0
+	CorpusEach(digestCorpusSize, digestCorpusSeed, func(m *CSR) {
+		requireSameFeatures(t, fmt.Sprintf("corpus[%d]", i), ExtractFeatures(m), extractFeaturesTwoPass(m))
+		i++
+	})
+	for _, d := range Table4() {
+		m, err := Synthesize(d.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameFeatures(t, d.Name, ExtractFeatures(m), extractFeaturesTwoPass(m))
+	}
+	m := randomCSR(t, 333, 517, 4000, 9) // rectangular, scattered
+	requireSameFeatures(t, "randomCSR", ExtractFeatures(m), extractFeaturesTwoPass(m))
+}

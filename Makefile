@@ -8,9 +8,9 @@
 #   make race-quick    - the race detector on the packages that finish in
 #                        seconds under it (par, runcache, server, mmu, gemm,
 #                        gemv, spmv), on the harness's flight and work
-#                        queue tests, and on the pooled corpus-features
-#                        oracle at 40 matrices; spgemm and the rest of
-#                        harness stay in make race (runs inside make test)
+#                        queue tests, and on sparse's shared-synthesis
+#                        cache; spgemm and the rest of harness stay in
+#                        make race (runs inside make test)
 #   make bench         - kernel + harness benchmarks with memory stats,
 #                        archived as benchdata/BENCH_<date>.json (see
 #                        docs/PERFORMANCE.md); set BENCHTIME=100ms for a
@@ -159,14 +159,14 @@ fuzz:
 
 # The fast half of make race: about 20 s together on 2 vCPUs, plus the
 # harness tests that drive its flight table and work queue concurrently,
-# and the 40-matrix case of the corpus-features oracle (~10 s), whose
-# pattern builds and feature extractions run on the par pool.
+# and the concurrent requesters of sparse's shared-synthesis cache, the
+# package's one concurrent code path.
 # spgemm (~25 s) and the whole harness (~290 s) under -race only run in
 # make race.
 RACE_QUICK = ./internal/par ./internal/runcache ./internal/server/... ./internal/mmu \
 	./internal/kernels/gemm ./internal/kernels/gemv ./internal/kernels/spmv
 RACE_QUICK_HARNESS = ^(TestRunSingleflight|TestRunRetriesAfterError|TestMemoOneFlightWithoutCache|TestWorkQueueDrainsToDone)$$
-RACE_QUICK_SPARSE = ^TestCorpusFeaturesMatchCorpusEach$$/^40_3$$
+RACE_QUICK_SPARSE = ^TestSynthesizeSharedConcurrent$$
 
 race-quick:
 	$(GO) test -race $(RACE_QUICK)

@@ -109,9 +109,8 @@ func AblateDASPPadding() ([]AblationRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		dasp := sparse.ToDASP(m)
 		essential := 2 * float64(m.NNZ())
-		issued := float64(dasp.PaddedSlots) * 16 // 512 FLOPs per 32-slot MMA
+		issued := float64(sparse.DASPPaddedSlots(m)) * 16 // 512 FLOPs per 32-slot MMA
 		rows = append(rows, AblationRow{
 			Study:    "dasp-padding",
 			Subject:  d.Name,

@@ -10,25 +10,25 @@ package harness
 
 // memoSecs is each memo's traced compute seconds.
 var memoSecs = map[string]float64{
-	"bfs-relabel":   0.673,
-	"dasp-padding":  0.361,
-	"graph-corpus":  0.368,
-	"graph-reps":    0.0235,
-	"matrix-corpus": 1.99,
-	"matrix-reps":   0.0316,
-	"table6":        0.0327,
+	"bfs-relabel":   0.547,
+	"dasp-padding":  0.197,
+	"graph-corpus":  0.337,
+	"graph-reps":    0.0182,
+	"matrix-corpus": 0.462,
+	"matrix-reps":   0.0273,
+	"table6":        0.0288,
 }
 
 // runSecs is each workload's mean traced seconds per run key of each kind.
 var runSecs = map[string]runCost{
-	"BFS":       {executes: 0.295, profiles: 0.0693, reference: 0},
-	"FFT":       {executes: 0.11, profiles: 2.1e-05, reference: 0.567},
-	"GEMM":      {executes: 0.0547, profiles: 1.1e-05, reference: 0.0624},
-	"GEMV":      {executes: 0.0014, profiles: 1.13e-05, reference: 0.000661},
-	"PiC":       {executes: 0.0268, profiles: 1.3e-05, reference: 0.00457},
-	"Reduction": {executes: 0.0476, profiles: 2.02e-05, reference: 0.013},
-	"Scan":      {executes: 0.0818, profiles: 9.64e-06, reference: 0.0137},
-	"SpGEMM":    {executes: 0.0323, profiles: 0.037, reference: 0.058},
-	"SpMV":      {executes: 0.0209, profiles: 0.0104, reference: 0.00111},
-	"Stencil":   {executes: 0.082, profiles: 1.15e-05, reference: 0.0713},
+	"BFS":       {executes: 0.254, profiles: 0.0451, reference: 0},
+	"FFT":       {executes: 0.111, profiles: 6.42e-06, reference: 0.485},
+	"GEMM":      {executes: 0.033, profiles: 8.75e-06, reference: 0.0466},
+	"GEMV":      {executes: 0.00214, profiles: 7.28e-06, reference: 0.000596},
+	"PiC":       {executes: 0.0154, profiles: 7.7e-06, reference: 0.00405},
+	"Reduction": {executes: 0.0335, profiles: 6.1e-06, reference: 0.0124},
+	"Scan":      {executes: 0.0666, profiles: 1.02e-05, reference: 0.0147},
+	"SpGEMM":    {executes: 0.086, profiles: 0.0205, reference: 0.0244},
+	"SpMV":      {executes: 0.00302, profiles: 0.00984, reference: 0.0256},
+	"Stencil":   {executes: 0.0798, profiles: 7.79e-06, reference: 0.0457},
 }

@@ -196,7 +196,8 @@ func graphRepFeatures() ([][]float64, error) {
 }
 
 // matrixCorpusFeatures is the Figure 10b background: the corpus's
-// features, from its patterns alone, built on the par pool.
+// features, computed from each matrix's draws and geometry without
+// building it.
 func matrixCorpusFeatures(size int, seed int64) [][]float64 {
 	var feats [][]float64
 	for _, f := range sparse.CorpusFeatures(size, seed) {

@@ -25,10 +25,10 @@ package harness
 // costliest job starts first; a job the table6 memo reads ranks by its
 // cost plus the memo's; the memo itself, which reads runs, starts last, so
 // its pool slot never waits on a run that has not started. Traced cold on
-// a 2-vCPU Xeon, matrix-corpus (~2 s) and bfs-relabel (~0.7 s) start at
-// 0 s, the CPU-serial FFT reference follows bfs-relabel at ~0.7 s rather
-// than trailing the grid at ~2.4 s, and the last span ends ~0.05 s after
-// the last grid run, at ~2.3–2.5 s.
+// a 2-vCPU Xeon, bfs-relabel (~0.55 s) and matrix-corpus (~0.45 s) start
+// at 0 s, the CPU-serial FFT reference takes the first slot they free, at
+// ~0.5 s, and the last span ends ~0.03 s after the last grid run, at
+// ~1.7–1.8 s.
 
 import (
 	"fmt"

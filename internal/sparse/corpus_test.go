@@ -3,11 +3,9 @@ package sparse
 import (
 	"fmt"
 	"math"
-	"slices"
 	"testing"
 
 	"repro/internal/lcg"
-	"repro/internal/par"
 )
 
 // requireSameFeatures fails unless got and want agree bit for bit.
@@ -21,10 +19,8 @@ func requireSameFeatures(t *testing.T, what string, got, want Features) {
 	}
 }
 
-// TestCorpusFeaturesMatchCorpusEach pins the pooled, pattern-only
-// CorpusFeatures to ExtractFeatures over the full CorpusEach synthesis,
-// for one and several workers. The 40-matrix case is small enough for
-// make race-quick.
+// TestCorpusFeaturesMatchCorpusEach pins CorpusFeatures, which builds no
+// matrix, to ExtractFeatures over the full CorpusEach synthesis.
 func TestCorpusFeaturesMatchCorpusEach(t *testing.T) {
 	for _, tc := range []struct {
 		n    int
@@ -36,66 +32,81 @@ func TestCorpusFeaturesMatchCorpusEach(t *testing.T) {
 			}
 			var want []Features
 			CorpusEach(tc.n, tc.seed, func(m *CSR) { want = append(want, ExtractFeatures(m)) })
-			for _, workers := range []int{1, 3} {
-				prev := par.SetWorkers(workers)
-				got := CorpusFeatures(tc.n, tc.seed)
-				par.SetWorkers(prev)
-				if len(got) != len(want) {
-					t.Fatalf("%d workers: %d rows, oracle %d", workers, len(got), len(want))
-				}
-				for i := range want {
-					requireSameFeatures(t, fmt.Sprintf("%d workers, matrix %d", workers, i), got[i], want[i])
-				}
+			got := CorpusFeatures(tc.n, tc.seed)
+			if len(got) != len(want) {
+				t.Fatalf("%d rows, oracle %d", len(got), len(want))
+			}
+			for i := range want {
+				requireSameFeatures(t, fmt.Sprintf("matrix %d", i), got[i], want[i])
 			}
 		})
 	}
 }
 
-// TestPatternPathsMatchFullBuild pins each generator's pattern path to its
-// full build: the same RowPtr and ColIdx, no values, and — for the
-// generators whose draws are skipped — an entry count equal to the number
-// of draws the full build takes.
-func TestPatternPathsMatchFullBuild(t *testing.T) {
-	samePattern := func(what string, got, want *CSR) {
-		t.Helper()
-		if got.Rows != want.Rows || !slices.Equal(got.RowPtr, want.RowPtr) || !slices.Equal(got.ColIdx, want.ColIdx) {
-			t.Fatalf("%s: pattern differs from the full build", what)
+// FuzzCorpusFeatures checks each corpus class's feature path — banded and
+// power-law streamed from their draws, block-banded and lattice from their
+// geometry — against ExtractFeatures of the full build, bit for bit, and
+// requires both to leave the generator in the same state. The sizes reach
+// past the corpus's draw ranges: row counts that are no multiple of 4 or
+// of the block edge, one or two blocks per row, lattice extents 1–6 (where
+// offsets collide) and power-law matrices of a few rows.
+func FuzzCorpusFeatures(f *testing.F) {
+	f.Add(uint8(0), uint16(301), uint8(3), uint8(180), int64(1))  // banded
+	f.Add(uint8(0), uint16(6), uint8(9), uint8(255), int64(2))    // band wider than the matrix
+	f.Add(uint8(0), uint16(0), uint8(0), uint8(0), int64(3))      // one row, diagonal only
+	f.Add(uint8(1), uint16(777), uint8(4), uint8(3), int64(4))    // bs 5, bpr 4 (even)
+	f.Add(uint8(1), uint16(9), uint8(3), uint8(6), int64(5))      // bs 4, fewer rows than the band
+	f.Add(uint8(1), uint16(302), uint8(2), uint8(0), int64(6))    // bs 3, 1 block per row
+	f.Add(uint8(1), uint16(101), uint8(0), uint8(1), int64(7))    // bs 1, bpr 2
+	f.Add(uint8(2), uint16(0), uint8(1), uint8(32), int64(8))     // lattice 2×1×3×6
+	f.Add(uint8(2), uint16(0), uint8(0), uint8(0), int64(9))      // lattice 1×1×1×1
+	f.Add(uint8(2), uint16(0), uint8(29), uint8(23), int64(10))   // lattice 6×5×6×4
+	f.Add(uint8(3), uint16(299), uint8(0), uint8(0), int64(11))   // power law, 2 rows
+	f.Add(uint8(3), uint16(4000), uint8(12), uint8(0), int64(12)) // power law, 3 rows
+	f.Fuzz(func(t *testing.T, class uint8, rows uint16, a, b uint8, seed int64) {
+		n := int(rows)%2000 + 1
+		var what string
+		var c corpusMatrix
+		switch class % 4 {
+		case 0:
+			hb, keep := int(a)%10, float64(b)/255
+			what = fmt.Sprintf("banded(%d, %d, %v)", n, hb, keep)
+			c = corpusMatrix{
+				build:    func(g *lcg.Generator) *CSR { return banded(n, hb, keep, a%2 == 0, g) },
+				features: func(g *lcg.Generator) Features { return bandedFeatures(n, hb, keep, g) },
+			}
+		case 1:
+			bs, bpr := int(a)%9+1, int(b)%10+1
+			what = fmt.Sprintf("blockBanded(%d, %d, %d)", n, bs, bpr)
+			c = corpusMatrix{
+				build:    func(g *lcg.Generator) *CSR { return blockBanded(n, bs, bpr, g) },
+				features: func(g *lcg.Generator) Features { return blockBandedFeatures(n, bs, bpr, g) },
+			}
+		case 2:
+			dims := [4]int{int(a)%6 + 1, int(a/6)%6 + 1, int(b)%6 + 1, int(b/6)%6 + 1}
+			what = fmt.Sprintf("lattice4D(%v)", dims)
+			c = corpusMatrix{
+				build:    func(g *lcg.Generator) *CSR { return lattice4D(dims, g) },
+				features: func(g *lcg.Generator) Features { return lattice4DFeatures(dims, g) },
+			}
+		default:
+			n, avgDeg := n%300+2, int(a)%14+1
+			what = fmt.Sprintf("powerLawRows(%d, %d)", n, avgDeg)
+			c = corpusMatrix{
+				build:    func(g *lcg.Generator) *CSR { return powerLawRows(n, avgDeg, g) },
+				features: func(g *lcg.Generator) Features { return powerLawFeatures(n, avgDeg, g) },
+			}
 		}
-		if got.Vals != nil {
-			t.Fatalf("%s: pattern path stored %d values", what, len(got.Vals))
+		gb, gf := lcg.New(seed), lcg.New(seed)
+		m := c.build(gb)
+		if err := m.Validate(); err != nil {
+			t.Fatalf("%s: %v", what, err)
 		}
-	}
-	for _, tc := range []struct{ rows, bs, bpr int }{{300, 2, 3}, {1000, 8, 9}, {777, 5, 4}, {9, 4, 7}} {
-		what := fmt.Sprintf("blockBanded(%d, %d, %d)", tc.rows, tc.bs, tc.bpr)
-		g := lcg.New(5)
-		full := blockBanded(tc.rows, tc.bs, tc.bpr, g)
-		samePattern(what, blockBanded(tc.rows, tc.bs, tc.bpr, nil), full)
-		skipped := lcg.New(5)
-		skipped.Skip(newBlockBand(tc.rows, tc.bs, tc.bpr).nnz())
-		if *skipped != *g || full.NNZ() != newBlockBand(tc.rows, tc.bs, tc.bpr).nnz() {
-			t.Fatalf("%s: nnz %d does not count its draws", what, newBlockBand(tc.rows, tc.bs, tc.bpr).nnz())
+		requireSameFeatures(t, what, c.features(gf), ExtractFeatures(m))
+		if *gf != *gb {
+			t.Fatalf("%s: the feature path left the generator elsewhere", what)
 		}
-	}
-	for _, dims := range [][4]int{{2, 2, 2, 2}, {4, 4, 4, 3}, {5, 5, 5, 2}, {7, 7, 7, 6}} {
-		what := fmt.Sprintf("lattice4D(%v)", dims)
-		g := lcg.New(5)
-		full := lattice4D(dims, g)
-		samePattern(what, lattice4D(dims, nil), full)
-		skipped := lcg.New(5)
-		skipped.Skip(lattice4DNNZ(dims))
-		if *skipped != *g || full.NNZ() != lattice4DNNZ(dims) {
-			t.Fatalf("%s: lattice4DNNZ %d does not count its draws", what, lattice4DNNZ(dims))
-		}
-	}
-	for _, hb := range []int{1, 3, 6} {
-		what := fmt.Sprintf("banded(hb %d)", hb)
-		g, gp := lcg.New(5), lcg.New(5)
-		full := banded(2000, hb, 0.7, hb == 3, g, true)
-		samePattern(what, banded(2000, hb, 0.7, hb == 3, gp, false), full)
-		if *gp != *g {
-			t.Fatalf("%s: pattern path left the generator elsewhere", what)
-		}
-	}
+	})
 }
 
 // powerLawRowsMap is the map-and-COO powerLawRows the stamp-array version

@@ -93,7 +93,7 @@ type DASP struct {
 // slabs (APanels/BCols) the SpMV hot loop consumes are materialized on the
 // first Prestage call, not here.
 func ToDASP(m *CSR) *DASP {
-	d := &DASP{Rows: m.Rows, Cols: m.Cols, NNZ: m.NNZ()}
+	d := &DASP{Rows: m.Rows, Cols: m.Cols, NNZ: m.NNZ(), PaddedSlots: DASPPaddedSlots(m)}
 
 	var short, medium, long []int32
 	for i := 0; i < m.Rows; i++ {
@@ -120,10 +120,7 @@ func ToDASP(m *CSR) *DASP {
 			}
 			for l, r := range rows[start:end] {
 				blk.RowOf[l] = r
-				segs := (m.RowNNZ(int(r)) + DASPSegWidth - 1) / DASPSegWidth
-				if segs > maxSegs {
-					maxSegs = segs
-				}
+				maxSegs = max(maxSegs, daspRowSegs(m.RowNNZ(int(r))))
 			}
 			blk.Segments = make([]DASPSegment, maxSegs)
 			for l, r := range rows[start:end] {
@@ -144,7 +141,6 @@ func ToDASP(m *CSR) *DASP {
 				}
 			}
 			d.Blocks = append(d.Blocks, blk)
-			d.PaddedSlots += maxSegs * DASPRowsPerBlock * DASPSegWidth
 		}
 	}
 	packGroup(short, ShortRow)
@@ -154,8 +150,7 @@ func ToDASP(m *CSR) *DASP {
 	for _, r := range long {
 		lo, n := m.RowPtr[r], m.RowNNZ(int(r))
 		chunk := (n + DASPRowsPerBlock - 1) / DASPRowsPerBlock
-		segs := (chunk + DASPSegWidth - 1) / DASPSegWidth
-		blk := DASPBlock{Category: LongRow, Segments: make([]DASPSegment, segs)}
+		blk := DASPBlock{Category: LongRow, Segments: make([]DASPSegment, daspRowSegs(chunk))}
 		for l := 0; l < DASPRowsPerBlock; l++ {
 			blk.RowOf[l] = r
 			end := chunk
@@ -177,10 +172,39 @@ func ToDASP(m *CSR) *DASP {
 			}
 		}
 		d.Blocks = append(d.Blocks, blk)
-		d.PaddedSlots += segs * DASPRowsPerBlock * DASPSegWidth
 	}
 
 	return d
+}
+
+// daspRowSegs is the number of 8×4 segments a lane of n nonzeros fills.
+func daspRowSegs(n int) int { return (n + DASPSegWidth - 1) / DASPSegWidth }
+
+// DASPPaddedSlots returns ToDASP(m).PaddedSlots from m's row degrees alone,
+// without building the layout: short and medium rows fill 8-lane blocks in
+// row order, each as deep as its longest lane, and a long row takes one
+// block whose 8 lanes each hold a chunk of ⌈n/8⌉ nonzeros.
+func DASPPaddedSlots(m *CSR) int {
+	var open [LongRow]struct{ lanes, segs int } // the short and medium blocks being filled
+	segs := 0
+	for i := 0; i < m.Rows; i++ {
+		n := m.RowNNZ(i)
+		c := Categorize(n)
+		if c == LongRow {
+			segs += daspRowSegs((n + DASPRowsPerBlock - 1) / DASPRowsPerBlock)
+			continue
+		}
+		b := &open[c]
+		b.segs = max(b.segs, daspRowSegs(n))
+		if b.lanes++; b.lanes == DASPRowsPerBlock {
+			segs += b.segs
+			b.lanes, b.segs = 0, 0
+		}
+	}
+	for _, b := range open {
+		segs += b.segs
+	}
+	return segs * segFloats
 }
 
 // Prestage materializes the prestaged operand slabs (SegOff, APanels,

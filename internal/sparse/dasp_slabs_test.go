@@ -95,3 +95,37 @@ func TestDASPSlabsCoverAllCategories(t *testing.T) {
 		}
 	}
 }
+
+// daspSegmentSlots counts the lane slots of every segment d holds.
+func daspSegmentSlots(d *DASP) int {
+	slots := 0
+	for _, blk := range d.Blocks {
+		slots += len(blk.Segments) * segFloats
+	}
+	return slots
+}
+
+// TestDASPPaddedSlots pins DASPPaddedSlots, which ToDASP's PaddedSlots
+// reads and the padding ablation calls without a layout, to the slots of
+// the segments ToDASP builds, on the five Table 4 matrices and a matrix
+// with rows of all three categories.
+func TestDASPPaddedSlots(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full Table 4 synthesis in -short mode")
+	}
+	check := func(name string, m *CSR) {
+		t.Helper()
+		d := ToDASP(m)
+		if got, want := DASPPaddedSlots(m), daspSegmentSlots(d); got != want || d.PaddedSlots != want {
+			t.Fatalf("%s: DASPPaddedSlots %d, PaddedSlots %d, segments hold %d slots", name, got, d.PaddedSlots, want)
+		}
+	}
+	check("mixed", mixedDASPCSR(t))
+	for _, ds := range Table4() {
+		m, err := Synthesize(ds.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(ds.Name, m)
+	}
+}

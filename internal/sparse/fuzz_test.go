@@ -99,7 +99,8 @@ func FuzzToMBSR(f *testing.F) {
 
 // FuzzToDASP checks the row-grouping layout: summing every lane slot into
 // the row its lane maps to (RowOf) rebuilds the dense image — padding
-// slots carry zeros — and the padded slot count covers every nonzero.
+// slots carry zeros — and the padded slot count covers every nonzero and
+// counts the slots of the segments the layout holds.
 func FuzzToDASP(f *testing.F) {
 	addFuzzSeeds(f)
 	f.Fuzz(func(t *testing.T, rb, cb uint8, data []byte) {
@@ -111,6 +112,9 @@ func FuzzToDASP(f *testing.F) {
 		}
 		if d.NNZ > d.PaddedSlots {
 			t.Fatalf("NNZ %d exceeds PaddedSlots %d", d.NNZ, d.PaddedSlots)
+		}
+		if slots := daspSegmentSlots(d); d.PaddedSlots != slots {
+			t.Fatalf("PaddedSlots %d, the layout's segments hold %d slots", d.PaddedSlots, slots)
 		}
 		got := make([]float64, len(dense))
 		for _, blk := range d.Blocks {

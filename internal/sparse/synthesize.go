@@ -6,7 +6,6 @@ import (
 	"slices"
 
 	"repro/internal/lcg"
-	"repro/internal/par"
 )
 
 // Dataset describes one Table 4 matrix: the published SuiteSparse metadata
@@ -54,10 +53,10 @@ func synthesizeClass(d Dataset, g *lcg.Generator) *CSR {
 	switch d.Class {
 	case "banded-indefinite":
 		// Narrow band, ~7.7 nnz/row, indefinite values (sign-mixed).
-		return banded(d.Rows, 3, 0.96, true, g, true)
+		return banded(d.Rows, 3, 0.96, true, g)
 	case "banded-seismic":
 		// Slightly wider band, ~8.9 nnz/row.
-		return banded(d.Rows, 4, 0.93, false, g, true)
+		return banded(d.Rows, 4, 0.93, false, g)
 	case "block-fluid":
 		// Dense 8×8 blocks along a block band: ~70 nnz/row.
 		return blockBanded(d.Rows, 8, 9, g)
@@ -82,26 +81,16 @@ func synthesizeClass(d Dataset, g *lcg.Generator) *CSR {
 // matrix indefinite. Entries are drawn row by row in ascending column
 // order, which is CSR order, so they append straight into the output; the
 // slices are clipped to their length once the keep draws have fixed it.
-// Keep draws and value draws interleave, so the pattern alone still takes
-// every draw: without values, each kept entry's value draw is a bare Next
-// and Vals stays nil.
-func banded(rows, hb int, keep float64, mixedSign bool, g *lcg.Generator, values bool) *CSR {
+func banded(rows, hb int, keep float64, mixedSign bool, g *lcg.Generator) *CSR {
 	m := &CSR{Rows: rows, Cols: rows, RowPtr: make([]int, rows+1)}
 	colIdx := make([]int32, 0, rows*(2*hb+1))
-	var vals []float64
-	if values {
-		vals = make([]float64, 0, rows*(2*hb+1))
-	}
+	vals := make([]float64, 0, rows*(2*hb+1))
 	for i := 0; i < rows; i++ {
 		for j := max(i-hb, 0); j <= min(i+hb, rows-1); j++ {
 			if j != i && g.Uniform() > keep {
 				continue
 			}
 			colIdx = append(colIdx, int32(j))
-			if !values {
-				g.Next()
-				continue
-			}
 			v := g.Symmetric()
 			if !mixedSign && v < 0 {
 				v = -v
@@ -114,10 +103,29 @@ func banded(rows, hb int, keep float64, mixedSign bool, g *lcg.Generator, values
 		m.RowPtr[i+1] = len(colIdx)
 	}
 	m.ColIdx = slices.Clip(colIdx)
-	if values {
-		m.Vals = slices.Clip(vals)
-	}
+	m.Vals = slices.Clip(vals)
 	return m
+}
+
+// bandedFeatures is ExtractFeatures(banded(rows, hb, keep, _, g)), bit for
+// bit, from the same draws: the keep draws decide the pattern, and each
+// kept entry's value draw is a bare Next. Each entry is summed as it is
+// drawn, and nothing is stored.
+func bandedFeatures(rows, hb int, keep float64, g *lcg.Generator) Features {
+	s := newFeatureSums(rows, rows)
+	for i := 0; i < rows; i++ {
+		deg := 0
+		for j := max(i-hb, 0); j <= min(i+hb, rows-1); j++ {
+			if j != i && g.Uniform() > keep {
+				continue
+			}
+			g.Next()
+			s.entry(i, j)
+			deg++
+		}
+		s.row(deg)
+	}
+	return s.features()
 }
 
 // blockBand is the geometry of a block-banded matrix: dense bs×bs blocks,
@@ -134,15 +142,30 @@ func (b blockBand) cols(bi int) (lo, hi int) {
 	return max(bi-b.half, 0) * b.bs, min(min(bi+b.half, b.brows-1)*b.bs+b.bs, b.rows)
 }
 
-// nnz returns the stored entry count: each block row's rows times its
-// band width.
-func (b blockBand) nnz() int {
-	n := 0
-	for bi := 0; bi < b.brows; bi++ {
-		lo, hi := b.cols(bi)
-		n += (min(bi*b.bs+b.bs, b.rows) - bi*b.bs) * (hi - lo)
+// blockBandedFeatures is ExtractFeatures(blockBanded(rows, bs,
+// blocksPerRow, g)), bit for bit, from the geometry alone; it skips the
+// build's draws, one per stored entry. Row i of block row bi holds the
+// columns [lo, hi) of cols(bi), which contain i, so its degree is hi−lo and
+// its band distances sum to a(a+1)/2 + b(b+1)/2 with a = i−lo and
+// b = hi−1−i. Consecutive block rows' ranges overlap or meet, so each 4-row
+// group touches every 4-column block of one contiguous range, from its
+// first row's lo to its last row's hi.
+func blockBandedFeatures(rows, bs, blocksPerRow int, g *lcg.Generator) Features {
+	band := newBlockBand(rows, bs, blocksPerRow)
+	s := featureSums{rows: rows}
+	for i := 0; i < rows; i++ {
+		lo, hi := band.cols(i / bs)
+		s.row(hi - lo)
+		a, b := i-lo, hi-1-i
+		s.dist += a*(a+1)/2 + b*(b+1)/2
 	}
-	return n
+	for i := 0; i < rows; i += BlockSize {
+		lo, _ := band.cols(i / bs)
+		_, hi := band.cols((min(i+BlockSize, rows) - 1) / bs)
+		s.blocks += (hi-1)/BlockSize - lo/BlockSize + 1
+	}
+	g.Skip(s.nnz)
+	return s.features()
 }
 
 // blockBanded generates a block-banded matrix of dense bs×bs blocks with
@@ -150,9 +173,7 @@ func (b blockBand) nnz() int {
 // Every row of block row bi spans the same contiguous column range, so row
 // lengths come from the block geometry alone; each entry, drawn block by
 // block, lands at its row's offset of its column inside that range. It
-// draws exactly one value per stored entry, so with g nil it writes each
-// row's column run alone, and a caller that still owes the draws skips
-// newBlockBand(rows, bs, blocksPerRow).nnz() of them.
+// draws exactly one value per stored entry.
 func blockBanded(rows, bs, blocksPerRow int, g *lcg.Generator) *CSR {
 	band := newBlockBand(rows, bs, blocksPerRow)
 	m := &CSR{Rows: rows, Cols: rows, RowPtr: make([]int, rows+1)}
@@ -161,15 +182,6 @@ func blockBanded(rows, bs, blocksPerRow int, g *lcg.Generator) *CSR {
 		m.RowPtr[i+1] = m.RowPtr[i] + hi - lo
 	}
 	m.ColIdx = make([]int32, m.RowPtr[rows])
-	if g == nil {
-		for i := 0; i < rows; i++ {
-			lo, _ := band.cols(i / bs)
-			for k, j := m.RowPtr[i], int32(lo); k < m.RowPtr[i+1]; k, j = k+1, j+1 {
-				m.ColIdx[k] = j
-			}
-		}
-		return m
-	}
 	m.Vals = make([]float64, m.RowPtr[rows])
 	for bi := 0; bi < band.brows; bi++ {
 		lo, _ := band.cols(bi)
@@ -293,63 +305,57 @@ func wrap(c, o, dims [4]int) [4]int {
 	return nb
 }
 
-// lattice4DNNZ returns lattice4D(dims)'s stored entry count. The torus is
+// lattice4DResidues returns the distinct residues modulo dims of the
+// diagonal and lattice4DOffsets, the diagonal first. The torus is
 // translation invariant: two offsets reach the same neighbor of a site
-// exactly when they agree modulo dims, which no site changes, so every row
-// holds the distinct residues of the diagonal and the offsets.
-func lattice4DNNZ(dims [4]int) int {
-	distinct := map[[4]int]bool{{}: true}
+// exactly when they agree modulo dims, which no site changes, so every
+// row of lattice4D(dims) holds one entry per residue. Offsets move at most
+// 2 along an axis, so only an extent below 5 makes two of them collide.
+func lattice4DResidues(dims [4]int) [][4]int {
+	res := [][4]int{{}}
 	for _, o := range lattice4DOffsets {
-		distinct[wrap([4]int{}, o, dims)] = true
+		if r := wrap([4]int{}, o, dims); !slices.Contains(res, r) {
+			res = append(res, r)
+		}
 	}
-	return dims[0] * dims[1] * dims[2] * dims[3] * len(distinct)
+	return res
 }
 
 // lattice4D generates a matrix on a 4D periodic lattice where each site
 // couples to itself and to the 38 torus offsets of lattice4DOffsets,
 // giving exactly 39 nonzeros per row on a lattice of extent 5 or more —
 // the regular Wilson-Dirac structure of QCD matrices such as
-// conf5_4-8x8-10. It draws exactly one value per stored entry, so with g
-// nil it builds the pattern alone, and a caller that still owes the draws
-// skips lattice4DNNZ(dims) of them.
+// conf5_4-8x8-10. Corpus draws extents down to 2, where offsets collide,
+// so each row takes the distinct residues of lattice4DResidues. It draws
+// exactly one value per stored entry. (Table 4's QCD matrix comes from
+// latticeQCD, not from here.)
 func lattice4D(dims [4]int, g *lcg.Generator) *CSR {
+	res := lattice4DResidues(dims)
 	n := dims[0] * dims[1] * dims[2] * dims[3]
 	idx := func(c [4]int) int {
 		return ((c[0]*dims[1]+c[1])*dims[2]+c[2])*dims[3] + c[3]
 	}
 	m := &CSR{Rows: n, Cols: n, RowPtr: make([]int, n+1)}
-	m.ColIdx = make([]int32, 0, n*39)
-	if g != nil {
-		m.Vals = make([]float64, 0, n*39)
-	}
-	cols := make([]int32, 0, 39)
+	m.ColIdx = make([]int32, 0, n*len(res))
+	m.Vals = make([]float64, 0, n*len(res))
+	cols := make([]int32, len(res))
 	var c [4]int
 	for c[0] = 0; c[0] < dims[0]; c[0]++ {
 		for c[1] = 0; c[1] < dims[1]; c[1]++ {
 			for c[2] = 0; c[2] < dims[2]; c[2]++ {
 				for c[3] = 0; c[3] < dims[3]; c[3]++ {
 					i := idx(c)
-					cols = append(cols[:0], int32(i))
-					for _, o := range lattice4DOffsets {
-						cols = append(cols, int32(idx(wrap(c, o, dims))))
+					for k, r := range res {
+						cols[k] = int32(idx(wrap(c, r, dims)))
 					}
-					// On small lattices distinct offsets can wrap onto the
-					// same site, so sort and dedupe for CSR validity.
-					// Offsets move at most 2 along an axis, so only an
-					// extent below 5 collides, and Corpus draws extents
-					// down to 2. (Table 4's QCD matrix comes from
-					// latticeQCD, not from here.)
 					insertionSortInt32(cols)
-					cols = dedupeSortedInt32(cols)
 					m.ColIdx = append(m.ColIdx, cols...)
-					if g != nil {
-						for _, j := range cols {
-							v := g.Symmetric()
-							if int(j) == i {
-								v += 8
-							}
-							m.Vals = append(m.Vals, v)
+					for _, j := range cols {
+						v := g.Symmetric()
+						if int(j) == i {
+							v += 8
 						}
+						m.Vals = append(m.Vals, v)
 					}
 					m.RowPtr[i+1] = len(m.ColIdx)
 				}
@@ -359,6 +365,39 @@ func lattice4D(dims [4]int, g *lcg.Generator) *CSR {
 	// RowPtr was filled in lattice order, which is already ascending row
 	// order because idx enumerates rows in sequence.
 	return m
+}
+
+// lattice4DFeatures is ExtractFeatures(lattice4D(dims, g)), bit for bit; it
+// skips the build's draws, one per stored entry. Every row holds one entry
+// per residue, so a sweep over sites (in row order, with the coordinates
+// of site i in c) and residues sums the band distances and counts the
+// blocks, with no sort and no dedupe.
+func lattice4DFeatures(dims [4]int, g *lcg.Generator) Features {
+	res := lattice4DResidues(dims)
+	n := dims[0] * dims[1] * dims[2] * dims[3]
+	s := newFeatureSums(n, n)
+	var c [4]int
+	for i := 0; i < n; i++ {
+		s.row(len(res))
+		for _, r := range res {
+			j := 0
+			for d, x := range c {
+				if x += r[d]; x >= dims[d] {
+					x -= dims[d]
+				}
+				j = j*dims[d] + x
+			}
+			s.entry(i, j)
+		}
+		for d := 3; d >= 0; d-- {
+			if c[d]++; c[d] < dims[d] {
+				break
+			}
+			c[d] = 0
+		}
+	}
+	g.Skip(s.nnz)
+	return s.features()
 }
 
 func dedupeSortedInt32(a []int32) []int32 {
@@ -392,55 +431,81 @@ type Features struct {
 	BlockFill    float64 // density inside touched 4×4 blocks
 }
 
-// ExtractFeatures computes the Figure 10b feature vector for a matrix. One
-// row-major sweep gathers the row degrees, the band distances and the
-// distinct 4×4 blocks (counted against a stamp per block column, as
-// ToMBSR's pass 1 does), each summed in row order.
+// ExtractFeatures computes the Figure 10b feature vector for a matrix in
+// one row-major sweep of its pattern.
 func ExtractFeatures(m *CSR) Features {
-	n := float64(m.Rows)
-	nnz := float64(m.NNZ())
-	var f Features
-	f.LogRows = log10(n)
-	f.LogNNZ = log10(nnz)
-	f.AvgRowDegree = nnz / n
-
-	stamp := mbsrStampScratch.Get((m.Cols + BlockSize - 1) / BlockSize)
-	defer mbsrStampScratch.Put(stamp)
-	clear(stamp)
-	var sumSq, maxDeg, distSum float64
-	blocks := 0
+	s := newFeatureSums(m.Rows, m.Cols)
 	for i := 0; i < m.Rows; i++ {
-		d := float64(m.RowNNZ(i))
-		sumSq += d * d
-		if d > maxDeg {
-			maxDeg = d
-		}
-		br := int32(i/BlockSize + 1)
+		s.row(m.RowNNZ(i))
 		for _, c := range m.ColIdx[m.RowPtr[i]:m.RowPtr[i+1]] {
-			dist := float64(int(c) - i)
-			if dist < 0 {
-				dist = -dist
-			}
-			distSum += dist
-			if b := c / BlockSize; stamp[b] != br {
-				stamp[b] = br
-				blocks++
-			}
+			s.entry(i, int(c))
 		}
 	}
+	return s.features()
+}
+
+// featureSums is what a pattern's Features reduce from: its row count, and
+// integer sums of the row degrees, their squares and the band distances
+// |i−j|, the largest degree and the count of distinct touched 4×4 blocks.
+// ExtractFeatures and every corpus feature path fill one, and only
+// features turns it into floats. A sum below 2^53 (every sum, for fewer
+// than 2^26 rows and 2^26 entries) is exactly the float sum of its terms
+// in any order, so every path that yields the same sums yields the same
+// bits as a float accumulation in row order.
+type featureSums struct {
+	rows, nnz, sumSq, maxDeg, dist, blocks int
+	// stamp[b] is 1 + the block row that last touched block column b
+	// (as in ToMBSR's pass 1); nil on a path that counts blocks itself.
+	stamp []int32
+}
+
+// newFeatureSums returns empty sums for a rows×cols pattern fed entry by
+// entry, with a cleared pooled stamp.
+func newFeatureSums(rows, cols int) featureSums {
+	s := featureSums{rows: rows, stamp: mbsrStampScratch.Get((cols + BlockSize - 1) / BlockSize)}
+	clear(s.stamp)
+	return s
+}
+
+// row adds a row of deg stored entries.
+func (s *featureSums) row(deg int) {
+	s.nnz += deg
+	s.sumSq += deg * deg
+	s.maxDeg = max(s.maxDeg, deg)
+}
+
+// entry adds stored entry (i, j): its band distance, and its 4×4 block the
+// first time i's block row touches it.
+func (s *featureSums) entry(i, j int) {
+	s.dist += max(j-i, i-j)
+	if b, br := j/BlockSize, int32(i/BlockSize+1); s.stamp[b] != br {
+		s.stamp[b] = br
+		s.blocks++
+	}
+}
+
+// features finishes the sums into the feature vector and hands the stamp
+// back to its pool.
+func (s *featureSums) features() Features {
+	if s.stamp != nil {
+		mbsrStampScratch.Put(s.stamp)
+		s.stamp = nil
+	}
+	n, nnz := float64(s.rows), float64(s.nnz)
+	f := Features{LogRows: log10(n), LogNNZ: log10(nnz), AvgRowDegree: nnz / n}
 	mean := f.AvgRowDegree
-	variance := sumSq/n - mean*mean
+	variance := float64(s.sumSq)/n - mean*mean
 	if variance < 0 {
 		variance = 0
 	}
 	if mean > 0 {
 		f.RowDegreeCV = math.Sqrt(variance) / mean
-		f.MaxAvgRatio = maxDeg / mean
+		f.MaxAvgRatio = float64(s.maxDeg) / mean
 	}
 	if nnz > 0 && n > 1 {
-		f.BandFraction = distSum / nnz / (n - 1)
+		f.BandFraction = float64(s.dist) / nnz / (n - 1)
 	}
-	f.BlockFill = fillRatio(m.NNZ(), blocks)
+	f.BlockFill = fillRatio(s.nnz, s.blocks)
 	return f
 }
 
@@ -472,61 +537,32 @@ func Corpus(n int, seed int64) []*CSR {
 func CorpusEach(n int, seed int64, fn func(*CSR)) {
 	g := lcg.New(seed)
 	for i := 0; i < n; i++ {
-		fn(drawCorpusMatrix(i, g).build(g, true))
+		fn(drawCorpusMatrix(i, g).build(g))
 	}
 }
 
-// corpusWindow is how many corpus matrices CorpusFeatures draws before it
-// hands them to the pool: it bounds the patterns held at once.
-const corpusWindow = 32
-
 // CorpusFeatures returns ExtractFeatures of every Corpus(n, seed) matrix,
-// in corpus order, bit for bit — Figure 10b's background. Features read
-// only the pattern, so only power-law matrices store values. It draws
-// every matrix's parameters serially, in RNG order. A banded or
-// power-law pattern depends on its draws, so it is built there too; a
-// block-banded or lattice matrix draws exactly one value per stored entry,
-// so its draws are skipped (lcg Skip) and its pattern is built on the par
-// pool, beside every feature extraction. Each matrix's features land at
-// its index, so the order is fixed for any worker count.
+// in corpus order, bit for bit — Figure 10b's background — without
+// building any of them. It draws each matrix's parameters and then its
+// features in RNG order, one matrix after another: a block-banded or
+// lattice matrix's features come from its geometry and its value draws
+// are skipped; a banded or power-law matrix's pattern depends on its
+// draws, so it takes them all and sums each entry as it is drawn.
 func CorpusFeatures(n int, seed int64) []Features {
 	feats := make([]Features, n)
 	g := lcg.New(seed)
-	specs := make([]corpusMatrix, corpusWindow)
-	mats := make([]*CSR, corpusWindow)
-	for lo := 0; lo < n; lo += corpusWindow {
-		w := min(corpusWindow, n-lo)
-		for k := 0; k < w; k++ {
-			specs[k] = drawCorpusMatrix(lo+k, g)
-			mats[k] = nil
-			if specs[k].skip > 0 {
-				g.Skip(specs[k].skip)
-				continue
-			}
-			mats[k] = specs[k].build(g, false)
-		}
-		par.ForTiles(w, func(a, b int) {
-			for k := a; k < b; k++ {
-				m := mats[k]
-				if m == nil {
-					m = specs[k].build(nil, false)
-				}
-				feats[lo+k] = ExtractFeatures(m)
-			}
-		})
+	for i := range feats {
+		feats[i] = drawCorpusMatrix(i, g).features(g)
 	}
 	return feats
 }
 
 // corpusMatrix is one corpus matrix with its parameters drawn. build
-// synthesizes it from g: without values, a banded matrix still takes
-// every draw, since its keep draws decide the pattern, but stores no
-// value; a block-banded or lattice matrix builds its pattern alone when g
-// is nil; a power-law matrix is always built in full. skip, when nonzero,
-// is the number of value draws of a matrix whose pattern builds without g.
+// synthesizes it from g; features returns ExtractFeatures of that build,
+// bit for bit, leaving g where build would, without building it.
 type corpusMatrix struct {
-	build func(g *lcg.Generator, values bool) *CSR
-	skip  int
+	build    func(g *lcg.Generator) *CSR
+	features func(g *lcg.Generator) Features
 }
 
 // drawCorpusMatrix draws corpus matrix i's parameters from g, in RNG
@@ -542,24 +578,31 @@ func drawCorpusMatrix(i int, g *lcg.Generator) corpusMatrix {
 	case 0, 1, 2:
 		hb := 1 + g.Intn(6)
 		keep := 0.6 + 0.4*g.Uniform()
-		return corpusMatrix{build: func(g *lcg.Generator, values bool) *CSR {
-			return banded(rows, hb, keep, i%6 == 0, g, values)
-		}}
+		return corpusMatrix{
+			build:    func(g *lcg.Generator) *CSR { return banded(rows, hb, keep, i%6 == 0, g) },
+			features: func(g *lcg.Generator) Features { return bandedFeatures(rows, hb, keep, g) },
+		}
 	case 3, 4, 5:
 		bs := 2 + g.Intn(7)
 		bpr := 3 + g.Intn(7)
-		return corpusMatrix{skip: newBlockBand(rows, bs, bpr).nnz(),
-			build: func(g *lcg.Generator, _ bool) *CSR { return blockBanded(rows, bs, bpr, g) }}
+		return corpusMatrix{
+			build:    func(g *lcg.Generator) *CSR { return blockBanded(rows, bs, bpr, g) },
+			features: func(g *lcg.Generator) Features { return blockBandedFeatures(rows, bs, bpr, g) },
+		}
 	case 6:
 		d := 4 + g.Intn(13)
 		dims := [4]int{d, d, d, 2 + g.Intn(5)}
-		return corpusMatrix{skip: lattice4DNNZ(dims),
-			build: func(g *lcg.Generator, _ bool) *CSR { return lattice4D(dims, g) }}
+		return corpusMatrix{
+			build:    func(g *lcg.Generator) *CSR { return lattice4D(dims, g) },
+			features: func(g *lcg.Generator) Features { return lattice4DFeatures(dims, g) },
+		}
 	default:
 		avgDeg := 2 + g.Intn(12)
-		return corpusMatrix{build: func(g *lcg.Generator, _ bool) *CSR {
-			return powerLawRows(min(rows, 16384), avgDeg, g)
-		}}
+		rows := min(rows, 16384)
+		return corpusMatrix{
+			build:    func(g *lcg.Generator) *CSR { return powerLawRows(rows, avgDeg, g) },
+			features: func(g *lcg.Generator) Features { return powerLawFeatures(rows, avgDeg, g) },
+		}
 	}
 }
 
@@ -569,20 +612,15 @@ func drawCorpusMatrix(i int, g *lcg.Generator) corpusMatrix {
 // marks column j taken in row i), then sorts its entries by column, which
 // yields the CSR row a COO build of the same draws produces. The sort keys
 // carry each entry's draw position in their low bits, as COO.ToCSR's do.
+// It needs rows ≥ 2: every row holds its diagonal and at least one more
+// column.
 func powerLawRows(rows, avgDeg int, g *lcg.Generator) *CSR {
 	m := &CSR{Rows: rows, Cols: rows, RowPtr: make([]int, rows+1)}
 	stamp := make([]int32, rows)
 	var keys []uint64
 	var vals []float64
 	for i := 0; i < rows; i++ {
-		// Pareto-ish degree: avg/u with a cap.
-		deg := int(float64(avgDeg) * 0.5 / (0.02 + 0.98*g.Uniform()))
-		if deg > rows/2 {
-			deg = rows / 2
-		}
-		if deg < 1 {
-			deg = 1
-		}
+		deg := powerLawDegree(rows, avgDeg, g)
 		mark := int32(i + 1)
 		stamp[i] = mark
 		keys = append(keys[:0], uint64(i)<<32)
@@ -603,6 +641,39 @@ func powerLawRows(rows, avgDeg int, g *lcg.Generator) *CSR {
 		m.RowPtr[i+1] = len(m.ColIdx)
 	}
 	return m
+}
+
+// powerLawDegree draws a power-law row's off-diagonal degree: Pareto-ish,
+// avgDeg/u, capped to [1, rows/2].
+func powerLawDegree(rows, avgDeg int, g *lcg.Generator) int {
+	deg := int(float64(avgDeg) * 0.5 / (0.02 + 0.98*g.Uniform()))
+	return max(min(deg, rows/2), 1)
+}
+
+// powerLawFeatures is ExtractFeatures(powerLawRows(rows, avgDeg, g)), bit
+// for bit, from the same draws: each value draw is a bare Next, and each
+// entry is summed as it is drawn, so nothing is stored or sorted.
+func powerLawFeatures(rows, avgDeg int, g *lcg.Generator) Features {
+	s := newFeatureSums(rows, rows)
+	stamp := make([]int32, rows)
+	for i := 0; i < rows; i++ {
+		deg := powerLawDegree(rows, avgDeg, g)
+		mark := int32(i + 1)
+		stamp[i] = mark
+		g.Next()
+		s.entry(i, i)
+		for k := 0; k < deg; {
+			j := g.Intn(rows)
+			if stamp[j] != mark {
+				stamp[j] = mark
+				g.Next()
+				s.entry(i, j)
+				k++
+			}
+		}
+		s.row(deg + 1)
+	}
+	return s.features()
 }
 
 func log10(x float64) float64 {

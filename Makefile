@@ -11,27 +11,6 @@
 #                        queue tests, and on sparse's shared-synthesis
 #                        cache; spgemm and the rest of harness stay in
 #                        make race (runs inside make test)
-#   make bench         - kernel + harness benchmarks with memory stats,
-#                        archived as benchdata/BENCH_<date>.json (see
-#                        docs/PERFORMANCE.md); set BENCHTIME=100ms for a
-#                        quick smoke pass
-#   make bench-compare - diff two benchmark snapshots and fail on >10%
-#                        ns/op or allocs/op regressions (0 → >0 allocs
-#                        always fails):
-#                        make bench-compare OLD=benchdata/BENCH_pre_prestage.json \
-#                                           NEW=benchdata/BENCH_post_prestage.json
-#                        Rolling-baseline mode diffs NEW against the best-of
-#                        envelope of the last K committed snapshots instead:
-#                        make bench-compare ROLLING=3 NEW=benchdata/BENCH_new.json
-#   make bench-trend   - render every committed benchdata/BENCH_*.json into
-#                        the static dashboard benchdata/trend.html
-#   make bench-trend-check - fail if trend.html is missing or stale against
-#                        the committed snapshots (runs inside make test)
-#   make bench-all     - time cold and warm `cubie all` end to end against a
-#                        fresh run cache and archive the wall-clocks as
-#                        benchdata/BENCHALL_<date>.json; gate with
-#                        make bench-compare OLD=benchdata/BENCHALL_pre_sched.json \
-#                                           NEW=benchdata/BENCHALL_<date>.json
 #   make build         - compile everything
 #   make vet           - static analysis only
 #   make fmt-check     - fail if any Go file is not gofmt-clean (runs
@@ -46,35 +25,19 @@
 #                        /healthz, fetch a figure, scrape /metrics, then
 #                        SIGTERM and verify a clean drain (runs inside
 #                        make test)
-#   make dist-smoke    - run a small plan through `cubie dist` with two
-#                        forked workers, diff the output bitwise against
-#                        the single-process render, then warm-start a
-#                        fresh worker off the shared store and require
+#   make dist-smoke    - coordinate a small plan with `cubie dist` and two
+#                        `cubie work` processes, diff the output bitwise
+#                        against the single-process render, then warm-start
+#                        a fresh worker off the shared store and require
 #                        zero workload executions (runs inside make test)
-#   make bench-dist    - time cold 1-worker vs cold 4-worker `cubie all`
-#                        plus a cross-worker warm pass and archive the
-#                        wall-clocks as benchdata/BENCHALL_<date>.json
+#
+# The repository benchmark is bench/run.sh (see bench/README.md); the
+# go test -bench functions remain developer probes.
 
 GO ?= go
 
-# Per-benchmark measurement time for make bench. The default 1s matches go
-# test's own default; BENCHTIME=100ms gives a fast smoke signal, BENCHTIME=5x
-# runs a fixed iteration count for noisy boxes.
-BENCHTIME ?= 1s
-
-# Snapshots diffed by make bench-compare, and the regression fractions that
-# fail the gate (0.10 = 10%) on each axis. Setting ROLLING=K switches the
-# baseline from the OLD file to the best-of envelope of the last K committed
-# benchdata/BENCH_*.json snapshots.
-OLD ?= benchdata/BENCH_pre_prestage.json
-NEW ?= benchdata/BENCH_post_prestage.json
-TOLERANCE ?= 0.10
-ALLOC_TOLERANCE ?= 0.10
-ROLLING ?=
-
-.PHONY: all build vet fmt-check test fuzz race race-quick bench bench-all bench-check bench-compare \
-	bench-trend bench-trend-check docs-check serve-smoke dist-smoke bench-dist \
-	clean
+.PHONY: all build vet fmt-check test fuzz race race-quick bench-check docs-check serve-smoke \
+	dist-smoke clean
 
 all: test
 
@@ -90,7 +53,7 @@ fmt-check:
 docs-check:
 	$(GO) run ./cmd/docscheck
 
-test: vet fmt-check docs-check bench-trend-check bench-check serve-smoke dist-smoke race-quick
+test: vet fmt-check docs-check bench-check serve-smoke dist-smoke race-quick
 	$(GO) test ./...
 
 # bench/ is its own module (replace repro => ../) that calls internal
@@ -115,32 +78,47 @@ serve-smoke:
 	kill -TERM $$pid; wait $$pid; \
 	echo "serve-smoke: ok ($$addr booted, served, drained)"
 
-# End-to-end distributed-campaign smoke. Phase 1 renders figure9
-# single-process with no cache (the comparator). Phase 2 coordinates the
-# same plan across two cold forked workers publishing into a shared store
-# and requires bitwise-identical stdout. Phase 3 re-coordinates against
-# the warm store with one fresh worker (empty local cache) and requires
-# the worker's own metrics to show zero workload executions — the whole
-# plan arrives over the remote cache tier.
+# End-to-end distributed-campaign smoke in the cross-host shape: a
+# coordinator on a random port (the --addr-file handshake) and `cubie work`
+# processes, each with its own empty cache and the coordinator as its
+# remote tier. Phase 1 renders figure9 single-process with no cache (the
+# comparator). Phase 2 drains the same plan with two cold workers
+# publishing into the coordinator's store and requires bitwise-identical
+# stdout. Phase 3 re-coordinates against the warm store with one fresh
+# worker and requires the worker's own metrics to show zero workload
+# executions — the whole plan arrives over the remote cache tier. A worker
+# or coordinator that exits non-zero fails the smoke; the exit trap stops
+# whatever is still running.
 dist-smoke:
-	@set -e; tmp=$$(mktemp -d); trap "rm -rf $$tmp" EXIT; \
+	@set -e; tmp=$$(mktemp -d); pids=; trap 'kill $$pids 2>/dev/null || true; rm -rf $$tmp' EXIT; \
 	$(GO) build -o $$tmp/cubie ./cmd/cubie; \
 	CUBIE_CACHE=off $$tmp/cubie roofline > $$tmp/single.txt; \
-	CUBIE_CACHE=$$tmp/store $$tmp/cubie dist --plan figure9 --figure figure9 \
-	    --workers 2 --lease-timeout 2m > $$tmp/cold.txt 2> $$tmp/cold.log \
-	    || { cat $$tmp/cold.log >&2; exit 1; }; \
-	cmp $$tmp/single.txt $$tmp/cold.txt \
-	    || { echo "dist-smoke: 2-worker output differs from single-process" >&2; exit 1; }; \
-	mkdir -p $$tmp/wm; \
-	CUBIE_CACHE=$$tmp/store $$tmp/cubie dist --plan figure9 --figure figure9 \
-	    --workers 1 --worker-metrics $$tmp/wm --lease-timeout 2m \
-	    > $$tmp/warm.txt 2> $$tmp/warm.log \
-	    || { cat $$tmp/warm.log >&2; exit 1; }; \
-	cmp $$tmp/single.txt $$tmp/warm.txt \
-	    || { echo "dist-smoke: warm worker output differs from single-process" >&2; exit 1; }; \
-	grep -q '^cubie_harness_runs_started_total 0$$' $$tmp/wm/w1.prom \
-	    || { echo "dist-smoke: fresh worker executed runs instead of warm-starting off the store:" >&2; \
-	         grep '^cubie_harness_runs_started_total' $$tmp/wm/w1.prom >&2; exit 1; }; \
+	fail() { echo "dist-smoke: $$1" >&2; tail -n 20 $$tmp/*.log >&2; exit 1; }; \
+	coordinate() { \
+	  CUBIE_CACHE=$$tmp/store $$tmp/cubie dist --plan figure9 --figure figure9 --lease-timeout 2m \
+	      --addr 127.0.0.1:0 --addr-file $$tmp/$$1.addr > $$tmp/$$1.txt 2> $$tmp/$$1.log & \
+	  coord=$$!; pids="$$pids $$coord"; \
+	  for i in $$(seq 1 100); do [ -s $$tmp/$$1.addr ] && break; sleep 0.1; done; \
+	  [ -s $$tmp/$$1.addr ] || fail "$$1 coordinator never wrote its addr file"; \
+	  url=http://$$(cat $$tmp/$$1.addr); workers=; }; \
+	work() { \
+	  id=$$1; shift; mkdir $$tmp/$$id; \
+	  CUBIE_CACHE=$$tmp/$$id $$tmp/cubie work --coordinator $$url --worker-id $$id "$$@" \
+	      > $$tmp/$$id.log 2>&1 & \
+	  pids="$$pids $$!"; workers="$$workers $$!"; }; \
+	settle() { \
+	  while [ -n "$$workers" ]; do \
+	    left=; for p in $$workers; do \
+	      if kill -0 $$p 2>/dev/null; then left="$$left $$p"; \
+	      else wait $$p || fail "$$1: a worker exited non-zero"; fi; \
+	    done; workers=$$left; sleep 0.1; \
+	  done; \
+	  wait $$coord || fail "$$1: coordinator exited non-zero"; \
+	  cmp $$tmp/single.txt $$tmp/$$1.txt || fail "$$1 output differs from single-process"; }; \
+	coordinate cold; work w1; work w2; settle cold; \
+	coordinate warm; work w3 --metrics $$tmp/w3.prom; settle warm; \
+	grep -q '^cubie_harness_runs_started_total 0$$' $$tmp/w3.prom \
+	    || fail "fresh worker executed runs instead of warm-starting off the store: $$(grep '^cubie_harness_runs_started_total' $$tmp/w3.prom)"; \
 	echo "dist-smoke: ok (cold 2-worker and warm fresh-worker output both bitwise-identical, warm worker ran 0 workloads)"
 
 race:
@@ -165,62 +143,13 @@ fuzz:
 # make race.
 RACE_QUICK = ./internal/par ./internal/runcache ./internal/server/... ./internal/mmu \
 	./internal/kernels/gemm ./internal/kernels/gemv ./internal/kernels/spmv
-RACE_QUICK_HARNESS = ^(TestRunSingleflight|TestRunRetriesAfterError|TestMemoOneFlightWithoutCache|TestWorkQueueDrainsToDone)$$
+RACE_QUICK_HARNESS = ^(TestRunSingleflight|TestRunRetriesAfterError|TestMemoOneFlightWithoutCache|TestWorkQueueDrainsToDone|TestWorkQueueDismissesEveryWorker)$$
 RACE_QUICK_SPARSE = ^TestSynthesizeSharedConcurrent$$
 
 race-quick:
 	$(GO) test -race $(RACE_QUICK)
 	$(GO) test -race -run '$(RACE_QUICK_HARNESS)' ./internal/harness
 	$(GO) test -race -run '$(RACE_QUICK_SPARSE)' ./internal/sparse
-
-# -p 1 runs the package test binaries serially: concurrent binaries contend
-# for cores and distort ns/op (macro benchmarks inflate 2-3x).
-bench:
-	$(GO) test -p 1 -bench=. -benchmem -benchtime=$(BENCHTIME) -run=^$$ ./... | tee /dev/stderr | $(GO) run ./cmd/benchjson
-
-bench-compare:
-ifneq ($(ROLLING),)
-	$(GO) run ./cmd/benchjson -compare -rolling $(ROLLING) \
-		-tolerance $(TOLERANCE) -alloc-tolerance $(ALLOC_TOLERANCE) $(NEW)
-else
-	$(GO) run ./cmd/benchjson -compare \
-		-tolerance $(TOLERANCE) -alloc-tolerance $(ALLOC_TOLERANCE) $(OLD) $(NEW)
-endif
-
-# The dashboard is committed alongside the snapshots it plots;
-# bench-trend-check keeps the two in lockstep (make test runs it).
-bench-trend:
-	$(GO) run ./cmd/benchjson -trend
-
-bench-trend-check:
-	$(GO) run ./cmd/benchjson -trend -check
-
-# End-to-end campaign wall-clock: the first `cubie all` populates a fresh
-# run cache (cold), the second replays it (warm — zero workload
-# executions). Both land in one BENCHALL_<date>.json snapshot for the
-# bench-compare gate.
-bench-all:
-	@set -e; tmp=$$(mktemp -d); trap "rm -rf $$tmp" EXIT; \
-	$(GO) build -o $$tmp/cubie ./cmd/cubie; \
-	{ $(GO) run ./cmd/benchjson -exec BenchmarkCubieAllCold -- \
-	    env CUBIE_CACHE=$$tmp/cache $$tmp/cubie all; \
-	  $(GO) run ./cmd/benchjson -exec BenchmarkCubieAllWarm -- \
-	    env CUBIE_CACHE=$$tmp/cache $$tmp/cubie all; } \
-	| $(GO) run ./cmd/benchjson -o benchdata -prefix BENCHALL_
-
-# Distributed campaign wall-clock: cold `cubie all` on 1 forked worker vs
-# 4, then a cross-worker warm pass (fresh worker, warm shared store).
-# Each pass gets its own fresh store so colds stay cold.
-bench-dist:
-	@set -e; tmp=$$(mktemp -d); trap "rm -rf $$tmp" EXIT; \
-	$(GO) build -o $$tmp/cubie ./cmd/cubie; \
-	{ $(GO) run ./cmd/benchjson -exec BenchmarkCubieAllDist1Cold -- \
-	    env CUBIE_CACHE=$$tmp/store1 $$tmp/cubie all --workers 1; \
-	  $(GO) run ./cmd/benchjson -exec BenchmarkCubieAllDist4Cold -- \
-	    env CUBIE_CACHE=$$tmp/store4 $$tmp/cubie all --workers 4; \
-	  $(GO) run ./cmd/benchjson -exec BenchmarkCubieAllDistWarm -- \
-	    env CUBIE_CACHE=$$tmp/store4 $$tmp/cubie all --workers 1; } \
-	| $(GO) run ./cmd/benchjson -o benchdata -prefix BENCHALL_
 
 clean:
 	$(GO) clean ./...

@@ -262,19 +262,3 @@ func BenchmarkAblations(b *testing.B) {
 	b.ReportMetric(overlapGeo, "overlapGeoRatio")
 	b.ReportMetric(daspGeo, "daspRedundancy")
 }
-
-// BenchmarkWorkloads times one full TC run per workload (representative
-// case), the per-kernel cost behind every grid experiment.
-func BenchmarkWorkloads(b *testing.B) {
-	s := cubie.NewSuite()
-	for _, w := range s.Workloads() {
-		w := w
-		b.Run(w.Name(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := w.Run(w.Representative(), workload.TC); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}

@@ -3,8 +3,8 @@ package main
 // The distributed-campaign subcommands. `cubie dist` is the coordinator:
 // it enumerates a named plan's keys — run keys, and for plan "all" the
 // memo keys of the Figure 10 feature matrices and dataset-level ablation
-// arms — serves them over the work-queue API (docs/SERVE.md), forks N
-// `cubie work` workers of this same binary, and — once the queue drains —
+// arms — serves them over the work-queue API (docs/SERVE.md) on --addr,
+// waits for `cubie work` processes on any host to drain them, and then
 // renders the requested output entirely from its now-warm cache,
 // byte-identical to the single-process path (same renderers,
 // deterministic results, zero executions and zero memo computations).
@@ -18,8 +18,6 @@ import (
 	"fmt"
 	"net"
 	"os"
-	"os/exec"
-	"path/filepath"
 	"time"
 
 	"repro/cubie"
@@ -97,18 +95,19 @@ func cmdWork(h *cubie.Harness, coordinator, workerID string) {
 
 // distFlags carries the coordinator-side CLI flags.
 type distFlags struct {
-	plan          string
-	figure        string
-	workers       int
-	leaseTimeout  time.Duration
-	workerMetrics string
+	plan         string
+	figure       string
+	addr         string
+	addrFile     string
+	leaseTimeout time.Duration
 }
+
+// dismissTimeout bounds how long a drained coordinator keeps serving so
+// that every worker that polled it is answered done and exits on its own.
+const dismissTimeout = 15 * time.Second
 
 // cmdDist coordinates one distributed campaign, then renders.
 func cmdDist(h *cubie.Harness, f distFlags) {
-	if f.workers < 1 {
-		fatal(fmt.Errorf("dist: --workers must be >= 1"))
-	}
 	// The coordinator's cache is the shared store every worker publishes
 	// to and renders are assembled from; a cacheless run (CUBIE_CACHE=off)
 	// gets an ephemeral one.
@@ -138,66 +137,41 @@ func cmdDist(h *cubie.Harness, f distFlags) {
 	}
 
 	cfg := server.Defaults()
+	cfg.Addr, cfg.AddrFile = f.addr, f.addrFile
 	s, err := server.New(h, cfg)
 	if err != nil {
 		fatal(err)
 	}
 	s.SetWorkQueue(q)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	ln, err := net.Listen("tcp", cfg.Addr)
 	if err != nil {
-		fatal(err)
+		fatal(fmt.Errorf("dist: %w", err))
 	}
-	url := "http://" + ln.Addr().String()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	serveDone := make(chan error, 1)
 	go func() { serveDone <- s.Serve(ctx, ln) }()
-
-	workers, err := forkWorkers(f, url)
-	if err != nil {
-		cancel()
-		fatal(err)
-	}
-	fmt.Fprintf(os.Stderr, "cubie dist: plan %q (%d keys) on %d workers via %s\n",
-		f.plan, q.Status().Total, f.workers, url)
-
-	// If every worker dies while keys remain, the queue would sit waiting
-	// for lease expiries forever; fail fast instead.
-	workersDead := make(chan struct{})
-	go func() {
-		for _, w := range workers {
-			_ = w.Wait()
-		}
-		close(workersDead)
-	}()
+	fmt.Fprintf(os.Stderr, "cubie dist: plan %q (%d keys); start workers with: cubie work --coordinator http://%s\n",
+		f.plan, q.Status().Total, ln.Addr())
 
 	waitErr := make(chan error, 1)
 	go func() { waitErr <- q.Wait(ctx) }()
 	select {
 	case err = <-waitErr:
-	case <-workersDead:
-		if !q.Done() {
-			cancel()
-			fatal(fmt.Errorf("dist: all %d workers exited with the plan unfinished", f.workers))
-		}
-		err = <-waitErr
+	case err = <-serveDone:
+		fatal(err)
 	}
-	if err != nil {
-		cancel()
-		fatal(fmt.Errorf("dist: %w", err))
-	}
-
-	// Let the workers observe the terminal queue state and exit cleanly.
+	// Keep serving until every worker that polled has been told the
+	// outcome, so each one exits on its own answer.
 	select {
-	case <-workersDead:
-	case <-time.After(15 * time.Second):
-		for _, w := range workers {
-			_ = w.Process.Kill()
-		}
-		<-workersDead
+	case <-q.Dismissed():
+	case <-time.After(dismissTimeout):
 	}
 	cancel()
 	<-serveDone
+	if err != nil {
+		fatal(fmt.Errorf("dist: %w", err))
+	}
 
 	// Assemble the output purely from the warmed cache.
 	switch {
@@ -214,37 +188,4 @@ func cmdDist(h *cubie.Harness, f distFlags) {
 		fmt.Fprintf(os.Stderr, "cubie dist: plan %q complete (%d keys, %d lease re-issues)\n",
 			f.plan, st.Completed, st.Reissued)
 	}
-}
-
-// forkWorkers launches f.workers copies of this binary in `work` mode,
-// each with its own empty local cache and the coordinator as remote tier.
-func forkWorkers(f distFlags, url string) ([]*exec.Cmd, error) {
-	exe, err := os.Executable()
-	if err != nil {
-		return nil, fmt.Errorf("dist: %w", err)
-	}
-	var cmds []*exec.Cmd
-	for i := 1; i <= f.workers; i++ {
-		id := fmt.Sprintf("w%d", i)
-		wdir, err := os.MkdirTemp("", "cubie-worker-"+id+"-*")
-		if err != nil {
-			return nil, fmt.Errorf("dist: %w", err)
-		}
-		args := []string{"work", "--coordinator", url, "--worker-id", id}
-		if f.workerMetrics != "" {
-			args = append(args, "--metrics", filepath.Join(f.workerMetrics, id+".prom"))
-		}
-		c := exec.Command(exe, args...)
-		c.Env = append(os.Environ(),
-			runcache.Env+"="+wdir,
-			runcache.EnvRemote+"="+url,
-		)
-		c.Stdout = os.Stderr
-		c.Stderr = os.Stderr
-		if err := c.Start(); err != nil {
-			return nil, fmt.Errorf("dist: start worker %s: %w", id, err)
-		}
-		cmds = append(cmds, c)
-	}
-	return cmds, nil
 }

@@ -31,9 +31,9 @@
 //	run        execute workloads through the instrumented harness path
 //	serve      long-lived characterization daemon with an HTTP/JSON API
 //	fetch      fetch a figure from a running daemon (serve's thin client)
-//	dist       coordinate a plan across forked work-stealing workers
+//	dist       serve a plan's keys to work-stealing workers, then render
 //	work       worker loop: lease keys from a coordinator and execute them
-//	all        run everything above in paper order (--workers N distributes)
+//	all        run everything above in paper order
 //
 // Every command additionally accepts the observability flags --metrics,
 // --trace-host, and --pprof (see docs/OBSERVABILITY.md). Flags come before
@@ -74,18 +74,16 @@ func main() {
 	metricsOut := fs.String("metrics", "", "write a metrics snapshot after the command: Prometheus text, or JSON for *.json paths (\"-\" = stdout)")
 	traceHost := fs.String("trace-host", "", "record real host execution spans and write Chrome-trace JSON (\"-\" = stdout)")
 	pprofOut := fs.String("pprof", "", "write a CPU profile of the command (inspect with go tool pprof)")
-	addr := fs.String("addr", server.Defaults().Addr, "serve: listen address (host:port, port 0 picks a free one); fetch: daemon address")
-	addrFile := fs.String("addr-file", "", "serve: write the bound listen address to this file once ready")
+	addr := fs.String("addr", server.Defaults().Addr, "serve and dist: listen address (host:port, port 0 picks a free one); fetch: daemon address")
+	addrFile := fs.String("addr-file", "", "serve and dist: write the bound listen address to this file once ready")
 	configPath := fs.String("config", "", "serve: JSON config file (overridden by CUBIE_* env vars and flags; see docs/SERVE.md)")
 	maxInflight := fs.Int("max-inflight", server.Defaults().MaxInflightRuns, "serve: bound on concurrently admitted run-executing requests")
 	coordinator := fs.String("coordinator", os.Getenv("CUBIE_COORDINATOR"), "work: coordinator base URL (default $CUBIE_COORDINATOR)")
 	workerID := fs.String("worker-id", "", "work: worker identity reported to the coordinator (default hostname-pid)")
 	plan := fs.String("plan", "all", "dist: named run plan to distribute (all, figure3, power, table6, figure9, representative, sweep)")
 	figure := fs.String("figure", "", "dist: figure to render from the warmed cache once the plan completes")
-	workers := fs.Int("workers", 0, "dist (or all): number of forked workers; 0 runs all in-process")
 	leaseDefault, leaseErr := envLeaseTimeout()
 	leaseTimeout := fs.Duration("lease-timeout", leaseDefault, "dist: how long a worker may hold a leased key before it is re-issued (default $CUBIE_LEASE_TIMEOUT)")
-	workerMetrics := fs.String("worker-metrics", "", "dist: directory for per-worker Prometheus metric snapshots (w1.prom, ...)")
 	if err := fs.Parse(os.Args[2:]); err != nil {
 		os.Exit(2)
 	}
@@ -260,25 +258,13 @@ func main() {
 			fatal(leaseErr)
 		}
 		cmdDist(h, distFlags{
-			plan:          *plan,
-			figure:        *figure,
-			workers:       max(*workers, 1),
-			leaseTimeout:  *leaseTimeout,
-			workerMetrics: *workerMetrics,
+			plan:         *plan,
+			figure:       *figure,
+			addr:         *addr,
+			addrFile:     *addrFile,
+			leaseTimeout: *leaseTimeout,
 		})
 	case "all":
-		if *workers > 0 {
-			if leaseErr != nil {
-				fatal(leaseErr)
-			}
-			cmdDist(h, distFlags{
-				plan:          "all",
-				workers:       *workers,
-				leaseTimeout:  *leaseTimeout,
-				workerMetrics: *workerMetrics,
-			})
-			break
-		}
 		if err := h.RenderAll(os.Stdout); err != nil {
 			fatal(err)
 		}
@@ -345,10 +331,10 @@ commands:
   run [<workload> [case] [variant]]
   serve [--addr host:port] [--config file] [--addr-file file] [--max-inflight N]
   fetch [figure] [--addr host:port]
-  dist [--plan name] [--workers N] [--figure name] [--lease-timeout d]
-       [--worker-metrics dir]
+  dist [--plan name] [--figure name] [--addr host:port] [--addr-file file]
+       [--lease-timeout d]
   work --coordinator URL [--worker-id id]
-  all [--workers N]
+  all
 
 observability flags (any command; flags precede positional args):
   --metrics <file|->     metrics snapshot after the command (Prometheus
@@ -370,7 +356,7 @@ environment:
 // envLeaseTimeout reads CUBIE_LEASE_TIMEOUT (a positive Go duration like
 // "2m") as the --lease-timeout default. Unset or empty leaves
 // harness.DefaultLeaseTimeout; a malformed value is an error naming the
-// variable, which the commands that distribute a plan report.
+// variable, which `cubie dist` reports.
 func envLeaseTimeout() (time.Duration, error) {
 	v := os.Getenv("CUBIE_LEASE_TIMEOUT")
 	if v == "" {

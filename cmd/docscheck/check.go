@@ -79,7 +79,7 @@ func gather(root string) (*facts, error) {
 		}
 		if d.IsDir() {
 			// Docs only talk about this repository's code.
-			if name := d.Name(); name == ".git" || name == "benchdata" {
+			if d.Name() == ".git" {
 				return filepath.SkipDir
 			}
 			return nil

@@ -82,8 +82,13 @@ func FigureByName(name string) (Figure, bool) {
 }
 
 // RenderAll renders the whole campaign in paper order — the body of
-// `cubie all`. It prefetches the whole-campaign plan first, so the runs
-// and memos a later figure needs execute while an earlier figure renders.
+// `cubie all`. It prefetches the whole-campaign plan and renders at once,
+// so the prefetch's Execute and the first figure's own Execute run side
+// by side, each on its own slots over the one flight table. That second
+// Execute, not render overlap, is what the prefetch buys: executing the
+// plan synchronously before rendering was ~0.17 s slower cold (median of
+// 10 alternating rounds on a 2-vCPU Xeon), while a warm render of every
+// figure takes ~0.05 s.
 func (h *Harness) RenderAll(w io.Writer) error {
 	h.Prefetch(h.PlanCampaign())
 	first := true

@@ -1,10 +1,11 @@
 package harness
 
 // Distributed campaign execution: the coordinator-side work queue behind
-// `cubie dist` / `cubie all --workers N`. The coordinator enumerates a
-// plan's keys (runs and memos) once, then serves them to workers over a
-// lease/steal protocol (internal/server's /api/v1/work endpoints): a
-// worker leases the next pending key in the executor's start order,
+// `cubie dist`, served to `cubie work` processes on any host. The
+// coordinator enumerates a plan's keys (runs and memos) once, then serves
+// them to workers over a lease/steal protocol (internal/server's
+// /api/v1/work endpoints): a worker leases the next pending key in the
+// executor's start order,
 // executes it through its own harness, and publishes the result to the
 // shared cache store before completing the lease. Work-stealing is
 // implicit — whichever worker asks next gets the next key, so a fast
@@ -19,6 +20,11 @@ package harness
 // reports an error) are retried a bounded number of times before the
 // whole queue fails; keys that expire too many times fail it too, so a
 // plan wedged on a crashing key terminates instead of spinning.
+//
+// Shutdown: the queue records every worker that polls it, and Dismissed
+// closes once the queue is terminal and each of them has been answered
+// with that terminal state, so a coordinator that serves until then lets
+// every worker exit on its own answer instead of a refused connection.
 
 import (
 	"context"
@@ -110,6 +116,9 @@ type WorkQueue struct {
 	timeout  time.Duration
 	done     chan struct{}
 
+	workers   map[string]bool // every worker that has polled; true once answered terminal
+	dismissed chan struct{}   // closed when terminal and every polled worker was answered
+
 	now func() time.Time // test seam
 }
 
@@ -148,10 +157,14 @@ func (h *Harness) NewWorkQueue(keys []RunKey, leaseTimeout time.Duration) (*Work
 		timeout:  leaseTimeout,
 		done:     make(chan struct{}),
 		now:      time.Now,
+
+		workers:   map[string]bool{},
+		dismissed: make(chan struct{}),
 	}
 	if q.total == 0 {
 		q.state = "done"
 		close(q.done)
+		q.dismissLocked()
 	}
 	return q, nil
 }
@@ -164,6 +177,8 @@ func (q *WorkQueue) Lease(worker string) Grant {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	q.sweepLocked()
+	q.workers[worker] = q.state != "running"
+	q.dismissLocked()
 	switch q.state {
 	case "done":
 		return Grant{State: LeaseDone}
@@ -203,6 +218,7 @@ func (q *WorkQueue) Complete(leaseID, errMsg string) string {
 		if q.complete == q.total && q.state == "running" {
 			q.state = "done"
 			close(q.done)
+			q.dismissLocked()
 		}
 		return "ok"
 	}
@@ -257,17 +273,39 @@ func (q *WorkQueue) failLocked(err error) {
 	q.err = err
 	q.pending = nil
 	close(q.done)
+	q.dismissLocked()
 }
 
-// Done reports whether the queue reached a terminal state.
-func (q *WorkQueue) Done() bool {
+// dismissLocked closes dismissed once the queue is terminal and every
+// worker that polled it has been answered with the terminal state.
+func (q *WorkQueue) dismissLocked() {
+	if q.state == "running" || isClosed(q.dismissed) {
+		return
+	}
+	for _, told := range q.workers {
+		if !told {
+			return
+		}
+	}
+	close(q.dismissed)
+}
+
+// Dismissed is closed once the queue is terminal and every worker that
+// has polled it has since been answered done or failed. A worker that
+// polls for the first time after that is answered at once.
+func (q *WorkQueue) Dismissed() <-chan struct{} { return q.dismissed }
+
+func isClosed(c chan struct{}) bool {
 	select {
-	case <-q.done:
+	case <-c:
 		return true
 	default:
 		return false
 	}
 }
+
+// Done reports whether the queue reached a terminal state.
+func (q *WorkQueue) Done() bool { return isClosed(q.done) }
 
 // Err returns the terminal error (nil while running or when done).
 func (q *WorkQueue) Err() error {

@@ -308,6 +308,95 @@ func TestWorkQueueDrainsToDone(t *testing.T) {
 	}
 }
 
+// TestWorkQueueDismissesEveryWorker: a coordinator stops serving once
+// Dismissed closes, so it must stay open while any worker that polled is
+// still owed its terminal answer. Three workers drain the queue
+// concurrently, each checking before every re-poll that it has not been
+// dismissed unanswered; a fourth leases once and makes its final poll
+// only after the others have exited, so the queue sits done but open.
+func TestWorkQueueDismissesEveryWorker(t *testing.T) {
+	h := New()
+	w, _ := h.Suite.ByName("GEMV")
+	var keys []RunKey
+	for _, c := range w.Cases() {
+		for _, v := range w.Variants() {
+			keys = append(keys, RunKey{"GEMV", c.Name, v})
+		}
+	}
+	q, err := h.NewWorkQueue(keys, time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dismissed := func() bool { return isClosed(q.dismissed) }
+
+	if g := q.Lease("late"); g.State != LeaseGranted {
+		t.Fatalf("first lease = %+v", g)
+	} else {
+		q.Complete(g.Lease, "")
+	}
+	var wg sync.WaitGroup
+	for _, id := range []string{"w1", "w2", "w3"} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for polled := false; ; polled = true {
+				if polled && dismissed() {
+					t.Errorf("%s dismissed before its final poll", id)
+				}
+				g := q.Lease(id)
+				switch g.State {
+				case LeaseGranted:
+					q.Complete(g.Lease, "")
+				case LeaseWait:
+					time.Sleep(time.Millisecond)
+				default:
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if !q.Done() {
+		t.Fatalf("workers exited with the queue %+v", q.Status())
+	}
+	if dismissed() {
+		t.Fatal("dismissed while worker late is still owed its answer")
+	}
+	if g := q.Lease("late"); g.State != LeaseDone {
+		t.Fatalf("late's final poll = %+v", g)
+	}
+	if !dismissed() {
+		t.Fatal("not dismissed after every worker was answered done")
+	}
+	// A worker that first polls after dismissal is answered at once.
+	if g := q.Lease("new"); g.State != LeaseDone || !dismissed() {
+		t.Fatalf("poll after dismissal = %+v, dismissed %v", g, dismissed())
+	}
+
+	// A failed queue dismisses the same way: each worker on its own answer.
+	q, err = h.NewWorkQueue(keys[:1], time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, id := range []string{"b", "a", "a"} {
+		g := q.Lease(id)
+		if g.State != LeaseGranted {
+			t.Fatalf("attempt %d: %+v", i, g)
+		}
+		q.Complete(g.Lease, "boom")
+	}
+	if !q.Done() || dismissed() {
+		t.Fatalf("after %d failures: done %v, dismissed %v", maxKeyAttempts, q.Done(), dismissed())
+	}
+	q.Lease("a")
+	if dismissed() {
+		t.Fatal("dismissed while worker b is still owed its answer")
+	}
+	if g := q.Lease("b"); g.State != LeaseFailed || !dismissed() {
+		t.Fatalf("b's final poll = %+v, dismissed %v", g, dismissed())
+	}
+}
+
 // TestWorkQueueReissuesOnWorkerDeath is the coordinator fault path: a
 // worker leases a key and dies without completing; after the lease
 // timeout the key is re-issued to a live worker and the campaign

@@ -11,10 +11,11 @@ package harness
 // bounded worker pool (Execute); the figure then assembles its rows from
 // the flights in deterministic paper order. `cubie all` unions every
 // experiment's keys into one whole-campaign plan (PlanCampaign) and
-// prefetches it in the background (Prefetch), so the work a later figure
-// needs executes while an earlier figure renders. Planner and figure
-// pulls meet in the same flight: whichever reaches a key first computes
-// it, the other joins. Output stays byte-identical regardless of
+// prefetches it in the background (Prefetch) while the figures render, so
+// the prefetch's Execute and the first figure's own Execute run at once
+// (RenderAll says why that, not render overlap, is the gain). Planner and
+// figure pulls meet in the same flight: whichever reaches a key first
+// computes it, the other joins. Output stays byte-identical regardless of
 // scheduling — assembly order is fixed, and every run and memo is
 // deterministic.
 //

@@ -97,9 +97,15 @@ func gather(root string) (*facts, error) {
 				f.codeEnvVars[m[1]] = true
 			}
 		}
-		// Flag definitions live in the command packages.
-		rel := filepath.ToSlash(path)
-		if strings.Contains(rel, "/cmd/") || strings.HasPrefix(rel, "cmd/") {
+		// Flag definitions live in the command packages and in the
+		// benchmark's driver (bench/, its own module).
+		rel, err := filepath.Rel(root, path)
+		if err != nil {
+			return err
+		}
+		rel = filepath.ToSlash(rel)
+		if strings.HasPrefix(rel, "cmd/") ||
+			(strings.HasPrefix(rel, "bench/") && !strings.HasSuffix(rel, "_test.go")) {
 			for _, m := range reFlagDef.FindAllStringSubmatch(string(src), -1) {
 				f.flags[m[1]] = true
 			}

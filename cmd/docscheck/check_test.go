@@ -230,3 +230,43 @@ func TestServeSurfaceReverse(t *testing.T) {
 		t.Errorf("want exactly 3 violations, got %d:\n%s", len(v), joined)
 	}
 }
+
+const fakeBenchMain = `package main
+
+import "flag"
+
+func main() {
+	flag.String("workload", "", "")
+	flag.Int64("seed", 1, "")
+}
+`
+
+// TestCheckBenchFlags: the benchmark driver's flags (non-test files under
+// bench/) count as defined, so a doc may show its command line; a flag
+// only a bench test defines, or that nothing defines, is still caught.
+func TestCheckBenchFlags(t *testing.T) {
+	root := writeTree(t, map[string]string{
+		"Makefile":           fakeMakefile,
+		"cmd/tool/main.go":   fakeMain,
+		"bench/main.go":      fakeBenchMain,
+		"bench/main_test.go": "package main\n\nimport \"flag\"\n\nvar _ = flag.Bool(\"only-in-test\", false, \"\")\n",
+		"README.md":          "```sh\nbash bench/run.sh --workload campaign-cold --seed 1\n```\n",
+		"docs/BAD.md":        "```sh\nbash bench/run.sh --nosuchflag\nbash bench/run.sh --only-in-test\n```\n",
+	})
+	v, err := check(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	joined := strings.Join(v, "\n")
+	for _, want := range []string{
+		"BAD.md:2: flag --nosuchflag is not defined",
+		"BAD.md:3: flag --only-in-test is not defined",
+	} {
+		if !strings.Contains(joined, want) {
+			t.Errorf("violations missing %q:\n%s", want, joined)
+		}
+	}
+	if len(v) != 2 {
+		t.Errorf("want exactly 2 violations, got %d:\n%s", len(v), joined)
+	}
+}

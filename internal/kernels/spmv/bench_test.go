@@ -20,7 +20,7 @@ func BenchmarkOperator(b *testing.B) {
 			op := NewOperator(m)
 			x := make([]float64, m.Cols)
 			lcg.New(1).Fill(x)
-			op.Apply(x) // build the prestaged slabs outside the timing
+			op.Apply(x) // warm the worker pool outside the timing
 			b.SetBytes(int64(m.NNZ() * 12))
 			b.ReportAllocs()
 			b.ResetTimer()

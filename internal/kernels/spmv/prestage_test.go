@@ -13,7 +13,7 @@ import (
 )
 
 // mixedCSR builds a matrix with short, medium, and long DASP rows so every
-// prestage code path (including the lane-split long-row finish) executes.
+// apply code path (including the lane-split long-row finish) executes.
 func mixedCSR(t *testing.T) (*sparse.CSR, []float64) {
 	t.Helper()
 	const rows, cols = 48, 160
@@ -55,21 +55,21 @@ func bitEqual(t *testing.T, label string, got, want []float64) {
 	}
 }
 
-// daspMaxSegs is the longest Segments length over the layout's blocks: the
-// size, in tiles, of the oracles' per-block operand panels.
+// daspMaxSegs is the most segments any block of the layout holds: the size,
+// in tiles, of the oracle's per-block B panel.
 func daspMaxSegs(dasp *sparse.DASP) int {
 	n := 0
 	for bi := range dasp.Blocks {
-		n = max(n, len(dasp.Blocks[bi].Segments))
+		n = max(n, int(dasp.SegOff[bi+1]-dasp.SegOff[bi]))
 	}
 	return n
 }
 
 // gather4 sets dst[i] = src[idx[i]] for every i, 4-wide unrolled so the
 // compiler hoists the dst/idx bounds checks out of the unrolled body — the
-// B-operand gather of the full-tile oracle (prestaged flat column indices →
-// packed 4×8 tiles). len(idx) must be at least len(dst); the indices must
-// be valid for src (the DASP builder guarantees both).
+// B-operand gather of the full-tile oracle (the layout's flat column
+// indices → packed 4×8 tiles). len(idx) must be at least len(dst); the
+// indices must be valid for src (the DASP builder guarantees both).
 func gather4(dst, src []float64, idx []int32) {
 	n := len(dst)
 	idx = idx[:n] // one bound, hoisted out of the loop below
@@ -93,7 +93,6 @@ func gather4(dst, src []float64, idx []int32) {
 // mmu.DMMAPanel over the prepacked A tiles, then extract the diagonal.
 func applyDASPFullTile(dasp *sparse.DASP, x []float64) []float64 {
 	y := make([]float64, dasp.Rows)
-	dasp.Prestage()
 	maxSegs := daspMaxSegs(dasp)
 	par.ForTiles(len(dasp.Blocks), func(lo, hi int) {
 		cT := make([]float64, mmu.M*mmu.N)
@@ -140,50 +139,16 @@ func finishDASPTile(blk *sparse.DASPBlock, cT, y []float64) {
 	}
 }
 
-// applyDASPStaged is the per-call staging oracle route for ApplyDASP: the
-// loop the kernel ran before the prestaged slabs, packing both the A tiles
-// and the gathered B tiles from Segments on every apply.
-func applyDASPStaged(dasp *sparse.DASP, x []float64) []float64 {
-	y := make([]float64, dasp.Rows)
-	maxSegs := daspMaxSegs(dasp)
-	par.ForTiles(len(dasp.Blocks), func(lo, hi int) {
-		cT := make([]float64, mmu.M*mmu.N)
-		aPanel := make([]float64, maxSegs*mmu.M*mmu.K)
-		bPanel := make([]float64, maxSegs*mmu.K*mmu.N)
-		for bi := lo; bi < hi; bi++ {
-			blk := &dasp.Blocks[bi]
-			for i := range cT {
-				cT[i] = 0
-			}
-			for si := range blk.Segments {
-				seg := &blk.Segments[si]
-				aT := aPanel[si*mmu.M*mmu.K:]
-				bT := bPanel[si*mmu.K*mmu.N:]
-				for l := 0; l < mmu.M; l++ {
-					for k := 0; k < mmu.K; k++ {
-						aT[l*mmu.K+k] = seg.Vals[l][k]
-						bT[k*mmu.N+l] = x[seg.Cols[l][k]]
-					}
-				}
-			}
-			mmu.DMMAPanel(cT, aPanel, bPanel, len(blk.Segments))
-			finishDASPTile(blk, cT, y)
-		}
-	})
-	return y
-}
-
 // TestApplyDASPPrestageBitIdentical pins ApplyDASP, the diagonal-only sweep
-// off the prestaged slabs, bitwise to the full-tile and per-call staging
-// oracles on a matrix covering all three row categories.
+// off the layout's slabs, bitwise to the full-tile oracle on a matrix
+// covering all three row categories.
 func TestApplyDASPPrestageBitIdentical(t *testing.T) {
 	m, x := mixedCSR(t)
 	dasp := sparse.ToDASP(m)
 	got := ApplyDASP(dasp, x)
 	bitEqual(t, "diagonal vs full tile", got, applyDASPFullTile(dasp, x))
-	bitEqual(t, "diagonal vs staged", got, applyDASPStaged(dasp, x))
 
-	// All must also be the true product, not merely mutually consistent.
+	// It must also be the true product, not merely consistent with the oracle.
 	for i := 0; i < m.Rows; i++ {
 		var acc float64
 		for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
@@ -240,9 +205,9 @@ func sameBits(t *testing.T, label string, got, want []float64) {
 	}
 }
 
-// TestApplyDASPSpecialValues pins ApplyDASP to both oracles when x holds
-// ±Inf, NaN, −0 and subnormals at gathered columns, on the mixed-category
-// matrix and on spmsrts. The diagonal sweep never computes an off-diagonal
+// TestApplyDASPSpecialValues pins ApplyDASP to the full-tile oracle when x
+// holds ±Inf, NaN, −0 and subnormals at gathered columns, on the
+// mixed-category matrix and on spmsrts. The diagonal sweep never computes an off-diagonal
 // accumulator element, and none feeds a diagonal one, so even values that
 // poison a whole tile (NaN, 0·Inf on the padding) must match the full-tile
 // route element for element.
@@ -265,7 +230,6 @@ func TestApplyDASPSpecialValues(t *testing.T) {
 			x := specialX(tc.m, tc.x, zeroCol)
 			got := ApplyDASP(dasp, x)
 			sameBits(t, label+" diagonal vs full tile", got, applyDASPFullTile(dasp, x))
-			sameBits(t, label+" diagonal vs staged", got, applyDASPStaged(dasp, x))
 
 			// The inputs must reach every kind of result, or the
 			// comparison says nothing about the special values.
@@ -311,7 +275,6 @@ func TestApplyDASPCounterParity(t *testing.T) {
 	}
 	m, x := mixedCSR(t)
 	dasp := sparse.ToDASP(m)
-	dasp.Prestage() // keep the one-time slab build out of both readings
 	got := deltas(func() { ApplyDASP(dasp, x) })
 	want := deltas(func() { applyDASPFullTile(dasp, x) })
 	if got[0] == 0 {
@@ -336,12 +299,10 @@ func TestApplyDASPCounterParity(t *testing.T) {
 const applyAllocsBudget = 15
 
 // TestApplyDASPWarmAllocs is the steady-state allocation contract of the
-// prestaged apply: once the slabs are built, no per-block allocation
-// remains.
+// apply: no per-block allocation remains.
 func TestApplyDASPWarmAllocs(t *testing.T) {
 	m, x := mixedCSR(t)
 	dasp := sparse.ToDASP(m)
-	ApplyDASP(dasp, x) // build the slabs
 	if n := testing.AllocsPerRun(5, func() { ApplyDASP(dasp, x) }); n > applyAllocsBudget {
 		t.Errorf("%v allocs/run, want ≤ %d", n, applyAllocsBudget)
 	}

@@ -2,9 +2,11 @@ package spmv
 
 import (
 	"math"
+	"sync"
 	"testing"
 
 	"repro/internal/device"
+	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -178,5 +180,68 @@ func TestUnknownVariantAndCase(t *testing.T) {
 	}
 	if _, err := w.Run(workload.Case{Name: "zzz", Dataset: "zzz"}, workload.TC); err == nil {
 		t.Error("unknown dataset accepted")
+	}
+}
+
+// TestLayoutBuiltOnFirstRun pins the case's one lazy layout build, which
+// ToDASP counts on cubie_prestage_slabs_total: profiles of every case and
+// variant build no layout, the first TC, CC or CC-E Run of a case builds
+// it once, a repeat builds nothing, Baseline never builds it, and
+// concurrent Runs of one case build one layout.
+func TestLayoutBuiltOnFirstRun(t *testing.T) {
+	slabs := metrics.NewCounter("cubie_prestage_slabs_total", "")
+	built := func(f func()) uint64 {
+		before := slabs.Value()
+		f()
+		return slabs.Value() - before
+	}
+	run := func(w *Workload, v workload.Variant) func() {
+		return func() {
+			if _, err := w.Run(w.Representative(), v); err != nil {
+				t.Error(err)
+			}
+		}
+	}
+
+	w := New()
+	if n := built(func() {
+		for _, c := range w.Cases() {
+			for _, v := range w.Variants() {
+				if _, err := w.Profile(c, v); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}); n != 0 {
+		t.Fatalf("profiles of every case and variant built %d layouts, want 0", n)
+	}
+	if n := built(run(w, workload.Baseline)); n != 0 {
+		t.Fatalf("a Baseline run built %d layouts, want 0", n)
+	}
+	for _, v := range []workload.Variant{workload.TC, workload.CC, workload.CCE} {
+		w := New()
+		if n := built(run(w, v)); n != 1 {
+			t.Fatalf("the first %s run built %d layouts, want 1", v, n)
+		}
+		for _, again := range w.Variants() {
+			if n := built(run(w, again)); n != 0 {
+				t.Fatalf("a %s run after a %s run built %d layouts, want 0", again, v, n)
+			}
+		}
+	}
+
+	w = New()
+	if n := built(func() {
+		var wg sync.WaitGroup
+		for _, v := range []workload.Variant{workload.TC, workload.CC, workload.CCE, workload.TC} {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				run(w, v)()
+			}()
+		}
+		wg.Wait()
+	}); n != 1 {
+		t.Fatalf("four concurrent runs of one case built %d layouts, want 1", n)
 	}
 }

@@ -1,6 +1,7 @@
 // Package prestage counts the prestaged sparse operand slabs: the prepacked
-// DASP A panels and flat B-gather indices that DASP.Prestage builds once
-// per layout, so the SpMV hot loop only gathers the B side from x.
+// DASP A panels and flat B-gather indices that are the DASP layout, one
+// slab per layout, counted by sparse.ToDASP when it builds them. The SpMV
+// hot loop only gathers the B side from x through them.
 package prestage
 
 import "repro/internal/metrics"
@@ -9,8 +10,8 @@ import "repro/internal/metrics"
 // it.
 const DisableEnv = "CUBIE_NO_PRESTAGE"
 
-// Slab metrics (documented in docs/OBSERVABILITY.md): the DASP layout
-// counts every slab it builds.
+// Slab metrics (documented in docs/OBSERVABILITY.md): ToDASP counts every
+// slab it builds.
 var (
 	metSlabs = metrics.NewCounter("cubie_prestage_slabs_total",
 		"Prestaged sparse operand slabs built (DASP A-panel/B-index slabs).")

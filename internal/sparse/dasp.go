@@ -1,10 +1,6 @@
 package sparse
 
-import (
-	"sync"
-
-	"repro/internal/prestage"
-)
+import "repro/internal/prestage"
 
 // DASP row-group layout (Lu & Liu, SC '23): rows are classified by nonzero
 // count into long / medium / short categories and packed into 8-row blocks
@@ -38,22 +34,14 @@ func Categorize(nnz int) RowCategory {
 	}
 }
 
-// DASPSegment is one 8×4 slice of packed nonzeros: Vals[i][k] is the k-th
-// payload of lane i, drawn from column Cols[i][k]. Padding entries have
-// value 0 and column 0 (a harmless gather).
-type DASPSegment struct {
-	Vals [DASPRowsPerBlock][DASPSegWidth]float64
-	Cols [DASPRowsPerBlock][DASPSegWidth]int32
-}
-
 // DASPBlock packs 8 lanes of work. For short/medium blocks each lane is one
 // matrix row; for long blocks all 8 lanes are chunks of the same row and the
-// diagonal results are summed at the end.
+// diagonal results are summed at the end. Its 8×4 segments live in the
+// layout's slabs (DASP.SegOff).
 type DASPBlock struct {
 	Category RowCategory
 	// RowOf maps lane → original matrix row (-1 for an unused lane).
-	RowOf    [DASPRowsPerBlock]int32
-	Segments []DASPSegment
+	RowOf [DASPRowsPerBlock]int32
 }
 
 // segFloats is the element count of one packed 8×4 tile — and, because the
@@ -61,7 +49,8 @@ type DASPBlock struct {
 // SegOff scales both the APanels and BCols slabs.
 const segFloats = DASPRowsPerBlock * DASPSegWidth
 
-// DASP is the complete packed layout for one sparse matrix.
+// DASP is the complete packed layout for one sparse matrix: its blocks, and
+// their segments stored as the operand slabs of the MMAs that execute them.
 type DASP struct {
 	Rows, Cols int
 	NNZ        int
@@ -71,29 +60,26 @@ type DASP struct {
 	PaddedSlots int
 
 	// SegOff[bi] is the cumulative segment count of blocks before bi
-	// (length len(Blocks)+1): block bi's prestaged tiles live at element
-	// offset 32·SegOff[bi] in both slabs below. Built by Prestage.
+	// (length len(Blocks)+1): block bi's segments are the tiles s with
+	// SegOff[bi] ≤ s < SegOff[bi+1], at element offset 32·s in both slabs.
 	SegOff []int32
-	// APanels is the prestaged static A operand: every block's segments as
-	// consecutive row-major 8×4 MMA tiles, exactly the bytes the per-call
-	// staging packed from Segments[si].Vals — built once by Prestage (lazily,
-	// on the first apply) so the SpMV hot loop only gathers the B
-	// side, while layout-only consumers (padding ablations, utilization
-	// metrics) never pay for the slabs.
+	// APanels is the static A operand: every segment as a row-major 8×4 MMA
+	// tile, lane l's k-th nonzero of segment s at 32·s + l·4 + k.
 	APanels []float64
-	// BCols is the B-side gather index slab in packed B-tile layout:
-	// BCols[32·(SegOff[bi]+si) + k·8 + l] = Segments[si].Cols[l][k], so the
-	// apply-time gather is the flat 4-wide loop bT[i] = x[BCols[i]].
+	// BCols is the B-side gather index slab in packed B-tile layout: the
+	// column of that nonzero sits at 32·s + k·8 + l, so the apply-time
+	// gather is the flat loop bT[i] = x[BCols[i]]. Padding slots hold
+	// value 0 and column 0 (a harmless gather).
 	BCols []int32
-
-	slabOnce sync.Once
 }
 
-// ToDASP builds the DASP layout from a CSR matrix. The prestaged operand
-// slabs (APanels/BCols) the SpMV hot loop consumes are materialized on the
-// first Prestage call, not here.
+// ToDASP builds the DASP layout from a CSR matrix, writing each lane's
+// nonzeros straight to their slab positions. The slabs are sized from the
+// row degrees (DASPPaddedSlots) and counted once (prestage.CountSlab).
 func ToDASP(m *CSR) *DASP {
-	d := &DASP{Rows: m.Rows, Cols: m.Cols, NNZ: m.NNZ(), PaddedSlots: DASPPaddedSlots(m)}
+	slots := DASPPaddedSlots(m)
+	d := &DASP{Rows: m.Rows, Cols: m.Cols, NNZ: m.NNZ(), PaddedSlots: slots,
+		APanels: make([]float64, slots), BCols: make([]int32, slots)}
 
 	var short, medium, long []int32
 	for i := 0; i < m.Rows; i++ {
@@ -106,75 +92,79 @@ func ToDASP(m *CSR) *DASP {
 			long = append(long, int32(i))
 		}
 	}
+	groups := func(n int) int { return (n + DASPRowsPerBlock - 1) / DASPRowsPerBlock }
+	nBlocks := groups(len(short)) + groups(len(medium)) + len(long)
+	d.Blocks = make([]DASPBlock, 0, nBlocks)
+	d.SegOff = make([]int32, 1, nBlocks+1)
+	// next is the first segment of the block being packed.
+	next := func() int { return int(d.SegOff[len(d.Blocks)]) }
+	push := func(blk DASPBlock, segs int) {
+		d.SegOff = append(d.SegOff, int32(next()+segs))
+		d.Blocks = append(d.Blocks, blk)
+	}
 
-	packGroup := func(rows []int32, cat RowCategory) {
-		for start := 0; start < len(rows); start += DASPRowsPerBlock {
-			end := start + DASPRowsPerBlock
-			if end > len(rows) {
-				end = len(rows)
-			}
-			blk := DASPBlock{Category: cat}
-			maxSegs := 0
+	for _, g := range []struct {
+		rows []int32
+		cat  RowCategory
+	}{{short, ShortRow}, {medium, MediumRow}} {
+		for start := 0; start < len(g.rows); start += DASPRowsPerBlock {
+			blk := DASPBlock{Category: g.cat}
 			for l := range blk.RowOf {
 				blk.RowOf[l] = -1
 			}
-			for l, r := range rows[start:end] {
+			seg, segs := next(), 0
+			for l, r := range g.rows[start:min(start+DASPRowsPerBlock, len(g.rows))] {
 				blk.RowOf[l] = r
-				maxSegs = max(maxSegs, daspRowSegs(m.RowNNZ(int(r))))
-			}
-			blk.Segments = make([]DASPSegment, maxSegs)
-			for l, r := range rows[start:end] {
-				lo := m.RowPtr[r]
 				n := m.RowNNZ(int(r))
-				// Full segments move 4-wide: the row's nonzeros are contiguous
-				// in the CSR arrays and land in consecutive slots of lane l, so
-				// the slice→array conversions compile to register moves (the
-				// PackARows idiom) instead of a per-element div/mod loop.
-				full := n / DASPSegWidth
-				for s := 0; s < full; s++ {
-					blk.Segments[s].Vals[l] = [DASPSegWidth]float64(m.Vals[lo+s*DASPSegWidth:])
-					blk.Segments[s].Cols[l] = [DASPSegWidth]int32(m.ColIdx[lo+s*DASPSegWidth:])
-				}
-				for k := full * DASPSegWidth; k < n; k++ {
-					blk.Segments[full].Vals[l][k%DASPSegWidth] = m.Vals[lo+k]
-					blk.Segments[full].Cols[l][k%DASPSegWidth] = m.ColIdx[lo+k]
-				}
+				segs = max(segs, daspRowSegs(n))
+				d.packLane(m, seg, l, m.RowPtr[r], n)
 			}
-			d.Blocks = append(d.Blocks, blk)
+			push(blk, segs)
 		}
 	}
-	packGroup(short, ShortRow)
-	packGroup(medium, MediumRow)
 
 	// Long rows: all 8 lanes carry disjoint chunks of one row.
 	for _, r := range long {
 		lo, n := m.RowPtr[r], m.RowNNZ(int(r))
 		chunk := (n + DASPRowsPerBlock - 1) / DASPRowsPerBlock
-		blk := DASPBlock{Category: LongRow, Segments: make([]DASPSegment, daspRowSegs(chunk))}
-		for l := 0; l < DASPRowsPerBlock; l++ {
+		blk := DASPBlock{Category: LongRow}
+		seg := next()
+		for l := range blk.RowOf {
 			blk.RowOf[l] = r
-			end := chunk
-			if l*chunk+end > n {
-				end = n - l*chunk
-			}
-			if end <= 0 {
-				continue
-			}
-			base := lo + l*chunk
-			full := end / DASPSegWidth
-			for s := 0; s < full; s++ {
-				blk.Segments[s].Vals[l] = [DASPSegWidth]float64(m.Vals[base+s*DASPSegWidth:])
-				blk.Segments[s].Cols[l] = [DASPSegWidth]int32(m.ColIdx[base+s*DASPSegWidth:])
-			}
-			for k := full * DASPSegWidth; k < end; k++ {
-				blk.Segments[k/DASPSegWidth].Vals[l][k%DASPSegWidth] = m.Vals[base+k]
-				blk.Segments[k/DASPSegWidth].Cols[l][k%DASPSegWidth] = m.ColIdx[base+k]
+			if end := min(chunk, n-l*chunk); end > 0 {
+				d.packLane(m, seg, l, lo+l*chunk, end)
 			}
 		}
-		d.Blocks = append(d.Blocks, blk)
+		push(blk, daspRowSegs(chunk))
 	}
 
+	prestage.CountSlab(len(d.APanels)*8 + len(d.BCols)*4)
 	return d
+}
+
+// packLane writes the n CSR nonzeros at offset lo into lane l of the
+// segments from tile seg on: the k-th lands in segment seg + k/4 at A
+// position l·4 + k%4 and B position (k%4)·8 + l. Full segments move 4-wide:
+// the row's nonzeros are contiguous in the CSR arrays and land in
+// consecutive A slots, so the slice→array conversion compiles to register
+// moves (the PackARows idiom) instead of a per-element div/mod loop.
+func (d *DASP) packLane(m *CSR, seg, l, lo, n int) {
+	full := n / DASPSegWidth
+	for s := 0; s < full; s++ {
+		at := (seg + s) * segFloats
+		*(*[DASPSegWidth]float64)(d.APanels[at+l*DASPSegWidth:]) = [DASPSegWidth]float64(m.Vals[lo+s*DASPSegWidth:])
+		c := (*[DASPSegWidth]int32)(m.ColIdx[lo+s*DASPSegWidth:])
+		b := (*[segFloats]int32)(d.BCols[at:])
+		b[l] = c[0]
+		b[DASPRowsPerBlock+l] = c[1]
+		b[2*DASPRowsPerBlock+l] = c[2]
+		b[3*DASPRowsPerBlock+l] = c[3]
+	}
+	for k := full * DASPSegWidth; k < n; k++ {
+		at, kk := (seg+k/DASPSegWidth)*segFloats, k%DASPSegWidth
+		d.APanels[at+l*DASPSegWidth+kk] = m.Vals[lo+k]
+		d.BCols[at+kk*DASPRowsPerBlock+l] = m.ColIdx[lo+k]
+	}
 }
 
 // daspRowSegs is the number of 8×4 segments a lane of n nonzeros fills.
@@ -207,53 +197,16 @@ func DASPPaddedSlots(m *CSR) int {
 	return segs * segFloats
 }
 
-// Prestage materializes the prestaged operand slabs (SegOff, APanels,
-// BCols), once; subsequent calls are free. ApplyDASP invokes it, so
-// layout-only consumers never allocate the slabs.
-// Safe for concurrent use.
-func (d *DASP) Prestage() { d.slabOnce.Do(d.buildSlabs) }
+// Prestage does nothing: ToDASP emits the operand slabs. It stays for the
+// benchmark's replay, which still calls it.
+func (*DASP) Prestage() {}
 
-// buildSlabs emits the prestaged operand slabs from the assembled blocks:
-// the segment offset table, the prepacked A tiles, and the flat B-layout
-// gather indices. The A bytes are exactly what the per-call staging loop
-// packed (aT[l·4+k] = Vals[l][k] is the row-major flatten of the segment),
-// so consuming the slab is bit-invisible; the spmv tests keep that staging
-// as the oracle the prestaged apply must match bitwise.
-func (d *DASP) buildSlabs() {
-	d.SegOff = make([]int32, len(d.Blocks)+1)
-	total := 0
-	for bi := range d.Blocks {
-		d.SegOff[bi] = int32(total)
-		total += len(d.Blocks[bi].Segments)
-	}
-	d.SegOff[len(d.Blocks)] = int32(total)
-	d.APanels = make([]float64, total*segFloats)
-	d.BCols = make([]int32, total*segFloats)
-	for bi := range d.Blocks {
-		base := int(d.SegOff[bi]) * segFloats
-		for si := range d.Blocks[bi].Segments {
-			seg := &d.Blocks[bi].Segments[si]
-			ap := d.APanels[base+si*segFloats : base+(si+1)*segFloats]
-			bc := d.BCols[base+si*segFloats : base+(si+1)*segFloats]
-			for l := 0; l < DASPRowsPerBlock; l++ {
-				*(*[DASPSegWidth]float64)(ap[l*DASPSegWidth:]) = seg.Vals[l]
-				c := &seg.Cols[l]
-				// Transposed scatter into B-tile layout, 4-wide unrolled.
-				bc[l] = c[0]
-				bc[DASPRowsPerBlock+l] = c[1]
-				bc[2*DASPRowsPerBlock+l] = c[2]
-				bc[3*DASPRowsPerBlock+l] = c[3]
-			}
-		}
-	}
-	prestage.CountSlab(len(d.APanels)*8 + len(d.BCols)*4)
-}
-
-// InputUtilization returns the fraction of MMA A-operand slots carrying real
-// nonzeros (Observation 2's input-density measure for SpMV).
-func (d *DASP) InputUtilization() float64 {
-	if d.PaddedSlots == 0 {
+// DASPInputUtilization returns the fraction of MMA A-operand slots carrying
+// real nonzeros (Observation 2's input-density measure for SpMV) for a
+// layout of nnz nonzeros in paddedSlots slots (DASPPaddedSlots).
+func DASPInputUtilization(nnz, paddedSlots int) float64 {
+	if paddedSlots == 0 {
 		return 0
 	}
-	return float64(d.NNZ) / float64(d.PaddedSlots)
+	return float64(nnz) / float64(paddedSlots)
 }

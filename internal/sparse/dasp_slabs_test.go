@@ -1,6 +1,9 @@
 package sparse
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 // mixedDASPCSR builds a matrix exercising all three DASP row categories:
 // short (≤4 nnz), medium (≤64), and long (>64, lane-split) rows, with enough
@@ -31,53 +34,161 @@ func mixedDASPCSR(t *testing.T) *CSR {
 	return m
 }
 
-// TestDASPPrestagedSlabs pins the prestaged operand slabs against the
-// segment structure they were flattened from: SegOff is the exact cumulative
-// segment count, APanels the row-major flatten of every segment's Vals, and
-// BCols the transposed (B-tile layout) flatten of every segment's Cols.
-func TestDASPPrestagedSlabs(t *testing.T) {
-	d := ToDASP(mixedDASPCSR(t))
-	if d.SegOff != nil || d.APanels != nil || d.BCols != nil {
-		t.Fatal("ToDASP materialized slabs eagerly; they must be lazy (Prestage)")
-	}
-	d.Prestage()
-	d.Prestage() // idempotent
+// daspSegment is one 8×4 tile of the oracle layout: Vals[l][k] is the k-th
+// payload of lane l, drawn from column Cols[l][k]. Padding entries have
+// value 0 and column 0.
+type daspSegment struct {
+	Vals [DASPRowsPerBlock][DASPSegWidth]float64
+	Cols [DASPRowsPerBlock][DASPSegWidth]int32
+}
 
-	if len(d.SegOff) != len(d.Blocks)+1 {
-		t.Fatalf("len(SegOff) = %d, want %d", len(d.SegOff), len(d.Blocks)+1)
-	}
-	total := 0
-	for bi := range d.Blocks {
-		if int(d.SegOff[bi]) != total {
-			t.Fatalf("SegOff[%d] = %d, want %d", bi, d.SegOff[bi], total)
+// daspOracle is the segment-building layout ToDASP emitted before it wrote
+// the slabs directly: the blocks in order, each with its own array of 8×4
+// segments.
+func daspOracle(m *CSR) ([]DASPBlock, [][]daspSegment) {
+	var blocks []DASPBlock
+	var segments [][]daspSegment
+	var short, medium, long []int32
+	for i := 0; i < m.Rows; i++ {
+		switch Categorize(m.RowNNZ(i)) {
+		case ShortRow:
+			short = append(short, int32(i))
+		case MediumRow:
+			medium = append(medium, int32(i))
+		default:
+			long = append(long, int32(i))
 		}
-		total += len(d.Blocks[bi].Segments)
-	}
-	if int(d.SegOff[len(d.Blocks)]) != total {
-		t.Fatalf("SegOff tail = %d, want %d", d.SegOff[len(d.Blocks)], total)
-	}
-	if len(d.APanels) != total*segFloats || len(d.BCols) != total*segFloats {
-		t.Fatalf("slab sizes %d/%d, want %d", len(d.APanels), len(d.BCols), total*segFloats)
 	}
 
-	for bi := range d.Blocks {
-		base := int(d.SegOff[bi]) * segFloats
-		for si := range d.Blocks[bi].Segments {
-			seg := &d.Blocks[bi].Segments[si]
-			off := base + si*segFloats
+	packGroup := func(rows []int32, cat RowCategory) {
+		for start := 0; start < len(rows); start += DASPRowsPerBlock {
+			end := start + DASPRowsPerBlock
+			if end > len(rows) {
+				end = len(rows)
+			}
+			blk := DASPBlock{Category: cat}
+			maxSegs := 0
+			for l := range blk.RowOf {
+				blk.RowOf[l] = -1
+			}
+			for l, r := range rows[start:end] {
+				blk.RowOf[l] = r
+				maxSegs = max(maxSegs, daspRowSegs(m.RowNNZ(int(r))))
+			}
+			segs := make([]daspSegment, maxSegs)
+			for l, r := range rows[start:end] {
+				lo := m.RowPtr[r]
+				for k := 0; k < m.RowNNZ(int(r)); k++ {
+					segs[k/DASPSegWidth].Vals[l][k%DASPSegWidth] = m.Vals[lo+k]
+					segs[k/DASPSegWidth].Cols[l][k%DASPSegWidth] = m.ColIdx[lo+k]
+				}
+			}
+			blocks = append(blocks, blk)
+			segments = append(segments, segs)
+		}
+	}
+	packGroup(short, ShortRow)
+	packGroup(medium, MediumRow)
+
+	// Long rows: all 8 lanes carry disjoint chunks of one row.
+	for _, r := range long {
+		lo, n := m.RowPtr[r], m.RowNNZ(int(r))
+		chunk := (n + DASPRowsPerBlock - 1) / DASPRowsPerBlock
+		blk := DASPBlock{Category: LongRow}
+		segs := make([]daspSegment, daspRowSegs(chunk))
+		for l := 0; l < DASPRowsPerBlock; l++ {
+			blk.RowOf[l] = r
+			end := chunk
+			if l*chunk+end > n {
+				end = n - l*chunk
+			}
+			base := lo + l*chunk
+			for k := 0; k < end; k++ {
+				segs[k/DASPSegWidth].Vals[l][k%DASPSegWidth] = m.Vals[base+k]
+				segs[k/DASPSegWidth].Cols[l][k%DASPSegWidth] = m.ColIdx[base+k]
+			}
+		}
+		blocks = append(blocks, blk)
+		segments = append(segments, segs)
+	}
+	return blocks, segments
+}
+
+// daspOracleSlabs flattens the oracle's segments the way the lazy slab
+// build did: SegOff the cumulative segment count, APanels the row-major
+// flatten of every segment's Vals, BCols the transposed (B-tile layout)
+// flatten of every segment's Cols.
+func daspOracleSlabs(segments [][]daspSegment) (segOff []int32, aPanels []float64, bCols []int32) {
+	segOff = make([]int32, len(segments)+1)
+	total := 0
+	for bi, segs := range segments {
+		segOff[bi] = int32(total)
+		total += len(segs)
+	}
+	segOff[len(segments)] = int32(total)
+	aPanels = make([]float64, total*segFloats)
+	bCols = make([]int32, total*segFloats)
+	for bi, segs := range segments {
+		for si := range segs {
+			off := (int(segOff[bi]) + si) * segFloats
 			for l := 0; l < DASPRowsPerBlock; l++ {
 				for k := 0; k < DASPSegWidth; k++ {
-					if got := d.APanels[off+l*DASPSegWidth+k]; got != seg.Vals[l][k] {
-						t.Fatalf("block %d seg %d: APanels[l=%d,k=%d] = %v, want %v",
-							bi, si, l, k, got, seg.Vals[l][k])
-					}
-					if got := d.BCols[off+k*DASPRowsPerBlock+l]; got != seg.Cols[l][k] {
-						t.Fatalf("block %d seg %d: BCols[k=%d,l=%d] = %d, want %d",
-							bi, si, k, l, got, seg.Cols[l][k])
-					}
+					aPanels[off+l*DASPSegWidth+k] = segs[si].Vals[l][k]
+					bCols[off+k*DASPRowsPerBlock+l] = segs[si].Cols[l][k]
 				}
 			}
 		}
+	}
+	return segOff, aPanels, bCols
+}
+
+// checkDASPOracle fails unless ToDASP(m) has the oracle's blocks and its
+// slabs are the oracle's flatten bit for bit, with an equal SegOff.
+func checkDASPOracle(t *testing.T, name string, m *CSR) {
+	t.Helper()
+	d := ToDASP(m)
+	blocks, segments := daspOracle(m)
+	segOff, aPanels, bCols := daspOracleSlabs(segments)
+	if len(d.Blocks) != len(blocks) || len(d.SegOff) != len(segOff) ||
+		len(d.APanels) != len(aPanels) || len(d.BCols) != len(bCols) {
+		t.Fatalf("%s: %d blocks, %d offsets, slabs %d/%d; the oracle has %d, %d, %d/%d", name,
+			len(d.Blocks), len(d.SegOff), len(d.APanels), len(d.BCols),
+			len(blocks), len(segOff), len(aPanels), len(bCols))
+	}
+	for bi := range blocks {
+		if d.Blocks[bi] != blocks[bi] {
+			t.Fatalf("%s: block %d is %+v, the oracle's %+v", name, bi, d.Blocks[bi], blocks[bi])
+		}
+	}
+	for i := range segOff {
+		if d.SegOff[i] != segOff[i] {
+			t.Fatalf("%s: SegOff[%d] = %d, the oracle's %d", name, i, d.SegOff[i], segOff[i])
+		}
+	}
+	for i := range aPanels {
+		if math.Float64bits(d.APanels[i]) != math.Float64bits(aPanels[i]) {
+			t.Fatalf("%s: APanels[%d] = %v, the oracle's %v", name, i, d.APanels[i], aPanels[i])
+		}
+		if d.BCols[i] != bCols[i] {
+			t.Fatalf("%s: BCols[%d] = %d, the oracle's %d", name, i, d.BCols[i], bCols[i])
+		}
+	}
+}
+
+// TestDASPPrestagedSlabs pins the slabs ToDASP writes to the flatten of the
+// segment-building oracle, on a matrix with rows of all three categories
+// and on the five Table 4 matrices.
+func TestDASPPrestagedSlabs(t *testing.T) {
+	checkDASPOracle(t, "mixed", mixedDASPCSR(t))
+	if testing.Short() {
+		t.Skip("full Table 4 synthesis in -short mode")
+	}
+	for _, ds := range Table4() {
+		m, err := Synthesize(ds.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkDASPOracle(t, ds.Name, m)
 	}
 }
 
@@ -96,18 +207,20 @@ func TestDASPSlabsCoverAllCategories(t *testing.T) {
 	}
 }
 
-// daspSegmentSlots counts the lane slots of every segment d holds.
-func daspSegmentSlots(d *DASP) int {
-	slots := 0
-	for _, blk := range d.Blocks {
-		slots += len(blk.Segments) * segFloats
+// daspSegmentSlots counts the lane slots of every segment d holds, read
+// off the slabs.
+func daspSegmentSlots(t testing.TB, d *DASP) int {
+	t.Helper()
+	slots := int(d.SegOff[len(d.Blocks)]) * segFloats
+	if len(d.APanels) != slots || len(d.BCols) != slots {
+		t.Fatalf("slabs hold %d/%d slots, SegOff counts %d", len(d.APanels), len(d.BCols), slots)
 	}
 	return slots
 }
 
 // TestDASPPaddedSlots pins DASPPaddedSlots, which ToDASP's PaddedSlots
 // reads and the padding ablation calls without a layout, to the slots of
-// the segments ToDASP builds, on the five Table 4 matrices and a matrix
+// the slabs ToDASP builds, on the five Table 4 matrices and a matrix
 // with rows of all three categories.
 func TestDASPPaddedSlots(t *testing.T) {
 	if testing.Short() {
@@ -116,8 +229,8 @@ func TestDASPPaddedSlots(t *testing.T) {
 	check := func(name string, m *CSR) {
 		t.Helper()
 		d := ToDASP(m)
-		if got, want := DASPPaddedSlots(m), daspSegmentSlots(d); got != want || d.PaddedSlots != want {
-			t.Fatalf("%s: DASPPaddedSlots %d, PaddedSlots %d, segments hold %d slots", name, got, d.PaddedSlots, want)
+		if got, want := DASPPaddedSlots(m), daspSegmentSlots(t, d); got != want || d.PaddedSlots != want {
+			t.Fatalf("%s: DASPPaddedSlots %d, PaddedSlots %d, slabs hold %d slots", name, got, d.PaddedSlots, want)
 		}
 	}
 	check("mixed", mixedDASPCSR(t))

@@ -109,15 +109,15 @@ func TestToDASPCoversAllNonzeros(t *testing.T) {
 		ones[i] = 1
 	}
 	got := make([]float64, m.Rows)
-	for _, blk := range d.Blocks {
-		for _, seg := range blk.Segments {
+	for bi, blk := range d.Blocks {
+		for s := int(d.SegOff[bi]); s < int(d.SegOff[bi+1]); s++ {
 			for l := 0; l < DASPRowsPerBlock; l++ {
 				r := blk.RowOf[l]
 				if r < 0 {
 					continue
 				}
 				for k := 0; k < DASPSegWidth; k++ {
-					got[r] += seg.Vals[l][k] * ones[seg.Cols[l][k]]
+					got[r] += d.APanels[s*segFloats+l*DASPSegWidth+k] * ones[d.BCols[s*segFloats+k*DASPRowsPerBlock+l]]
 				}
 			}
 		}
@@ -160,7 +160,7 @@ func TestDASPLongRowSplit(t *testing.T) {
 func TestDASPUtilizationBounds(t *testing.T) {
 	m := randomCSR(t, 200, 200, 2000, 31)
 	d := ToDASP(m)
-	u := d.InputUtilization()
+	u := DASPInputUtilization(d.NNZ, d.PaddedSlots)
 	if u <= 0 || u > 1 {
 		t.Fatalf("utilization %v out of (0,1]", u)
 	}
@@ -172,7 +172,7 @@ func TestDASPEmptyMatrix(t *testing.T) {
 	if d.NNZ != 0 {
 		t.Fatal("empty matrix should have 0 nnz")
 	}
-	if u := d.InputUtilization(); u < 0 || u > 1 {
+	if u := DASPInputUtilization(d.NNZ, d.PaddedSlots); u < 0 || u > 1 {
 		t.Fatalf("utilization %v invalid for empty matrix", u)
 	}
 }

@@ -97,10 +97,11 @@ func FuzzToMBSR(f *testing.F) {
 	})
 }
 
-// FuzzToDASP checks the row-grouping layout: summing every lane slot into
-// the row its lane maps to (RowOf) rebuilds the dense image — padding
-// slots carry zeros — and the padded slot count covers every nonzero and
-// counts the slots of the segments the layout holds.
+// FuzzToDASP checks the row-grouping layout: summing every lane slot of
+// the slabs into the row its lane maps to (RowOf) rebuilds the dense image
+// — padding slots carry zeros — the padded slot count covers every nonzero
+// and counts the slots the slabs hold, and the slabs are the flatten of the
+// segment-building oracle.
 func FuzzToDASP(f *testing.F) {
 	addFuzzSeeds(f)
 	f.Fuzz(func(t *testing.T, rb, cb uint8, data []byte) {
@@ -113,18 +114,19 @@ func FuzzToDASP(f *testing.F) {
 		if d.NNZ > d.PaddedSlots {
 			t.Fatalf("NNZ %d exceeds PaddedSlots %d", d.NNZ, d.PaddedSlots)
 		}
-		if slots := daspSegmentSlots(d); d.PaddedSlots != slots {
-			t.Fatalf("PaddedSlots %d, the layout's segments hold %d slots", d.PaddedSlots, slots)
+		if slots := daspSegmentSlots(t, d); d.PaddedSlots != slots {
+			t.Fatalf("PaddedSlots %d, the layout's slabs hold %d slots", d.PaddedSlots, slots)
 		}
 		got := make([]float64, len(dense))
-		for _, blk := range d.Blocks {
-			for _, seg := range blk.Segments {
+		for bi, blk := range d.Blocks {
+			for s := int(d.SegOff[bi]); s < int(d.SegOff[bi+1]); s++ {
 				for l, r := range blk.RowOf {
 					if r < 0 {
 						continue
 					}
-					for k, col := range seg.Cols[l] {
-						got[int(r)*d.Cols+int(col)] += seg.Vals[l][k]
+					for k := 0; k < DASPSegWidth; k++ {
+						col := d.BCols[s*segFloats+k*DASPRowsPerBlock+l]
+						got[int(r)*d.Cols+int(col)] += d.APanels[s*segFloats+l*DASPSegWidth+k]
 					}
 				}
 			}
@@ -134,5 +136,6 @@ func FuzzToDASP(f *testing.F) {
 				t.Fatalf("(%d, %d) = %v, want %v", at/d.Cols, at%d.Cols, got[at], dense[at])
 			}
 		}
+		checkDASPOracle(t, "fuzz", m)
 	})
 }

@@ -162,7 +162,8 @@ func (h *Harness) memoValue(key string) (any, error) {
 
 // run computes one memo for h inside a host span of its category, named by
 // the memo's name, under pprof labels {workload: name, variant:
-// MemoVariant, phase: category}; pool tasks it fans out inherit them.
+// MemoVariant, phase: category}; the par.ForTiles ranges it fans out
+// inherit them.
 func (d memoDef) run(h *Harness, key string, p []int64) (v any, err error) {
 	metMemosComputed.Inc()
 	name, _, _ := strings.Cut(key, "|")

@@ -178,7 +178,7 @@ var (
 // accumulators register-resident. Per element the accumulation order is
 // the tile loop's, so the result is bit-identical to it.
 //
-// The output-tile grid is executed on the par worker pool: each 8×8 output
+// The output-tile grid is executed through par.ForTiles: each 8×8 output
 // tile's FMA chains run whole on one worker in the fixed k order, so the
 // result is bit-identical for every worker count (the tile-independence
 // property the paper's MMA semantics guarantee). Workers share the packed

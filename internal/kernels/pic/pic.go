@@ -219,7 +219,7 @@ func pushMMA(st []float64) {
 	n := len(st) / 6
 	batches := (n + mmu.M - 1) / mmu.M
 	// Eight-particle batches touch disjoint state slices, so the batch grid
-	// runs on the par worker pool; each batch's four-MMA chain keeps its
+	// runs through par.ForTiles; each batch's four-MMA chain keeps its
 	// fixed order, so TC and CC stay bit-identical at any worker count.
 	par.ForTiles(batches, func(lo, hi int) {
 		buf := picScratch.Get()

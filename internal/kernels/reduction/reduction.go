@@ -191,7 +191,7 @@ var reduceScratch = par.NewScratch(4 * 64)
 // computeMMAReduce is the TC/CC algorithm: per block, A₁·X folds the eight
 // rows into row 0, then R·B₂ folds row 0 into element (0,0); block totals
 // accumulate into the segment sum in block order. Segments write disjoint
-// out slots, so the segment grid runs on the par worker pool; each segment's
+// out slots, so the segment grid runs through par.ForTiles; each segment's
 // block-order accumulation is unchanged, keeping results worker-count
 // independent.
 func computeMMAReduce(data []float64, s int) []float64 {

@@ -207,7 +207,7 @@ var scanScratch = par.NewScratch(5 * 64)
 // computeMMAScan is the TC/CC algorithm: per segment, 64-element blocks are
 // scanned with the three constant-matrix MMA stages; the running carry is
 // folded into the first element of each block. Segments are independent, so
-// the segment grid runs on the par worker pool; each segment's carry chain
+// the segment grid runs through par.ForTiles; each segment's carry chain
 // keeps its fixed block order, so results are worker-count independent.
 func computeMMAScan(data []float64, s int) []float64 {
 	out := make([]float64, len(data))

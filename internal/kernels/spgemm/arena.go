@@ -72,7 +72,7 @@ const denseFillShift = 3
 // per tile range — the hot loops accumulate plain ints and flush once.
 var (
 	metArenaGets = metrics.NewCounter("cubie_spgemm_arena_gets_total",
-		"Numeric-phase arenas checked out of the worker pool.")
+		"Numeric-phase arenas checked out of the arena pool (one per tile range).")
 	metArenaMisses = metrics.NewCounter("cubie_spgemm_arena_misses_total",
 		"Arena checkouts that allocated a fresh arena (pool empty).")
 	metArenaGrows = metrics.NewCounter("cubie_spgemm_arena_grows_total",

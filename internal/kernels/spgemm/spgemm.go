@@ -317,7 +317,7 @@ func rowProducts(b *sparse.MBSR, bi int) int {
 // added into the block accumulators. Returns C row sums (ascending order).
 //
 // Block rows own disjoint output rows (blockAccum.flush writes rows
-// [4·bi, 4·bi+4) only), so the block-row sweep runs on the par worker pool
+// [4·bi, 4·bi+4) only), so the block-row sweep runs through par.ForTiles
 // with the per-row accumulation order unchanged. All per-row state — the
 // product queue, the tile arena, the MMA staging panels — lives in one
 // pooled numericScratch per tile range, so the steady-state sweep performs

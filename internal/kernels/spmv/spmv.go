@@ -172,7 +172,7 @@ const segTile = mmu.M * mmu.K
 //
 // Blocks are independent — ToDASP assigns each output row to exactly one
 // block (long rows occupy all eight lanes of a single block) — so the block
-// sweep runs on the par worker pool with bit-identical results for every
+// sweep runs through par.ForTiles with bit-identical results for every
 // worker count.
 func ApplyDASP(dasp *sparse.DASP, x []float64) []float64 {
 	y := make([]float64, dasp.Rows)
@@ -275,7 +275,7 @@ func computeEssential(dasp *sparse.DASP, x []float64) []float64 {
 
 // computeBaseline is the cuSPARSE-class CSR SpMV: a warp of 32 lanes per
 // row, strided partial sums, binary-tree lane reduction. Rows are
-// independent, so the sweep runs on the par worker pool.
+// independent, so the sweep runs through par.ForTiles.
 func computeBaseline(d *caseData) []float64 {
 	m := d.mat
 	y := make([]float64, m.Rows)

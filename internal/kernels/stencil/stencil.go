@@ -210,7 +210,7 @@ var sweepScratch = par.NewScratch(96 + 64 + 96)
 // straight from u via PackAPanel/PackBPanel — no per-k-step segment copies.
 // The per-element FMA chains keep the ascending-k order of the old loops, so
 // results are bit-identical to the tile loop. Output tiles are
-// disjoint, so the tile-row grid runs on the par worker pool.
+// disjoint, so the tile-row grid runs through par.ForTiles.
 func sweepMMA(u *tensor.Matrix) *tensor.Matrix {
 	out := tensor.NewMatrix(u.Rows, u.Cols)
 	bH := bandMatrixB(wCenter) // 12×8 row-major ≡ 3-tile B panel
@@ -244,7 +244,7 @@ func sweepMMA(u *tensor.Matrix) *tensor.Matrix {
 
 // sweepDirect is the DRStencil-class vector baseline: a direct 5-point
 // gather per point with FMA contraction in fixed neighbor order, rows
-// executed on the par worker pool.
+// executed through par.ForTiles.
 func sweepDirect(u *tensor.Matrix) *tensor.Matrix {
 	out := tensor.NewMatrix(u.Rows, u.Cols)
 	at := func(i, j int) float64 {

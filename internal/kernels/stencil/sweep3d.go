@@ -52,7 +52,7 @@ func Sweep3DMMA(u *Grid3D) (*Grid3D, error) {
 	// (outer, lines, points) view: gather takes (line, point) to a value,
 	// scatter accumulates the result. Each 8-line tile row scatters to a
 	// disjoint set of grid elements within the pass, so the line-tile grid
-	// runs on the par worker pool (passes themselves stay sequential).
+	// runs through par.ForTiles (passes themselves stay sequential).
 	pass := func(lines, points int, band []float64,
 		gather func(line, pt int) float64, scatter func(line, pt int, v float64)) {
 		lineTiles := (lines + 7) / 8
@@ -123,7 +123,7 @@ func gatherSafe(gather func(line, pt int) float64, line, pt, points int) float64
 }
 
 // Sweep3DDirect is the direct 7-point reference with separate multiply and
-// add, x-planes executed on the par worker pool.
+// add, x-planes executed through par.ForTiles.
 func Sweep3DDirect(u *Grid3D) *Grid3D {
 	out := NewGrid3D(u.NX, u.NY, u.NZ)
 	par.ForTiles(u.NX, func(lo, hi int) {

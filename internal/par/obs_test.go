@@ -1,38 +1,44 @@
 package par
 
 import (
+	"bytes"
+	"math"
 	"runtime/pprof"
+	"slices"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
-// TestForTilesMetrics checks the engine counters advance when grids run,
-// and that inline (serial) execution is attributed to the inlined counter.
+// TestForTilesMetrics pins the engine counters per grid: a serial grid is
+// one inlined grid and starts no goroutine, and a parallel grid starts one
+// task for every range but the caller's, whose run time adds to the busy
+// seconds.
 func TestForTilesMetrics(t *testing.T) {
-	withWorkers(t, 1, func() {
-		before := metInlined.Value()
-		ForTiles(32, func(lo, hi int) {})
-		if metInlined.Value() != before+1 {
-			t.Fatalf("serial ForTiles did not count as inlined: %d -> %d",
-				before, metInlined.Value())
-		}
-	})
-	withWorkers(t, 4, func() {
-		tasksBefore := metTasks.Value() + metInlined.Value() + metStolen.Value()
-		helpBefore := metHelpDepth.Count()
-		ForTiles(64, func(lo, hi int) {})
-		tasksAfter := metTasks.Value() + metInlined.Value() + metStolen.Value()
-		// A 4-way grid produces at least the caller's range plus one more
-		// accounted execution (submitted, inlined, or stolen).
-		if tasksAfter < tasksBefore+2 {
-			t.Fatalf("parallel ForTiles accounted %d range executions, want >= 2",
-				tasksAfter-tasksBefore)
-		}
-		if metHelpDepth.Count() != helpBefore+1 {
-			t.Fatalf("help-depth histogram not observed: %d -> %d",
-				helpBefore, metHelpDepth.Count())
-		}
-	})
+	for _, tc := range []struct {
+		workers, n     int
+		tasks, inlined int
+	}{
+		{1, 32, 0, 1},
+		{4, 64, 3, 0},
+		{4, 2, 1, 0},
+		{4, 1, 0, 1},
+	} {
+		withWorkers(t, tc.workers, func() {
+			tasks, inlined, busy := metTasks.Value(), metInlined.Value(), metBusy.Value()
+			ForTiles(tc.n, func(lo, hi int) { time.Sleep(time.Millisecond) })
+			if d := metTasks.Value() - tasks; d != uint64(tc.tasks) {
+				t.Errorf("%+v: tasks +%d, want +%d", tc, d, tc.tasks)
+			}
+			if d := metInlined.Value() - inlined; d != uint64(tc.inlined) {
+				t.Errorf("%+v: inlined +%d, want +%d", tc, d, tc.inlined)
+			}
+			if d := metBusy.Value() - busy; d < float64(tc.tasks)*time.Millisecond.Seconds() {
+				t.Errorf("%+v: busy +%.4fs, want >= %d ms", tc, d, tc.tasks)
+			}
+		})
+	}
 }
 
 // TestScratchMetrics checks the hit/miss accounting: a fresh pool misses
@@ -56,33 +62,96 @@ func TestScratchMetrics(t *testing.T) {
 	}
 }
 
-// TestDoLabeled checks labels are visible on the calling goroutine during
-// fn, that the pool advertisement is cleaned up afterwards, and that fn's
-// tile ranges still cover the grid.
-func TestDoLabeled(t *testing.T) {
-	if kernelCtx.Load() != nil {
-		t.Fatal("kernelCtx not nil before DoLabeled")
+// burnA and burnB are the range functions of the two kernels
+// TestForTilesLabelsExact runs; as named top-level functions they tell a
+// profile sample's stack which kernel's range it is in.
+//
+//go:noinline
+func burnA(lo, hi int) { burnSink.Add(spin(lo, hi)) }
+
+//go:noinline
+func burnB(lo, hi int) { burnSink.Add(spin(lo, hi)) }
+
+// burnSink keeps spin's result alive.
+var burnSink atomic.Uint64
+
+func spin(lo, hi int) uint64 {
+	x := 0.0
+	for i := lo; i < hi; i++ {
+		for k := 0; k < 20000; k++ {
+			x += float64(i^k) * 1e-9
+		}
 	}
-	var covered atomic.Int64
-	var sawLabel bool
-	DoLabeled("SpMV", "TC", "run", func() {
-		if ctxp := kernelCtx.Load(); ctxp != nil {
-			if v, ok := pprof.Label(*ctxp, "workload"); ok && v == "SpMV" {
-				sawLabel = true
+	return math.Float64bits(x)
+}
+
+// TestForTilesLabelsExact runs two kernels at once, each under its own
+// DoLabeled and each fanning its range function out through ForTiles at
+// Workers(4), under a CPU profile. Every sample in one kernel's range
+// function must carry that kernel's workload label, wherever the range ran.
+// Profiling rounds of ~0.5 s repeat until each function has 10 samples.
+func TestForTilesLabelsExact(t *testing.T) {
+	kernels := []struct {
+		workload string
+		fn       func(lo, hi int)
+		name     string // the fn's function name in the profile
+	}{
+		{"A", burnA, "repro/internal/par.burnA"},
+		{"B", burnB, "repro/internal/par.burnB"},
+	}
+	const minSamples, maxRounds = 10, 10
+	samples := map[string]int{}
+	wrong := map[string]map[string]int{"A": {}, "B": {}}
+	rounds := 0
+	withWorkers(t, 4, func() {
+		for ; rounds < maxRounds && (samples["A"] < minSamples || samples["B"] < minSamples); rounds++ {
+			var buf bytes.Buffer
+			if err := pprof.StartCPUProfile(&buf); err != nil {
+				t.Skipf("CPU profiling unavailable: %v", err)
+			}
+			var ready, done sync.WaitGroup
+			ready.Add(len(kernels))
+			done.Add(len(kernels))
+			for _, k := range kernels {
+				go func() {
+					defer done.Done()
+					DoLabeled(k.workload, "TC", "run", func() {
+						ready.Done()
+						ready.Wait()
+						for t0 := time.Now(); time.Since(t0) < 500*time.Millisecond; {
+							ForTiles(64, k.fn)
+						}
+					})
+				}()
+			}
+			done.Wait()
+			pprof.StopCPUProfile()
+			prof, err := parseProfile(buf.Bytes())
+			if err != nil {
+				t.Fatalf("decode CPU profile: %v", err)
+			}
+			for _, s := range prof.samples {
+				for _, k := range kernels {
+					if !slices.Contains(s.funcs, k.name) {
+						continue
+					}
+					samples[k.workload]++
+					if got := s.labels["workload"]; got != k.workload {
+						wrong[k.workload][got]++
+					}
+				}
 			}
 		}
-		withWorkers(t, 4, func() {
-			ForTiles(100, func(lo, hi int) { covered.Add(int64(hi - lo)) })
-		})
 	})
-	if !sawLabel {
-		t.Error("workload label not advertised during DoLabeled")
-	}
-	if covered.Load() != 100 {
-		t.Errorf("covered %d indices, want 100", covered.Load())
-	}
-	if kernelCtx.Load() != nil {
-		t.Error("kernelCtx not restored after DoLabeled")
+	t.Logf("%d rounds: %d samples in burnA, %d in burnB", rounds, samples["A"], samples["B"])
+	for _, k := range kernels {
+		if samples[k.workload] < minSamples {
+			t.Errorf("%s: %d samples, want >= %d", k.name, samples[k.workload], minSamples)
+		}
+		for got, n := range wrong[k.workload] {
+			t.Errorf("%s: %d of %d samples under workload %q, want %q",
+				k.name, n, samples[k.workload], got, k.workload)
+		}
 	}
 }
 

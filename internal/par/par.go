@@ -4,45 +4,45 @@
 // property — MMA semantics are per-tile deterministic and tile-independent
 // (Sun et al.; Khattak & Mikaitis) — is exactly what makes output tiles safe
 // to compute concurrently: each output element's FMA accumulation chain is
-// confined to one tile, so executing tiles on N workers produces the same
+// confined to one tile, so executing tiles on N goroutines produces the same
 // bits as executing them on one.
 //
 // The engine provides:
 //
 //   - ForTiles: statically partitions an index space of independent output
-//     tiles into contiguous ranges executed by a persistent worker pool.
-//     Because a tile never straddles a range boundary, results are
-//     bit-identical for every worker count (the Table 6 TC ≡ CC invariant
-//     survives parallel execution).
+//     tiles into contiguous ranges, runs the first on the caller and each
+//     other range on a goroutine of its own, and joins them. Because a tile
+//     never straddles a range boundary, results are bit-identical for every
+//     worker count (the Table 6 TC ≡ CC invariant survives parallel
+//     execution).
 //   - ReduceTiles (reduce.go): chunked fan-out with per-worker partial
 //     accumulators merged at join in fixed chunk order. Chunk boundaries
 //     depend only on the grid, never on the worker count, so even
-//     floating-point reductions are reproducible across pool sizes.
+//     floating-point reductions are reproducible across worker counts.
 //   - Scratch (scratch.go): sync.Pool-backed fixed-size scratch buffers for
 //     the fragment/tile temporaries kernels stage MMA operands in.
 //
-// The pool is sized from GOMAXPROCS and can be overridden with the
+// The worker count defaults to GOMAXPROCS and can be overridden with the
 // CUBIE_WORKERS environment variable or SetWorkers. Workers(1) disables
-// parallelism entirely (every range runs inline on the caller), which the
+// parallelism entirely (every grid runs inline on the caller), which the
 // suite-wide determinism test uses as the serial reference.
 //
 // # Observability
 //
 // The engine self-reports through internal/metrics (see
-// docs/OBSERVABILITY.md for the full metric catalog): tasks submitted to
-// the pool, ranges inlined on callers, tasks stolen by waiting callers
-// (with a help-depth histogram), cumulative worker busy seconds, and
-// scratch-pool traffic. The instrumentation is batched per ForTiles call —
-// a handful of atomic adds per grid, never per tile — so it stays well
-// under the suite's <2% overhead budget. None of it perturbs scheduling or
-// determinism.
+// docs/OBSERVABILITY.md for the full metric catalog): ranges started on
+// goroutines of their own and the seconds they ran, grids run serially on
+// the caller, and scratch-pool traffic. The instrumentation is batched per
+// ForTiles call — a handful of atomic adds per grid, never per tile — so it
+// stays well under the suite's <2% overhead budget. None of it perturbs
+// scheduling or determinism.
 //
-// DoLabeled attaches runtime/pprof labels (workload, variant, phase) to the
-// calling goroutine and advertises them to the pool so worker goroutines
-// executing the caller's tile ranges carry the same labels; CPU profiles
-// (`cubie run --pprof`) then attribute samples to kernels instead of to an
-// anonymous pool. SetRangeHook lets internal/trace record one real
-// wall-clock span per executed range when host tracing is enabled.
+// DoLabeled runs a kernel under runtime/pprof labels (workload, variant,
+// phase). The goroutines ForTiles starts inherit the caller's labels, so CPU
+// profiles (`cubie run --pprof`) attribute every range to the kernel that
+// fanned it out, exactly, even under concurrent kernels. SetRangeHook lets
+// internal/trace record one real wall-clock span per executed range when
+// host tracing is enabled.
 package par
 
 import (
@@ -68,20 +68,13 @@ const EnvWorkers = "CUBIE_WORKERS"
 // documented in docs/OBSERVABILITY.md).
 var (
 	metTasks = metrics.NewCounter("cubie_par_tasks_total",
-		"Tile-range tasks submitted to the worker pool queue.")
+		"Tile ranges started on a goroutine of their own (every range of a parallel grid but the caller's).")
 	metInlined = metrics.NewCounter("cubie_par_tasks_inlined_total",
-		"Tile ranges executed inline on the calling goroutine (serial path, the caller's own range, or a full queue).")
-	metStolen = metrics.NewCounter("cubie_par_tasks_stolen_total",
-		"Queued tasks drained by a caller that was waiting for its own grid (help-while-waiting).")
-	metHelpDepth = metrics.NewHistogram("cubie_par_help_depth",
-		"Tasks a waiting caller helped drain per ForTiles call.",
-		[]float64{0, 1, 2, 4, 8, 16, 32})
+		"ForTiles grids executed serially on the caller (one worker, or a one-index grid).")
 	metBusy = metrics.NewFloatCounter("cubie_par_worker_busy_seconds_total",
-		"Cumulative wall-clock seconds pool workers spent executing tasks.")
+		"Cumulative wall-clock seconds the ranges counted by cubie_par_tasks_total ran.")
 	metWorkers = metrics.NewGauge("cubie_par_workers",
 		"Current partitioning worker count (SetWorkers / CUBIE_WORKERS).")
-	metPoolSize = metrics.NewGauge("cubie_par_pool_goroutines",
-		"OS-scheduled goroutines backing the pool (0 until first use).")
 )
 
 var workerCount atomic.Int64
@@ -117,11 +110,12 @@ func SetWorkers(n int) int {
 	return int(workerCount.Swap(int64(n)))
 }
 
-// WorkerPanic wraps a panic recovered on a pool worker so it can be
-// re-raised on the submitting goroutine with the worker's stack attached.
+// WorkerPanic wraps a panic recovered from a tile range so it can be
+// re-raised on the goroutine that called ForTiles with the panicking
+// range's stack attached.
 type WorkerPanic struct {
 	Value any    // the original panic value
-	Stack []byte // stack of the panicking worker
+	Stack []byte // stack of the goroutine that panicked
 }
 
 func (p *WorkerPanic) Error() string {
@@ -135,29 +129,6 @@ func (p *WorkerPanic) Unwrap() error {
 	}
 	return nil
 }
-
-// pool is the persistent worker pool: a fixed set of goroutines draining a
-// shared task queue. Submission never blocks (inline fallback), and waiters
-// help drain the queue, so nested ForTiles calls cannot deadlock even when
-// every worker is busy.
-type pool struct {
-	once    sync.Once
-	tasks   chan func()
-	started int
-}
-
-var engine pool
-
-// bgCtx is the label-free context workers reset their pprof labels to after
-// running a labeled task.
-var bgCtx = context.Background()
-
-// kernelCtx advertises the most recent DoLabeled context so pool workers
-// can adopt the caller's pprof labels. It is best-effort by design: under
-// concurrent DoLabeled calls (the Figure 3 fan-out) the last writer wins,
-// which can momentarily misattribute a worker's samples. Single-kernel
-// profiling (`cubie run --pprof`) is exact.
-var kernelCtx atomic.Pointer[context.Context]
 
 // rangeHook, when set, is invoked at the start of every executed tile range
 // and the returned closer at its end. internal/trace installs it to record
@@ -176,72 +147,25 @@ func SetRangeHook(h func(lo, hi int) func()) {
 	rangeHook.Store(&h)
 }
 
-// DoLabeled runs fn with runtime/pprof labels {workload, variant, phase}
-// applied to the calling goroutine, and advertises the label set to the
-// worker pool so tile ranges fanned out by fn are attributed to the same
-// kernel in CPU profiles. Labels nest per goroutine (pprof.Do restores the
-// previous set); the pool-wide advertisement is last-writer-wins and
-// therefore best-effort under concurrent kernels.
+// DoLabeled runs fn under the runtime/pprof labels {workload, variant,
+// phase}. Goroutines started inside fn inherit the labels (the runtime/pprof
+// contract), so every tile range ForTiles fans out from fn is attributed to
+// this kernel in CPU profiles, whatever other kernels run concurrently.
+// The labels end when fn returns: the goroutine is left unlabeled, not with
+// the labels of an enclosing DoLabeled.
 func DoLabeled(workload, variant, phase string, fn func()) {
-	ctx := pprof.WithLabels(bgCtx, pprof.Labels(
-		"workload", workload, "variant", variant, "phase", phase))
-	prev := kernelCtx.Swap(&ctx)
-	defer kernelCtx.Store(prev)
-	pprof.Do(ctx, pprof.Labels(), func(context.Context) { fn() })
-}
-
-// start lazily launches the worker goroutines. The pool is sized to the
-// machine (GOMAXPROCS, or CUBIE_WORKERS when larger) — SetWorkers only
-// changes partitioning, never the number of OS-scheduled workers, so a
-// burst of nested calls cannot oversubscribe the host.
-func (p *pool) start() {
-	p.once.Do(func() {
-		n := runtime.GOMAXPROCS(0)
-		if env := defaultWorkers(); env > n {
-			n = env
-		}
-		// A deep queue lets nested calls park tasks without forcing the
-		// inline fallback; waiters drain it, so depth only affects scheduling.
-		p.tasks = make(chan func(), 4*n)
-		p.started = n
-		metPoolSize.Set(float64(n))
-		for i := 0; i < n; i++ {
-			go func() {
-				for t := range p.tasks {
-					t0 := time.Now()
-					t()
-					metBusy.Add(time.Since(t0).Seconds())
-				}
-			}()
-		}
-	})
-}
-
-// submit enqueues t if a queue slot is free and returns true; otherwise the
-// caller must run t inline.
-func (p *pool) submit(t func()) bool {
-	p.start()
-	select {
-	case p.tasks <- t:
-		return true
-	default:
-		return false
-	}
-}
-
-// PoolSize reports how many persistent workers back the engine (zero before
-// the first parallel call starts the pool).
-func PoolSize() int {
-	engine.start()
-	return engine.started
+	pprof.Do(context.Background(), pprof.Labels(
+		"workload", workload, "variant", variant, "phase", phase),
+		func(context.Context) { fn() })
 }
 
 // ForTiles executes fn over the index space [0, n), statically partitioned
-// into at most Workers() contiguous ranges [lo, hi). Each range runs exactly
-// once, on one goroutine, with fn free to keep per-range scratch state.
+// into w = min(Workers(), n) contiguous ranges [lo, hi). Range 0 runs on the
+// caller and ranges 1..w-1 each on a goroutine of their own, which inherits
+// the caller's pprof labels; fn is free to keep per-range scratch state.
 // ForTiles returns when every range has finished; a panic inside fn is
-// re-raised on the caller as *WorkerPanic. ForTiles is safe for concurrent
-// and nested use.
+// re-raised on the caller as *WorkerPanic (with w <= 1 the original value
+// is re-raised untouched). ForTiles is safe for concurrent and nested use.
 //
 // Determinism contract: callers must ensure each index writes only its own
 // output region and that per-index work is independent (the tile property).
@@ -250,10 +174,7 @@ func ForTiles(n int, fn func(lo, hi int)) {
 	if n <= 0 {
 		return
 	}
-	w := Workers()
-	if w > n {
-		w = n
-	}
+	w := min(Workers(), n)
 	if w <= 1 {
 		metInlined.Inc()
 		runRange(0, n, fn)
@@ -261,80 +182,35 @@ func ForTiles(n int, fn func(lo, hi int)) {
 	}
 
 	var (
-		mu       sync.Mutex
-		panicked *WorkerPanic
-		done     = make(chan struct{}, w)
+		wg       sync.WaitGroup
+		panicked atomic.Pointer[WorkerPanic] // the first panic is re-raised
 	)
 	run := func(lo, hi int) {
 		defer func() {
 			if r := recover(); r != nil {
-				wp := &WorkerPanic{Value: r, Stack: debug.Stack()}
-				mu.Lock()
-				if panicked == nil {
-					panicked = wp
-				}
-				mu.Unlock()
+				panicked.CompareAndSwap(nil, &WorkerPanic{Value: r, Stack: debug.Stack()})
 			}
-			done <- struct{}{}
 		}()
 		runRange(lo, hi, fn)
 	}
 
-	ctxp := kernelCtx.Load()
-
-	// Balanced static partition: range i is [i*n/w, (i+1)*n/w).
-	// statTasks/statInlined/statStolen batch the engine metrics so the
-	// whole grid costs a fixed handful of atomic adds.
-	submitted := 0
-	statTasks, statInlined := 0, 1 // the caller always runs range 0
+	// Balanced static partition: range i is [i*n/w, (i+1)*n/w), never
+	// empty because w <= n.
+	wg.Add(w - 1)
 	for i := 1; i < w; i++ {
 		lo, hi := i*n/w, (i+1)*n/w
-		if lo == hi {
-			continue
-		}
-		task := func() {
-			if ctxp != nil {
-				pprof.SetGoroutineLabels(*ctxp)
-				defer pprof.SetGoroutineLabels(bgCtx)
-			}
+		go func() {
+			defer wg.Done()
+			t0 := time.Now()
 			run(lo, hi)
-		}
-		if engine.submit(task) {
-			statTasks++
-		} else {
-			run(lo, hi) // queue full: run inline rather than block
-			statInlined++
-		}
-		submitted++
+			metBusy.Add(time.Since(t0).Seconds())
+		}()
 	}
-	// The caller owns range 0 and then helps drain the queue while waiting,
-	// which keeps nested ForTiles deadlock-free.
 	run(0, n/w)
-	statStolen := 0
-	for finished := 0; finished <= submitted; {
-		select {
-		case <-done:
-			finished++
-		case t := <-engine.tasks:
-			t()
-			statStolen++
-			if ctxp != nil {
-				// The stolen task may belong to another kernel and have
-				// reset this goroutine's labels; reinstate ours.
-				pprof.SetGoroutineLabels(*ctxp)
-			}
-		}
-	}
-	if statTasks > 0 {
-		metTasks.Add(uint64(statTasks))
-	}
-	metInlined.Add(uint64(statInlined))
-	if statStolen > 0 {
-		metStolen.Add(uint64(statStolen))
-	}
-	metHelpDepth.Observe(float64(statStolen))
-	if panicked != nil {
-		panic(panicked)
+	wg.Wait()
+	metTasks.Add(uint64(w - 1))
+	if wp := panicked.Load(); wp != nil {
+		panic(wp)
 	}
 }
 

@@ -32,20 +32,6 @@ func TestWorkersDefaultAndClamp(t *testing.T) {
 	}
 }
 
-func TestPoolSizing(t *testing.T) {
-	if n := PoolSize(); n < 1 {
-		t.Fatalf("PoolSize() = %d, want >= 1", n)
-	}
-	// SetWorkers must not change the persistent pool size.
-	withWorkers(t, 64, func() {
-		before := PoolSize()
-		ForTiles(128, func(lo, hi int) {})
-		if PoolSize() != before {
-			t.Fatalf("pool resized from %d to %d", before, PoolSize())
-		}
-	})
-}
-
 // TestForTilesCoverage checks every index is visited exactly once, over
 // even, uneven, tiny, and degenerate grids and several worker counts.
 func TestForTilesCoverage(t *testing.T) {
@@ -100,36 +86,39 @@ func TestForTilesBitIdentical(t *testing.T) {
 	}
 }
 
+// TestForTilesPanicPropagation panics in the caller's own range 0 and in
+// the last range, which runs on a goroutine of its own: both come back to
+// the caller as *WorkerPanic, while the serial path re-raises the value.
 func TestForTilesPanicPropagation(t *testing.T) {
-	sentinel := errors.New("tile 3 exploded")
-	for _, w := range []int{1, 4} {
-		withWorkers(t, w, func() {
+	for _, tc := range []struct{ workers, at int }{{1, 3}, {4, 3}, {4, 15}} {
+		sentinel := fmt.Errorf("tile %d exploded", tc.at)
+		withWorkers(t, tc.workers, func() {
 			defer func() {
 				r := recover()
 				if r == nil {
-					t.Fatalf("workers=%d: panic did not propagate", w)
+					t.Fatalf("%+v: panic did not propagate", tc)
 				}
-				if w == 1 {
+				if tc.workers == 1 {
 					// Inline path re-raises the original value untouched.
-					if !errors.Is(r.(error), sentinel) {
-						t.Fatalf("workers=1: got %v", r)
+					if r != sentinel {
+						t.Fatalf("%+v: got %v", tc, r)
 					}
 					return
 				}
 				wp, ok := r.(*WorkerPanic)
 				if !ok {
-					t.Fatalf("workers=%d: got %T (%v), want *WorkerPanic", w, r, r)
+					t.Fatalf("%+v: got %T (%v), want *WorkerPanic", tc, r, r)
 				}
 				if !errors.Is(wp, sentinel) {
-					t.Fatalf("WorkerPanic unwraps to %v, want sentinel", wp.Unwrap())
+					t.Fatalf("%+v: WorkerPanic unwraps to %v, want sentinel", tc, wp.Unwrap())
 				}
 				if len(wp.Stack) == 0 {
-					t.Fatal("WorkerPanic carries no stack")
+					t.Fatalf("%+v: WorkerPanic carries no stack", tc)
 				}
 			}()
 			ForTiles(16, func(lo, hi int) {
 				for i := lo; i < hi; i++ {
-					if i == 3 {
+					if i == tc.at {
 						panic(sentinel)
 					}
 				}
@@ -138,9 +127,9 @@ func TestForTilesPanicPropagation(t *testing.T) {
 	}
 }
 
-// TestForTilesNested exercises ForTiles called from inside ForTiles workers:
-// the engine must make progress (help-while-waiting) and cover the full 2D
-// grid exactly once.
+// TestForTilesNested exercises ForTiles called from inside ForTiles ranges,
+// including ranges on goroutines ForTiles started: every inner grid must
+// finish and cover the full 2D grid exactly once.
 func TestForTilesNested(t *testing.T) {
 	withWorkers(t, 4, func() {
 		const rows, cols = 37, 29
@@ -164,7 +153,7 @@ func TestForTilesNested(t *testing.T) {
 }
 
 // TestForTilesConcurrent runs many ForTiles calls from independent
-// goroutines sharing the pool.
+// goroutines at once.
 func TestForTilesConcurrent(t *testing.T) {
 	withWorkers(t, 3, func() {
 		var wg sync.WaitGroup

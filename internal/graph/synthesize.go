@@ -105,29 +105,34 @@ func Mycielskian(k int) *Graph {
 
 // RMAT generates a Kronecker (R-MAT) graph of 2^scale vertices with the
 // Graph500 partition probabilities (a, b, c) = (0.57, 0.19, 0.19).
+//
+// Each level draws one uniform r and picks quadrant a (r < 0.57: no bit),
+// b (r < 0.76: dst bit), c (r < 0.95: src bit) or d (both bits). Uniform is
+// monotone in the raw state, so each compare is the raw draw against the
+// state threshold of its bound (lcg.Threshold), and the bits are set from
+// the compares without a branch: src = r ≥ 0.76 and
+// dst = (r ≥ 0.57) ⊕ src ⊕ (r ≥ 0.95). The quadrant a draw selects is
+// random, so a branch on it would mispredict often.
 func RMAT(scale, edgeFactor int, g *lcg.Generator) *Graph {
-	n := 1 << scale
-	m := n * edgeFactor / 2 // undirected edge count before symmetrization
-	edges := make([][2]int32, 0, m)
-	for e := 0; e < m; e++ {
-		var src, dst int
+	return Undirected(1<<scale, rmatEdges(scale, edgeFactor, g))
+}
+
+// rmatEdges draws RMAT's edge list, before symmetrization.
+func rmatEdges(scale, edgeFactor int, g *lcg.Generator) [][2]int32 {
+	tA, tB, tC := lcg.Threshold(0.57), lcg.Threshold(0.76), lcg.Threshold(0.95)
+	m := (1 << scale) * edgeFactor / 2 // undirected edge count
+	edges := make([][2]int32, m)
+	for e := range edges {
+		var src, dst int64
 		for level := 0; level < scale; level++ {
-			r := g.Uniform()
-			switch {
-			case r < 0.57:
-				// quadrant a: no bits set
-			case r < 0.76:
-				dst |= 1 << level
-			case r < 0.95:
-				src |= 1 << level
-			default:
-				src |= 1 << level
-				dst |= 1 << level
-			}
+			x := g.Next()
+			s := lcg.AtLeast(x, tB)
+			src |= s << level
+			dst |= (lcg.AtLeast(x, tA) ^ s ^ lcg.AtLeast(x, tC)) << level
 		}
-		edges = append(edges, [2]int32{int32(src), int32(dst)})
+		edges[e] = [2]int32{int32(src), int32(dst)}
 	}
-	return Undirected(n, edges)
+	return edges
 }
 
 // powerLaw generates an undirected graph whose degree sequence follows a

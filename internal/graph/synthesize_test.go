@@ -2,7 +2,10 @@ package graph
 
 import (
 	"math"
+	"slices"
 	"testing"
+
+	"repro/internal/lcg"
 )
 
 func TestTable3Metadata(t *testing.T) {
@@ -162,6 +165,70 @@ func TestCorpus(t *testing.T) {
 		}
 		if g.Edges() == 0 {
 			t.Fatalf("corpus[%d] empty", i)
+		}
+	}
+}
+
+// rmatEdgesBranchy is RMAT's edge draw as it was before the branch-free
+// quadrant bits: one Uniform per level, compared against the partition
+// bounds in a switch. It is the oracle for rmatEdges.
+func rmatEdgesBranchy(scale, edgeFactor int, g *lcg.Generator) [][2]int32 {
+	n := 1 << scale
+	m := n * edgeFactor / 2
+	edges := make([][2]int32, 0, m)
+	for e := 0; e < m; e++ {
+		var src, dst int
+		for level := 0; level < scale; level++ {
+			r := g.Uniform()
+			switch {
+			case r < 0.57:
+				// quadrant a: no bits set
+			case r < 0.76:
+				dst |= 1 << level
+			case r < 0.95:
+				src |= 1 << level
+			default:
+				src |= 1 << level
+				dst |= 1 << level
+			}
+		}
+		edges = append(edges, [2]int32{int32(src), int32(dst)})
+	}
+	return edges
+}
+
+// TestRMATMatchesBranchyOracle: the branch-free draw gives the oracle's
+// edge list, edge for edge, and leaves the generator where the oracle
+// does, over the corpus's scales (9–11) and the Table 3 Kronecker graph's
+// (15), several edge factors and seeds. Six more seeds make the first
+// draw land exactly on each partition bound's threshold state and on the
+// state below it, where an off-by-one threshold would show.
+func TestRMATMatchesBranchyOracle(t *testing.T) {
+	type rmatCase struct {
+		scale, edgeFactor int
+		seed              int64
+	}
+	cases := []rmatCase{
+		{9, 4, 1}, {9, 31, 7}, {10, 4, 2}, {10, 17, 99}, {11, 8, 3}, {11, 31, 12345},
+		{15, 48, 16*104729 + 2097152}, {15, 2, -5},
+	}
+	for _, c := range []float64{0.57, 0.76, 0.95} {
+		for _, x := range []int64{lcg.Threshold(c) - 1, lcg.Threshold(c)} {
+			// The generator's period is 2^31-2, so stepping 2^31-3 times
+			// from x steps back once: to the seed whose first draw is x.
+			g := lcg.New(x)
+			g.Skip(1<<31 - 3)
+			cases = append(cases, rmatCase{9, 4, g.State()})
+		}
+	}
+	for _, tc := range cases {
+		g, want := lcg.New(tc.seed), lcg.New(tc.seed)
+		got, wantEdges := rmatEdges(tc.scale, tc.edgeFactor, g), rmatEdgesBranchy(tc.scale, tc.edgeFactor, want)
+		if !slices.Equal(got, wantEdges) {
+			t.Fatalf("RMAT(%d, %d) seed %d: edge list differs from the branchy oracle", tc.scale, tc.edgeFactor, tc.seed)
+		}
+		if g.State() != want.State() {
+			t.Fatalf("RMAT(%d, %d) seed %d: generator at %d, oracle at %d", tc.scale, tc.edgeFactor, tc.seed, g.State(), want.State())
 		}
 	}
 }

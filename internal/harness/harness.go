@@ -191,7 +191,9 @@ func (h *Harness) run(w workload.Workload, c workload.Case, v workload.Variant) 
 		if err != nil {
 			return res, err
 		}
-		h.rc.PutResult(w.Name(), c.Name, string(v), cacheable(res))
+		par.DoLabeled(k.Workload, string(v), "store", func() {
+			h.rc.PutResult(w.Name(), c.Name, string(v), cacheable(res))
+		})
 		return res, nil
 	})
 	res, _ := val.(*workload.Result)
@@ -253,7 +255,9 @@ func (h *Harness) reference(w workload.Workload, c workload.Case) ([]float64, er
 		var err error
 		timed(k, func() { out, err = w.Reference(c) })
 		if err == nil {
-			h.rc.PutFloats(runcache.KindReference, rcKey, out)
+			par.DoLabeled(k.Workload, string(RefVariant), "store", func() {
+				h.rc.PutFloats(runcache.KindReference, rcKey, out)
+			})
 		}
 		return out, err
 	})

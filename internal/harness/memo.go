@@ -152,9 +152,10 @@ func (h *Harness) memoValue(key string) (any, error) {
 	return h.do(memoPlanKey(key), func() (any, bool) {
 		return d.get(h.rc, key)
 	}, func() (any, error) {
-		v, err := d.run(h, key, p)
+		name, _, _ := strings.Cut(key, "|")
+		v, err := d.run(h, name, p)
 		if err == nil {
-			h.rc.Put(d.kind, key, v)
+			par.DoLabeled(name, string(MemoVariant), "store", func() { h.rc.Put(d.kind, key, v) })
 		}
 		return v, err
 	})
@@ -164,9 +165,8 @@ func (h *Harness) memoValue(key string) (any, error) {
 // the memo's name, under pprof labels {workload: name, variant:
 // MemoVariant, phase: category}; the par.ForTiles ranges it fans out
 // inherit them.
-func (d memoDef) run(h *Harness, key string, p []int64) (v any, err error) {
+func (d memoDef) run(h *Harness, name string, p []int64) (v any, err error) {
 	metMemosComputed.Inc()
-	name, _, _ := strings.Cut(key, "|")
 	defer trace.HostSpan(d.cat, name)()
 	par.DoLabeled(name, string(MemoVariant), d.cat, func() { v, err = d.compute(h, p) })
 	return v, err

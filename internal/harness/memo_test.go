@@ -56,10 +56,10 @@ func TestPlanCampaignMemoKeys(t *testing.T) {
 
 // TestExecuteStartsLongestFirst: a cold campaign brings the table6 memo's
 // inputs in as jobs of their own, each ranked by its cost plus the memo's.
-// It starts the three longest jobs first — the relabel ablation, the
-// CPU-serial FFT reference and the matrix corpus, in the order of the
-// committed cost table — and the table6 memo, which reads runs, after
-// every run.
+// It starts the four longest jobs first — the matrix corpus, the relabel
+// ablation, the graph corpus and the CPU-serial FFT reference, in the
+// order of the committed cost table — and the table6 memo, which reads
+// runs, after every run.
 func TestExecuteStartsLongestFirst(t *testing.T) {
 	h := New()
 	jobs := startOrder(t, h, h.PlanCampaign())
@@ -70,7 +70,7 @@ func TestExecuteStartsLongestFirst(t *testing.T) {
 		}
 		return RunKey{name, w.Representative().Name, RefVariant}
 	}
-	want := []RunKey{memoPlanKey("bfs-relabel"), ref("FFT"), memoPlanKey("matrix-corpus|199|2")}
+	want := []RunKey{memoPlanKey("matrix-corpus|199|2"), memoPlanKey("bfs-relabel"), memoPlanKey("graph-corpus|199|1"), ref("FFT")}
 	var got []RunKey
 	for _, j := range jobs[:len(want)] {
 		got = append(got, j.key)

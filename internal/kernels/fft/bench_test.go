@@ -32,3 +32,17 @@ func BenchmarkRadix2_256(b *testing.B) {
 		radix2(r, m)
 	}
 }
+
+// BenchmarkFFTReference times the CPU-serial reference of the
+// representative case as a campaign calls it: every iteration draws the
+// inputs and builds its twiddle tables afresh, then runs the direct 2D DFT
+// of both sampled images.
+func BenchmarkFFTReference(b *testing.B) {
+	w := New()
+	c := w.Representative()
+	for i := 0; i < b.N; i++ {
+		if _, err := w.Reference(c); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

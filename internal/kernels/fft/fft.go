@@ -374,20 +374,23 @@ func (w *Workload) Reference(c workload.Case) ([]float64, error) {
 }
 
 // twiddles holds cos and sin of the angle -2π·p/n for every product p = j·k
-// a length-n direct DFT meets. Each entry comes from the same expression
-// the per-term loop evaluated, so reading the table is bit-identical to
-// calling math.Cos and math.Sin per term, at n² instead of rows·n² calls.
+// a length-n direct DFT meets, laid out by output index: entry k·n+j holds
+// the term of input j in output k, so output k reads two contiguous rows.
+// Each entry comes from the same expression the per-term loop evaluated, so
+// reading the table is bit-identical to calling math.Cos and math.Sin per
+// term. p = j·k is symmetric in j and k, so each pair is evaluated once
+// and written to both of its entries: n(n+1)/2 calls of each per table.
 type twiddles struct{ cos, sin []float64 }
 
 func newTwiddles(n int) twiddles {
-	size := 1
-	if n > 1 {
-		size = (n-1)*(n-1) + 1
-	}
-	tw := twiddles{cos: make([]float64, size), sin: make([]float64, size)}
-	for p := 0; p < size; p++ {
-		ang := -2 * math.Pi * float64(p) / float64(n)
-		tw.cos[p], tw.sin[p] = math.Cos(ang), math.Sin(ang)
+	tw := twiddles{cos: make([]float64, n*n), sin: make([]float64, n*n)}
+	for k := 0; k < n; k++ {
+		for j := k; j < n; j++ {
+			ang := -2 * math.Pi * float64(j*k) / float64(n)
+			c, s := math.Cos(ang), math.Sin(ang)
+			tw.cos[k*n+j], tw.sin[k*n+j] = c, s
+			tw.cos[j*n+k], tw.sin[j*n+k] = c, s
+		}
 	}
 	return tw
 }
@@ -395,12 +398,14 @@ func newTwiddles(n int) twiddles {
 // directDFT transforms re+i·im in place with the twiddles of its length.
 func directDFT(re, im []float64, tw twiddles) {
 	n := len(re)
+	im = im[:n]
 	oRe := make([]float64, n)
 	oIm := make([]float64, n)
 	for k := 0; k < n; k++ {
+		cosK, sinK := tw.cos[k*n:(k+1)*n], tw.sin[k*n:(k+1)*n]
 		var sr, si float64
 		for j := 0; j < n; j++ {
-			cr, ci := tw.cos[j*k], tw.sin[j*k]
+			cr, ci := cosK[j], sinK[j]
 			sr += re[j]*cr - im[j]*ci
 			si += re[j]*ci + im[j]*cr
 		}

@@ -131,7 +131,7 @@ func TestDirectDFTMatchesPerTerm(t *testing.T) {
 }
 
 func TestDirect2DMatchesPerTerm(t *testing.T) {
-	for _, d := range [][2]int{{1, 1}, {8, 8}, {3, 17}, {17, 8}} {
+	for _, d := range [][2]int{{1, 1}, {8, 8}, {3, 17}, {17, 8}, {64, 32}} {
 		r, c := d[0], d[1]
 		re, im := testSignal(r*c, 0.29)
 		wantRe := append([]float64(nil), re...)

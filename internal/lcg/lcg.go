@@ -33,20 +33,73 @@ func New(seed int64) *Generator {
 	return &Generator{state: s}
 }
 
-// Next advances the generator and returns the raw state in [1, modulus-1].
-// The product state·16807 is below 2^46, so it splits as hi·2^31 + lo, and
-// because 2^31 ≡ 1 (mod 2^31-1) the residue is hi + lo after at most one
-// subtraction of the modulus (Park–Miller's Mersenne reduction). The
-// result is the same state as (state·16807) % modulus, without a division.
+// Next advances the generator by one Step and returns the raw state in
+// [1, modulus-1].
 func (g *Generator) Next() int64 {
-	x := g.state * multiplier
+	g.state = Step(g.state)
+	return g.state
+}
+
+// Step returns the raw state that follows x: x·16807 mod 2^31-1. The
+// product is below 2^46, so it splits as hi·2^31 + lo, and because
+// 2^31 ≡ 1 (mod 2^31-1) the residue is hi + lo after at most one
+// subtraction of the modulus (Park–Miller's Mersenne reduction), without a
+// division. With State and SetState it lets a caller step a copy of a
+// generator's state.
+func Step(x int64) int64 {
+	x *= multiplier
 	x = (x & modulus) + (x >> 31)
 	if x >= modulus {
 		x -= modulus
 	}
-	g.state = x
 	return x
 }
+
+// Step2 returns Step(Step(x)) in one multiply, x·16807² mod 2^31-1, so a
+// caller choosing between the next two states computes both at once. The
+// product is below 2^60 and its Mersenne fold below twice the modulus.
+func Step2(x int64) int64 {
+	x *= multiplier * multiplier
+	x = (x & modulus) + (x >> 31)
+	if x >= modulus {
+		x -= modulus
+	}
+	return x
+}
+
+// State returns the generator's raw state: the value its last Next
+// returned, or the folded seed before the first.
+func (g *Generator) State() int64 { return g.state }
+
+// SetState moves the generator to raw state x, a value State or Step
+// returned.
+func (g *Generator) SetState(x int64) { g.state = x }
+
+// Threshold returns the least raw state t whose Uniform value,
+// float64(t)/float64(2^31-1), is at least c, searching t in [1, 2^31-1].
+// The quotient is correctly rounded, so it is monotone in the state, and
+// for a state x a Next returned, Uniform() < c holds exactly when x < t:
+// a draw is tested against c by one integer compare, which a caller can
+// turn into a bit without a branch. Threshold is 1 for a c at or below
+// Uniform's smallest value and 2^31-1, above every state, for a c above
+// its largest. c must not be NaN.
+func Threshold(c float64) int64 {
+	lo, hi := int64(1), int64(modulus)
+	for lo < hi {
+		mid := lo + (hi-lo)/2
+		if float64(mid)/float64(modulus) >= c {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo
+}
+
+// AtLeast returns 1 if x ≥ t and 0 otherwise, without a branch: t−1−x is
+// negative exactly when x ≥ t, and states and thresholds are far below
+// 2^62, so the difference cannot overflow.
+func AtLeast(x, t int64) int64 { return int64(uint64(t-1-x) >> 63) }
 
 // Skip advances the generator by k draws, to the state k calls to Next
 // would leave, in O(log k) steps: that state is state·16807^k mod 2^31-1,

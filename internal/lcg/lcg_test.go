@@ -211,3 +211,81 @@ func BenchmarkSymmetric(b *testing.B) {
 	}
 	_ = sink
 }
+
+// TestThreshold pins Threshold(c) to Uniform's compare: the state below the
+// threshold maps below c and the threshold maps at or above it, so
+// Uniform() < c and Next() < Threshold(c) agree on every draw. It covers
+// RMAT's partition bounds, random keep values, the next float above each
+// (the bound of a Uniform() > keep test), values Uniform takes exactly, and
+// c at or below Uniform's smallest value and above its largest.
+func TestThreshold(t *testing.T) {
+	u := func(x int64) float64 { return float64(x) / float64(modulus) }
+	cs := []float64{0.57, 0.76, 0.95, 0.5, u(12345), u(modulus - 1)}
+	g := New(7)
+	for i := 0; i < 200; i++ {
+		cs = append(cs, g.Uniform())
+	}
+	for _, c := range cs[:len(cs):len(cs)] {
+		cs = append(cs, math.Nextafter(c, 2))
+	}
+	for _, c := range cs {
+		th := Threshold(c)
+		if th < 1 || th > modulus {
+			t.Fatalf("Threshold(%v) = %d, outside [1, 2^31-1]", c, th)
+		}
+		if th < modulus && u(th) < c {
+			t.Errorf("Threshold(%v) = %d maps to %v, below c", c, th, u(th))
+		}
+		if th > 1 && u(th-1) >= c {
+			t.Errorf("Threshold(%v) = %d: the state below maps to %v, not below c", c, th, u(th-1))
+		}
+	}
+	for _, c := range []float64{math.Inf(-1), -1, 0, u(1) / 2, u(1)} {
+		if th := Threshold(c); th != 1 {
+			t.Errorf("Threshold(%v) = %d, want 1: every state maps at or above c", c, th)
+		}
+	}
+	for _, c := range []float64{math.Nextafter(u(modulus-1), 2), 1, 2, math.Inf(1)} {
+		if th := Threshold(c); th != modulus {
+			t.Errorf("Threshold(%v) = %d, want 2^31-1: every state maps below c", c, th)
+		}
+	}
+	for _, c := range []float64{0.57, 0.76, 0.95} {
+		g, th := New(42), Threshold(c)
+		for i := 0; i < 100_000; i++ {
+			x := g.Next()
+			below := u(x) < c
+			if below != (x < th) {
+				t.Fatalf("c = %v, state %d: Uniform < c is %v, x < Threshold is %v", c, x, below, x < th)
+			}
+			if at := AtLeast(x, th); (at == 1) == below {
+				t.Fatalf("c = %v, state %d: AtLeast = %d, Uniform < c is %v", c, x, at, below)
+			}
+		}
+	}
+}
+
+// TestStepState: Step, Step2, State and SetState let a caller advance a
+// copy of the state and hand it back, landing where Next would.
+func TestStepState(t *testing.T) {
+	for _, x := range []int64{1, 2, 16807, modulus / 2, modulus - 2, modulus - 1} {
+		if got, want := Step2(x), Step(Step(x)); got != want {
+			t.Errorf("Step2(%d) = %d, Step(Step) %d", x, got, want)
+		}
+	}
+	g, want := New(2026), New(2026)
+	x := g.State()
+	for i := 0; i < 1_000_000; i++ {
+		if got, w := Step2(x), Step(Step(x)); got != w {
+			t.Fatalf("Step2(%d) = %d, Step(Step) %d", x, got, w)
+		}
+		x = Step(x)
+		if w := want.Next(); x != w {
+			t.Fatalf("step %d: Step gives %d, Next %d", i, x, w)
+		}
+	}
+	g.SetState(x)
+	if a, b := g.Next(), want.Next(); a != b {
+		t.Fatalf("after SetState: Next %d, want %d", a, b)
+	}
+}

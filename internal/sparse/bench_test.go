@@ -1,6 +1,10 @@
 package sparse
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/lcg"
+)
 
 func BenchmarkToDASP(b *testing.B) {
 	m, err := Synthesize("spmsrts")
@@ -28,6 +32,18 @@ func BenchmarkSynthesizeQCD(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := Synthesize("conf5_4-8x8-10"); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkBandedFeatures times the banded third of the Figure 10b corpus
+// as the matrix-corpus memo meets it: every iteration streams the features
+// of 65,536-row banded patterns at each half-bandwidth the corpus draws
+// (1–6) from a fresh generator and fresh sums.
+func BenchmarkBandedFeatures(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		for hb := 1; hb <= 6; hb++ {
+			bandedFeatures(1<<16, hb, 0.8, lcg.New(int64(hb)))
 		}
 	}
 }

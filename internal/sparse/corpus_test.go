@@ -144,3 +144,26 @@ func TestPowerLawRowsMatchesMapOracle(t *testing.T) {
 		}
 	}
 }
+
+// TestBandedFeaturesKeepTie pins bandedFeatures' integer keep threshold at
+// a tie: keep is exactly the Uniform value of entry (0, 1)'s keep draw
+// (the seed's second draw, after the diagonal's value draw), so the entry
+// is kept (a draw is rejected only above keep). Features and the
+// generator's final state must match ExtractFeatures(banded(…)).
+func TestBandedFeaturesKeepTie(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		g := lcg.New(seed)
+		g.Next()
+		keep := g.Uniform()
+		gb, gf := lcg.New(seed), lcg.New(seed)
+		m := banded(301, 3, keep, false, gb)
+		if m.ColIdx[1] != 1 {
+			t.Fatalf("seed %d: banded rejected the entry whose keep draw equals keep %v", seed, keep)
+		}
+		what := fmt.Sprintf("bandedFeatures(301, 3, %v) seed %d", keep, seed)
+		requireSameFeatures(t, what, bandedFeatures(301, 3, keep, gf), ExtractFeatures(m))
+		if *gf != *gb {
+			t.Fatalf("%s: left the generator elsewhere", what)
+		}
+	}
+}

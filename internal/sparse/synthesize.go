@@ -111,20 +111,36 @@ func banded(rows, hb int, keep float64, mixedSign bool, g *lcg.Generator) *CSR {
 // bit, from the same draws: the keep draws decide the pattern, and each
 // kept entry's value draw is a bare Next. Each entry is summed as it is
 // drawn, and nothing is stored.
+//
+// The keep draws are random, so the loop takes no branch on them. It steps
+// a copy of the generator's state. An entry is rejected when its draw's
+// Uniform exceeds keep, that is when the raw draw is at least the state
+// threshold of the next float above keep, so kept is one integer compare.
+// A kept entry also takes its value draw, so the state moves to Step(x) or
+// Step2(x), selected by the kept mask, and the entry is summed through the
+// same mask.
 func bandedFeatures(rows, hb int, keep float64, g *lcg.Generator) Features {
 	s := newFeatureSums(rows, rows)
+	tReject := lcg.Threshold(math.Nextafter(keep, math.Inf(1)))
+	x := g.State()
 	for i := 0; i < rows; i++ {
-		deg := 0
+		deg := int64(0)
 		for j := max(i-hb, 0); j <= min(i+hb, rows-1); j++ {
-			if j != i && g.Uniform() > keep {
+			if j == i { // the diagonal takes no keep draw
+				x = lcg.Step(x)
+				deg++
+				s.entry(i, j)
 				continue
 			}
-			g.Next()
-			s.entry(i, j)
-			deg++
+			x1, x2 := lcg.Step(x), lcg.Step2(x)
+			kept := lcg.AtLeast(x1, tReject) - 1 // all ones when kept
+			x = x1 ^ (x1^x2)&kept
+			deg -= kept
+			s.keptEntry(i, j, kept)
 		}
-		s.row(deg)
+		s.row(int(deg))
 	}
+	g.SetState(x)
 	return s.features()
 }
 
@@ -482,6 +498,16 @@ func (s *featureSums) entry(i, j int) {
 		s.stamp[b] = br
 		s.blocks++
 	}
+}
+
+// keptEntry is entry(i, j) through a mask, without a branch: it adds the
+// entry when kept is all ones and nothing when it is zero.
+func (s *featureSums) keptEntry(i, j int, kept int64) {
+	s.dist += max(j-i, i-j) & int(kept)
+	b, br := j/BlockSize, int32(i/BlockSize+1)
+	d := int64(s.stamp[b] ^ br) // nonzero when block b is new to the block row
+	s.blocks += int(int64(uint64(d|-d)>>63) & kept)
+	s.stamp[b] ^= (s.stamp[b] ^ br) & int32(kept)
 }
 
 // features finishes the sums into the feature vector and hands the stamp

@@ -25,6 +25,11 @@
 #                        /healthz, fetch a figure, scrape /metrics, then
 #                        SIGTERM and verify a clean drain (runs inside
 #                        make test)
+#   make cache-smoke   - key the run cache by the binary's Go build ID:
+#                        the same binary and a byte copy of it warm-start,
+#                        a -trimpath build re-runs, and a build without an
+#                        ID warm-starts off its own whole-file hash (runs
+#                        inside make test)
 #   make dist-smoke    - coordinate a small plan with `cubie dist` and two
 #                        `cubie work` processes, diff the output bitwise
 #                        against the single-process render, then warm-start
@@ -37,7 +42,7 @@
 GO ?= go
 
 .PHONY: all build vet fmt-check test fuzz race race-quick bench-check docs-check serve-smoke \
-	dist-smoke clean
+	cache-smoke dist-smoke clean
 
 all: test
 
@@ -53,7 +58,7 @@ fmt-check:
 docs-check:
 	$(GO) run ./cmd/docscheck
 
-test: vet fmt-check docs-check bench-check serve-smoke dist-smoke race-quick
+test: vet fmt-check docs-check bench-check serve-smoke cache-smoke dist-smoke race-quick
 	$(GO) test ./...
 
 # bench/ is its own module (replace repro => ../) that calls internal
@@ -77,6 +82,34 @@ serve-smoke:
 	curl -sf http://$$addr/metrics | grep -q cubie_http_requests_total; \
 	kill -TERM $$pid; wait $$pid; \
 	echo "serve-smoke: ok ($$addr booted, served, drained)"
+
+# Run-cache identity smoke, one `cubie run GEMV` (one execution cold,
+# ~20 ms) per step on one cache directory, counted by
+# cubie_harness_runs_started_total: the first run fills the cache; the same
+# binary and a byte copy of it at another path then execute nothing, since
+# the fingerprint is the build ID's content hash and not the path; a
+# -trimpath build (other bytes, another ID) executes again; and a build
+# with no build ID (-ldflags=-buildid=) falls back to hashing the whole
+# file, so it fills once and then warm-starts off its own entries.
+cache-smoke:
+	@set -e; tmp=$$(mktemp -d); trap "rm -rf $$tmp" EXIT; \
+	$(GO) build -o $$tmp/cubie ./cmd/cubie; \
+	$(GO) build -trimpath -o $$tmp/trimpath ./cmd/cubie; \
+	$(GO) build -ldflags=-buildid= -o $$tmp/noid ./cmd/cubie; \
+	mkdir $$tmp/copy; cp $$tmp/cubie $$tmp/copy/cubie; \
+	expect() { \
+	  rm -f $$tmp/m.prom; \
+	  CUBIE_CACHE=$$tmp/cache $$2 run --metrics $$tmp/m.prom GEMV > /dev/null \
+	      || { echo "cache-smoke: $$1: cubie run failed" >&2; exit 1; }; \
+	  got=$$(sed -n 's/^cubie_harness_runs_started_total //p' $$tmp/m.prom); \
+	  [ "$$got" = "$$3" ] || { echo "cache-smoke: $$1 executed '$$got' runs, want $$3" >&2; exit 1; }; }; \
+	expect "cold fill" $$tmp/cubie 1; \
+	expect "same binary" $$tmp/cubie 0; \
+	expect "byte copy at another path" $$tmp/copy/cubie 0; \
+	expect "-trimpath build" $$tmp/trimpath 1; \
+	expect "build without an ID, cold" $$tmp/noid 1; \
+	expect "build without an ID, warm" $$tmp/noid 0; \
+	echo "cache-smoke: ok (same binary and byte copy warm, -trimpath build re-ran, no-ID build warm off its own fill)"
 
 # End-to-end distributed-campaign smoke in the cross-host shape: a
 # coordinator on a random port (the --addr-file handshake) and `cubie work`

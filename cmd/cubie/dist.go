@@ -117,7 +117,7 @@ func cmdDist(h *cubie.Harness, f distFlags) {
 			fatal(err)
 		}
 		defer os.RemoveAll(dir)
-		c, err := runcache.OpenWithFingerprint(dir, runcache.Fingerprint())
+		c, err := runcache.Open(dir)
 		if err != nil {
 			fatal(err)
 		}

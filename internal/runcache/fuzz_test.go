@@ -2,6 +2,7 @@ package runcache
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"math"
 	"os"
@@ -94,5 +95,65 @@ func FuzzWriteEntry(f *testing.F) {
 		reader.Get(e.Kind, e.Key, &res)
 		var fs floats
 		reader.Get(e.Kind, e.Key, &fs)
+	})
+}
+
+// FuzzGoBuildIDNote feeds arbitrary executable heads to the ELF note
+// reader. It must never panic or read outside the bytes it is given, and
+// it returns "" unless it found a well-formed ID in them. Seeds: the test
+// binary's own head, truncations of it, its Go note with an oversized
+// namesz or descsz, its PT_NOTE with an oversized p_filesz or p_offset,
+// and the note under a wrong name.
+func FuzzGoBuildIDNote(f *testing.F) {
+	head := selfHead(f)
+	f.Add(head)
+	if head[4] != elfClass64 || head[5] != elfData2LSB {
+		f.Skip("the seeds are built for a little-endian ELF64 test binary")
+	}
+	note := bytes.Index(head, []byte("\x04\x00\x00\x00"+goNoteName)) - 8
+	if note < 0 {
+		f.Fatal("the test binary carries no Go build-ID note")
+	}
+	le := binary.LittleEndian
+	phoff, phnum := le.Uint64(head[32:]), int(le.Uint16(head[56:]))
+	ph := -1
+	for i := 0; i < phnum; i++ {
+		p := int(phoff) + 56*i
+		if le.Uint32(head[p:]) == elfPTNote && int(le.Uint64(head[p+8:])) <= note {
+			ph = p
+		}
+	}
+	if ph < 0 {
+		f.Fatal("no PT_NOTE program header covers the Go note")
+	}
+	for _, n := range []int{0, 4, 15, 63, int(phoff) + 56, ph + 20, note + 14, note + 40} {
+		f.Add(head[:n])
+	}
+	patched := func(at int, put func([]byte)) []byte {
+		b := bytes.Clone(head)
+		put(b[at:])
+		return b
+	}
+	f.Add(patched(note, func(b []byte) { le.PutUint32(b, math.MaxUint32) }))   // namesz
+	f.Add(patched(note+4, func(b []byte) { le.PutUint32(b, math.MaxUint32) })) // descsz
+	f.Add(patched(note+4, func(b []byte) { le.PutUint32(b, headSize) }))       // descsz past the head
+	f.Add(patched(ph+32, func(b []byte) { le.PutUint64(b, math.MaxUint64) }))  // p_filesz
+	f.Add(patched(ph+8, func(b []byte) { le.PutUint64(b, math.MaxUint64-8) })) // p_offset
+	f.Add(patched(32, func(b []byte) { le.PutUint64(b, math.MaxUint64-55) }))  // e_phoff
+	f.Add(patched(56, func(b []byte) { le.PutUint16(b, math.MaxUint16) }))     // e_phnum
+	f.Add(patched(note+12, func(b []byte) { copy(b, "Gp") }))                  // note name
+	f.Add(patched(note+16+20, func(b []byte) { b[0] = '.' }))                  // ID separator
+
+	f.Fuzz(func(t *testing.T, head []byte) {
+		id := goBuildIDNote(head[:len(head):len(head)])
+		if id == "" {
+			return
+		}
+		if !wellFormedBuildID(id) {
+			t.Fatalf("returned malformed ID %q", id)
+		}
+		if !bytes.Contains(head, []byte(id)) {
+			t.Fatalf("returned ID %q that is not in the head", id)
+		}
 	})
 }

@@ -11,12 +11,21 @@
 // # Fingerprint
 //
 // An entry is only served back to a process whose fingerprint matches the
-// writer's. The fingerprint hashes the executable image — Go builds are
-// reproducible, so the binary's bytes are a content address for the code.
+// writer's. The fingerprint identifies the executable's code by the Go
+// build ID the go command wrote into its ELF note (.note.go.buildid). The
+// ID's last component is a hash the go command takes of the linked file
+// with the ID bytes zeroed, so it is a content address computed once at
+// build time: the same code gives the same fingerprint, at any path, and a
+// changed byte gives a miss. Reading it touches only the file's first
+// 32 KiB, so start-up does not hash the binary. When the file is not ELF
+// or carries no well-formed four-part ID (a build with -ldflags=-buildid=,
+// for one), the fingerprint is the SHA-256 of the whole file instead.
+// When the executable cannot be read at all there is no fingerprint, and
+// the cache is off: FromEnv returns nil and Open fails.
+//
 // No environment variable takes part: every kernel has one route, and
 // results are bit-identical for every CUBIE_WORKERS count. Recompiling
-// changed code therefore misses cleanly and re-runs. When the executable
-// cannot be read, runtime/debug build info stands in.
+// changed code therefore misses cleanly and re-runs.
 //
 // # Entry format
 //
@@ -85,13 +94,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"regexp"
-	"runtime/debug"
 	"strings"
-	"sync"
 
 	"repro/internal/metrics"
 	"repro/internal/trace"
@@ -170,7 +176,8 @@ type envelope struct {
 // FromEnv opens the cache selected by CUBIE_CACHE and, when
 // CUBIE_REMOTE_CACHE is set, attaches that peer store as the remote tier.
 // It returns nil — a disabled cache — when the variable is "off" (or "0",
-// "false", "no"), or when the directory cannot be created.
+// "false", "no"), when the executable cannot be identified, or when the
+// directory cannot be created.
 func FromEnv() *Cache {
 	dir := os.Getenv(Env)
 	switch strings.ToLower(dir) {
@@ -199,9 +206,14 @@ func DefaultDir() string {
 }
 
 // Open creates (if needed) and returns the cache rooted at dir, bound to
-// the process fingerprint.
+// the process fingerprint. It fails, creating nothing, when the
+// executable cannot be identified.
 func Open(dir string) (*Cache, error) {
-	return OpenWithFingerprint(dir, Fingerprint())
+	fp := Fingerprint()
+	if fp == "" {
+		return nil, errNoFingerprint
+	}
+	return OpenWithFingerprint(dir, fp)
 }
 
 // OpenWithFingerprint is Open with an explicit fingerprint — tests use it
@@ -219,54 +231,6 @@ func (c *Cache) Dir() string {
 		return ""
 	}
 	return c.dir
-}
-
-var (
-	fpOnce sync.Once
-	fpVal  string
-)
-
-// Fingerprint returns the process fingerprint: a hex SHA-256 over the
-// executable image, computed once.
-func Fingerprint() string {
-	fpOnce.Do(func() { fpVal = computeFingerprint() })
-	return fpVal
-}
-
-func computeFingerprint() string {
-	h := sha256.New()
-	if exe, err := os.Executable(); err == nil {
-		if f, err := os.Open(exe); err == nil {
-			_, cpErr := io.Copy(h, f)
-			f.Close()
-			if cpErr != nil {
-				h = sha256.New() // partial hash would be nondeterministic
-				writeBuildInfo(h)
-			}
-		} else {
-			writeBuildInfo(h)
-		}
-	} else {
-		writeBuildInfo(h)
-	}
-	return hex.EncodeToString(h.Sum(nil))
-}
-
-// writeBuildInfo hashes the module build metadata (module version, VCS
-// revision and dirtiness) — the fallback identity when the executable
-// image is unreadable.
-func writeBuildInfo(w io.Writer) {
-	bi, ok := debug.ReadBuildInfo()
-	if !ok {
-		fmt.Fprint(w, "no-build-info")
-		return
-	}
-	fmt.Fprintf(w, "%s@%s", bi.Main.Path, bi.Main.Version)
-	for _, s := range bi.Settings {
-		if strings.HasPrefix(s.Key, "vcs.") || s.Key == "-tags" {
-			fmt.Fprintf(w, "|%s=%s", s.Key, s.Value)
-		}
-	}
 }
 
 // EntryName returns the content-addressed entry file name for

@@ -101,12 +101,13 @@ func FuzzWriteEntry(f *testing.F) {
 // FuzzGoBuildIDNote feeds arbitrary executable heads to the ELF note
 // reader. It must never panic or read outside the bytes it is given, and
 // it returns "" unless it found a well-formed ID in them. Seeds: the test
-// binary's own head, truncations of it, its Go note with an oversized
-// namesz or descsz, its PT_NOTE with an oversized p_filesz or p_offset,
-// and the note under a wrong name.
+// binary's own head cut at the end of the PT_NOTE segment that holds its
+// Go note (~4 KiB, so mutations land on the bytes the reader parses),
+// truncations of it, its Go note with an oversized namesz or descsz, its
+// PT_NOTE with an oversized p_filesz or p_offset, and the note under a
+// wrong name.
 func FuzzGoBuildIDNote(f *testing.F) {
 	head := selfHead(f)
-	f.Add(head)
 	if head[4] != elfClass64 || head[5] != elfData2LSB {
 		f.Skip("the seeds are built for a little-endian ELF64 test binary")
 	}
@@ -126,6 +127,11 @@ func FuzzGoBuildIDNote(f *testing.F) {
 	if ph < 0 {
 		f.Fatal("no PT_NOTE program header covers the Go note")
 	}
+	head = head[:min(len(head), int(le.Uint64(head[ph+8:])+le.Uint64(head[ph+32:])))]
+	if goBuildIDNote(head) == "" {
+		f.Fatal("the head cut past the Go note's segment yields no build ID")
+	}
+	f.Add(head)
 	for _, n := range []int{0, 4, 15, 63, int(phoff) + 56, ph + 20, note + 14, note + 40} {
 		f.Add(head[:n])
 	}

@@ -6,10 +6,7 @@ package sparse
 
 import (
 	"fmt"
-	"slices"
 	"sort"
-
-	"repro/internal/par"
 )
 
 // CSR is a compressed-sparse-row FP64 matrix.
@@ -66,89 +63,147 @@ func (m *CSR) At(i, j int) float64 {
 	return 0
 }
 
-// COO is a coordinate-format builder for sparse matrices.
+// COO is a coordinate-format builder for sparse matrices. It stores its
+// entries in Add order in chunks that double in size up to cooMaxChunk, so
+// Add never copies an entry it already stored.
 type COO struct {
 	Rows, Cols int
-	I, J       []int32
-	V          []float64
+	chunks     [][]cooEntry // filled chunks, in Add order
+	tail       []cooEntry   // the chunk Add fills
 }
+
+type cooEntry struct {
+	i, j int32
+	v    float64
+}
+
+// Chunk sizes in entries: the first chunk and the cap the doubling stops at
+// (1 MiB of 16-byte entries).
+const (
+	cooFirstChunk = 64
+	cooMaxChunk   = 1 << 16
+)
 
 // NewCOO returns an empty builder for a Rows×Cols matrix.
 func NewCOO(rows, cols int) *COO { return &COO{Rows: rows, Cols: cols} }
 
 // Add appends entry (i, j, v). Duplicate coordinates are summed by ToCSR.
 func (c *COO) Add(i, j int, v float64) {
-	c.I = append(c.I, int32(i))
-	c.J = append(c.J, int32(j))
-	c.V = append(c.V, v)
+	if len(c.tail) == cap(c.tail) {
+		c.grow()
+	}
+	c.tail = append(c.tail, cooEntry{int32(i), int32(j), v})
 }
 
-// Pooled arenas for the counted two-pass ToCSR: the row-bucket cursor
-// directory and the per-row (col, insertion-index) sort keys.
-var (
-	csrRowScratch = par.NewTypedScratch[int]()
-	csrKeyScratch = par.NewTypedScratch[uint64]()
-)
+// grow retires the full tail chunk and starts one twice its size.
+func (c *COO) grow() {
+	if c.tail != nil {
+		c.chunks = append(c.chunks, c.tail)
+	}
+	c.tail = make([]cooEntry, 0, min(max(2*cap(c.tail), cooFirstChunk), cooMaxChunk))
+}
 
-// ToCSR converts to CSR, sorting entries and summing duplicates. It is a
-// counted two-pass build: entries are bucketed by row with a counting pass,
-// scattered as (col, insertion-index) keys into a pooled slab, and each row
-// segment is sorted and deduplicated straight into exactly-sized output
-// slices — three output allocations total, where the append-as-you-go
-// version paid a permutation sort plus O(log NNZ) slice regrowths per
-// build. Encoding the insertion index in the low key bits keeps the sort
-// stable, so duplicate coordinates sum in Add order deterministically.
+// chunk returns the k-th stored chunk in Add order; k == len(c.chunks) is
+// the tail.
+func (c *COO) chunk(k int) []cooEntry {
+	if k < len(c.chunks) {
+		return c.chunks[k]
+	}
+	return c.tail
+}
+
+// ToCSR converts to CSR, sorting each row by column and summing duplicates,
+// in time linear in the entries. It counts entries per row into RowPtr,
+// scatters (col, val) in Add order straight to their row offsets, then
+// compacts each row through a per-column marker: a duplicate adds into its
+// column's first occurrence, so duplicates sum in Add order, ((a+b)+c).
+// A row is sorted only if its distinct columns are not already ascending.
+// The outputs keep the capacity of the staged entries.
 func (c *COO) ToCSR() *CSR {
-	nnz := len(c.I)
 	m := &CSR{Rows: c.Rows, Cols: c.Cols, RowPtr: make([]int, c.Rows+1)}
+	for k := 0; k <= len(c.chunks); k++ {
+		for _, e := range c.chunk(k) {
+			m.RowPtr[e.i+1]++
+		}
+	}
+	for i := 0; i < c.Rows; i++ {
+		m.RowPtr[i+1] += m.RowPtr[i]
+	}
+	nnz := m.RowPtr[c.Rows]
 	if nnz == 0 {
 		return m
 	}
-	// Pass 1: count entries per row, then turn counts into segment cursors.
-	next := csrRowScratch.Get(c.Rows)
-	defer csrRowScratch.Put(next)
-	clear(next)
-	for _, i := range c.I {
-		next[i]++
+	// Scatter with RowPtr[i] as row i's cursor: it ends at row i+1's start.
+	colIdx := make([]int32, nnz)
+	vals := make([]float64, nnz)
+	for k := 0; k <= len(c.chunks); k++ {
+		for _, e := range c.chunk(k) {
+			p := m.RowPtr[e.i]
+			colIdx[p], vals[p] = e.j, e.v
+			m.RowPtr[e.i] = p + 1
+		}
 	}
-	sum := 0
-	for i := range next {
-		n := next[i]
-		next[i] = sum
-		sum += n
+	// Compact row by row; first[j] is the output slot of column j's first
+	// occurrence, which belongs to the current row once it is ≥ its start.
+	first := make([]int, c.Cols)
+	for j := range first {
+		first[j] = -1
 	}
-	// Pass 2: scatter keys row-bucketed; next[i] ends as row i's segment end.
-	keys := csrKeyScratch.Get(nnz)
-	defer csrKeyScratch.Put(keys)
-	for k := 0; k < nnz; k++ {
-		i := c.I[k]
-		keys[next[i]] = uint64(uint32(c.J[k]))<<32 | uint64(uint32(k))
-		next[i]++
-	}
-	colIdx := make([]int32, 0, nnz)
-	vals := make([]float64, 0, nnz)
-	start := 0
+	out, in := 0, 0
 	for i := 0; i < c.Rows; i++ {
-		end := next[i]
-		seg := keys[start:end]
-		slices.Sort(seg)
-		prev := int32(-1)
-		for _, kk := range seg {
-			j := int32(kk >> 32)
-			v := c.V[uint32(kk)]
-			if j == prev {
-				vals[len(vals)-1] += v
+		start, end := out, m.RowPtr[i]
+		sorted := true
+		for ; in < end; in++ {
+			j := colIdx[in]
+			if f := first[j]; f >= start {
+				vals[f] += vals[in]
 				continue
 			}
-			prev = j
-			colIdx = append(colIdx, j)
-			vals = append(vals, v)
+			if out > start && j < colIdx[out-1] {
+				sorted = false
+			}
+			first[j] = out
+			colIdx[out], vals[out] = j, vals[in]
+			out++
 		}
-		m.RowPtr[i+1] = len(colIdx)
-		start = end
+		if !sorted {
+			sortRow(colIdx[start:out], vals[start:out])
+		}
+		m.RowPtr[i] = start
 	}
-	m.ColIdx, m.Vals = colIdx, vals
+	m.RowPtr[c.Rows] = out
+	m.ColIdx, m.Vals = colIdx[:out], vals[:out]
 	return m
+}
+
+// sortRow sorts one row's distinct columns ascending, carrying their
+// values: insertion sort up to 256 entries, sort.Sort above.
+func sortRow(cols []int32, vals []float64) {
+	if len(cols) > 256 {
+		sort.Sort(rowSorter{cols, vals})
+		return
+	}
+	for a := 1; a < len(cols); a++ {
+		j, v := cols[a], vals[a]
+		b := a
+		for ; b > 0 && cols[b-1] > j; b-- {
+			cols[b], vals[b] = cols[b-1], vals[b-1]
+		}
+		cols[b], vals[b] = j, v
+	}
+}
+
+// rowSorter orders a row's (column, value) pairs by column.
+type rowSorter struct {
+	cols []int32
+	vals []float64
+}
+
+func (s rowSorter) Len() int           { return len(s.cols) }
+func (s rowSorter) Less(a, b int) bool { return s.cols[a] < s.cols[b] }
+func (s rowSorter) Swap(a, b int) {
+	s.cols[a], s.cols[b] = s.cols[b], s.cols[a]
+	s.vals[a], s.vals[b] = s.vals[b], s.vals[a]
 }
 
 // Transpose returns mᵀ in CSR form.

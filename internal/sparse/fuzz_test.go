@@ -1,26 +1,44 @@
 package sparse
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 // fuzzCOO builds a COO matrix from fuzz input: rows in 1..40 and columns in
 // 1..100 from the two size bytes (so a one-column matrix is reachable),
 // then three bytes per entry — row, column, value — with coordinates taken
-// modulo the size and values eighths in [-16, 16), zero included. It also
-// returns the naive dense image: every entry summed into a row-major array
-// in Add order, and which coordinates were added at all.
-func fuzzCOO(rb, cb uint8, data []byte) (c *COO, dense []float64, present []bool) {
+// modulo the size and the value byte mapped by value. It also returns the
+// naive dense image: every entry summed into a row-major array in Add
+// order, and which coordinates were added at all.
+func fuzzCOO(rb, cb uint8, data []byte, value func(byte) float64) (c *COO, dense []float64, present []bool) {
 	rows, cols := int(rb)%40+1, int(cb)%100+1
 	c = NewCOO(rows, cols)
 	dense = make([]float64, rows*cols)
 	present = make([]bool, rows*cols)
 	for k := 0; k+2 < len(data); k += 3 {
 		i, j := int(data[k])%rows, int(data[k+1])%cols
-		v := float64(int8(data[k+2])) / 8
+		v := value(data[k+2])
 		c.Add(i, j, v)
 		dense[i*cols+j] += v
 		present[i*cols+j] = true
 	}
 	return c, dense, present
+}
+
+// eighths maps a fuzz byte to an eighth in [-16, 16), zero included. Sums
+// of eighths are exact, so they agree in any order.
+func eighths(b byte) float64 { return float64(int8(b)) / 8 }
+
+// wideByte maps a fuzz byte to a value whose sums depend on their order: a
+// signed mantissa in [-4, 3] from the low three bits times 2^(3e−48) for e
+// the high five bits (2^-48 to 2^45, 28 decades), with −0 in place of 0.
+func wideByte(b byte) float64 {
+	m := int(b&7) - 4
+	if m == 0 {
+		return math.Copysign(0, -1)
+	}
+	return math.Ldexp(float64(m), 3*int(b>>3)-48)
 }
 
 // addFuzzSeeds seeds a layout fuzzer with duplicates, empty rows, a
@@ -37,35 +55,42 @@ func addFuzzSeeds(f *testing.F) {
 	}
 	long = append(long, 5, 3, 7, 5, 3, 9)
 	f.Add(uint8(7), uint8(90), long)
+	// Under wideByte, (3·2^45 + −3·2^45) + 2^-48 is 2^-48 in Add order and
+	// 0 in reverse; −0 + −0 is −0, which a sum that starts from +0 loses.
+	f.Add(uint8(2), uint8(2), []byte{1, 1, 255, 1, 1, 249, 0, 0, 4, 1, 1, 5, 0, 0, 4})
 }
 
-// FuzzToCSR checks the counted CSR build: the result validates, stores
-// exactly the distinct coordinates added, and each holds the sum of its
-// duplicates in Add order.
+// FuzzToCSR checks the counting-scatter CSR build under both value
+// mappings: the result validates, stores exactly the distinct coordinates
+// added, each holds the sum of its duplicates in Add order, and RowPtr,
+// ColIdx and the bits of Vals equal the keyed-sort oracle's.
 func FuzzToCSR(f *testing.F) {
 	addFuzzSeeds(f)
 	f.Fuzz(func(t *testing.T, rb, cb uint8, data []byte) {
-		c, dense, present := fuzzCOO(rb, cb, data)
-		m := c.ToCSR()
-		if err := m.Validate(); err != nil {
-			t.Fatal(err)
-		}
-		distinct := 0
-		for _, p := range present {
-			if p {
-				distinct++
+		for _, value := range []func(byte) float64{eighths, wideByte} {
+			c, dense, present := fuzzCOO(rb, cb, data, value)
+			m := c.ToCSR()
+			if err := m.Validate(); err != nil {
+				t.Fatal(err)
 			}
-		}
-		if m.NNZ() != distinct {
-			t.Fatalf("NNZ = %d, want %d distinct coordinates", m.NNZ(), distinct)
-		}
-		for i := 0; i < m.Rows; i++ {
-			for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
-				at := i*m.Cols + int(m.ColIdx[k])
-				if !present[at] || m.Vals[k] != dense[at] {
-					t.Fatalf("(%d, %d) = %v, want %v (added: %v)", i, m.ColIdx[k], m.Vals[k], dense[at], present[at])
+			distinct := 0
+			for _, p := range present {
+				if p {
+					distinct++
 				}
 			}
+			if m.NNZ() != distinct {
+				t.Fatalf("NNZ = %d, want %d distinct coordinates", m.NNZ(), distinct)
+			}
+			for i := 0; i < m.Rows; i++ {
+				for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
+					at := i*m.Cols + int(m.ColIdx[k])
+					if !present[at] || m.Vals[k] != dense[at] {
+						t.Fatalf("(%d, %d) = %v, want %v (added: %v)", i, m.ColIdx[k], m.Vals[k], dense[at], present[at])
+					}
+				}
+			}
+			requireSameCSR(t, "keyed oracle", m, toCSRKeyed(c))
 		}
 	})
 }
@@ -75,7 +100,7 @@ func FuzzToCSR(f *testing.F) {
 func FuzzToMBSR(f *testing.F) {
 	addFuzzSeeds(f)
 	f.Fuzz(func(t *testing.T, rb, cb uint8, data []byte) {
-		c, dense, _ := fuzzCOO(rb, cb, data)
+		c, dense, _ := fuzzCOO(rb, cb, data, eighths)
 		b := ToMBSR(c.ToCSR())
 		if b.BlockRows != (c.Rows+BlockSize-1)/BlockSize || b.BlockCols != (c.Cols+BlockSize-1)/BlockSize {
 			t.Fatalf("%d×%d blocks for a %d×%d matrix", b.BlockRows, b.BlockCols, c.Rows, c.Cols)
@@ -105,7 +130,7 @@ func FuzzToMBSR(f *testing.F) {
 func FuzzToDASP(f *testing.F) {
 	addFuzzSeeds(f)
 	f.Fuzz(func(t *testing.T, rb, cb uint8, data []byte) {
-		c, dense, _ := fuzzCOO(rb, cb, data)
+		c, dense, _ := fuzzCOO(rb, cb, data, eighths)
 		m := c.ToCSR()
 		d := ToDASP(m)
 		if d.Rows != m.Rows || d.Cols != m.Cols || d.NNZ != m.NNZ() {

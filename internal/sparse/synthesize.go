@@ -637,7 +637,7 @@ func drawCorpusMatrix(i int, g *lcg.Generator) corpusMatrix {
 // Each row draws distinct columns against a stamp array (stamp[j] == i+1
 // marks column j taken in row i), then sorts its entries by column, which
 // yields the CSR row a COO build of the same draws produces. The sort keys
-// carry each entry's draw position in their low bits, as COO.ToCSR's do.
+// carry each entry's draw position in their low bits, which index vals.
 // It needs rows ≥ 2: every row holds its diagonal and at least one more
 // column.
 func powerLawRows(rows, avgDeg int, g *lcg.Generator) *CSR {

@@ -252,9 +252,23 @@ func TestApplyDASPSpecialValues(t *testing.T) {
 	}
 }
 
-// TestApplyDASPCounterParity pins the MMU counters of the diagonal sweep to
-// the full-tile route's: the modeled device issues the same m8n8k4 MMAs,
-// panel sweeps and fragment traffic whichever host route computes them.
+// withEmptyBlock returns m with eight empty rows in front. They are the
+// matrix's first eight short rows, so ToDASP packs them into a block of 0
+// segments, which runs no MMA and counts nothing.
+func withEmptyBlock(m *sparse.CSR) *sparse.CSR {
+	const empty = 8
+	e := &sparse.CSR{Rows: m.Rows + empty, Cols: m.Cols, ColIdx: m.ColIdx, Vals: m.Vals,
+		RowPtr: make([]int, empty, empty+len(m.RowPtr))}
+	e.RowPtr = append(e.RowPtr, m.RowPtr...)
+	return e
+}
+
+// TestApplyDASPCounterParity pins the MMU counters of the diagonal sweep,
+// which ApplyDASP accounts once per tile range, to the per-block sums a
+// DMMAPanel call per block counts: one tile per segment, and one panel
+// sweep and 2·segs+2 fragment ops per block of at least one segment. The
+// full-tile route, which runs DMMAPanel per block, must count the same. The
+// matrices include a block of 0 segments, at one and two workers.
 func TestApplyDASPCounterParity(t *testing.T) {
 	counters := []*metrics.ShardedCounter{
 		metrics.NewShardedCounter("cubie_mmu_dmma_tiles_total", ""),
@@ -274,19 +288,41 @@ func TestApplyDASPCounterParity(t *testing.T) {
 		return d
 	}
 	m, x := mixedCSR(t)
-	dasp := sparse.ToDASP(m)
-	got := deltas(func() { ApplyDASP(dasp, x) })
-	want := deltas(func() { applyDASPFullTile(dasp, x) })
-	if got[0] == 0 {
-		t.Fatal("ApplyDASP counted no MMA tiles")
-	}
-	if got[0] != uint64(dasp.SegOff[len(dasp.Blocks)]) {
-		t.Fatalf("ApplyDASP counted %d MMA tiles, want one per segment (%d)",
-			got[0], dasp.SegOff[len(dasp.Blocks)])
-	}
-	for i, c := range []string{"tiles", "panels", "fragment ops"} {
-		if got[i] != want[i] {
-			t.Errorf("%s: ApplyDASP added %d, the full-tile route %d", c, got[i], want[i])
+	for _, tc := range []struct {
+		name string
+		m    *sparse.CSR
+	}{{"mixed", m}, {"empty block", withEmptyBlock(m)}} {
+		dasp := sparse.ToDASP(tc.m)
+		want := make([]uint64, len(counters))
+		emptyBlocks := 0
+		for bi := range dasp.Blocks {
+			segs := uint64(dasp.SegOff[bi+1] - dasp.SegOff[bi])
+			want[0] += segs
+			if segs == 0 {
+				emptyBlocks++
+				continue
+			}
+			want[1]++
+			want[2] += 2*segs + 2
+		}
+		if tc.name == "empty block" && emptyBlocks == 0 {
+			t.Fatal("the layout has no block of 0 segments")
+		}
+		for _, workers := range []int{1, 2} {
+			prev := par.SetWorkers(workers)
+			got := deltas(func() { ApplyDASP(dasp, x) })
+			oracle := deltas(func() { applyDASPFullTile(dasp, x) })
+			par.SetWorkers(prev)
+			for i, c := range []string{"tiles", "panels", "fragment ops"} {
+				if got[i] != want[i] {
+					t.Errorf("%s, %d workers: ApplyDASP added %d %s, the per-block sum is %d",
+						tc.name, workers, got[i], c, want[i])
+				}
+				if oracle[i] != want[i] {
+					t.Errorf("%s, %d workers: the full-tile route added %d %s, the per-block sum is %d",
+						tc.name, workers, oracle[i], c, want[i])
+				}
+			}
 		}
 	}
 }

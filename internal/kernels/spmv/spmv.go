@@ -168,7 +168,8 @@ const segTile = mmu.M * mmu.K
 // 8×8 tile, with x read through the index slab, so the hot loop stages
 // nothing and allocates nothing but y. The full-tile route (gathered B
 // panel, DMMAPanel, diagonal extraction) survives in the tests as the
-// bitwise oracle of this route.
+// bitwise oracle of this route. Each tile range accounts its sweeps'
+// counters once, through mmu.AddDiagSweeps.
 //
 // Blocks are independent — ToDASP assigns each output row to exactly one
 // block (long rows occupy all eight lanes of a single block) — so the block
@@ -177,13 +178,18 @@ const segTile = mmu.M * mmu.K
 func ApplyDASP(dasp *sparse.DASP, x []float64) []float64 {
 	y := make([]float64, dasp.Rows)
 	par.ForTiles(len(dasp.Blocks), func(lo, hi int) {
+		sweeps := 0
 		for bi := lo; bi < hi; bi++ {
 			var diag [mmu.M]float64
 			segs := int(dasp.SegOff[bi+1] - dasp.SegOff[bi])
 			off := int(dasp.SegOff[bi]) * segTile
 			mmu.DMMAPanelDiag(&diag, dasp.APanels[off:], x, dasp.BCols[off:], segs)
 			finishDASPBlock(&dasp.Blocks[bi], &diag, y)
+			if segs > 0 {
+				sweeps++
+			}
 		}
+		mmu.AddDiagSweeps(int(dasp.SegOff[hi]-dasp.SegOff[lo]), sweeps)
 	})
 	return y
 }

@@ -53,7 +53,7 @@ type FragC [2 * WarpSize]float64
 
 // LoadA fills the fragment from an 8×4 row-major tile (stride 4).
 func (f *FragA) Load(tile []float64) {
-	AddFragmentOps(1)
+	addFragmentOps(0, 1)
 	for t := 0; t < WarpSize; t++ {
 		r, c := AElement(t)
 		f[t] = tile[r*K+c]
@@ -62,7 +62,7 @@ func (f *FragA) Load(tile []float64) {
 
 // Load fills the fragment from a 4×8 row-major tile (stride 8).
 func (f *FragB) Load(tile []float64) {
-	AddFragmentOps(1)
+	addFragmentOps(0, 1)
 	for t := 0; t < WarpSize; t++ {
 		r, c := BElement(t)
 		f[t] = tile[r*N+c]
@@ -71,7 +71,7 @@ func (f *FragB) Load(tile []float64) {
 
 // Load fills the fragment from an 8×8 row-major tile (stride 8).
 func (f *FragC) Load(tile []float64) {
-	AddFragmentOps(1)
+	addFragmentOps(0, 1)
 	for t := 0; t < WarpSize; t++ {
 		r, c0, c1 := CElements(t)
 		f[2*t] = tile[r*N+c0]
@@ -81,7 +81,7 @@ func (f *FragC) Load(tile []float64) {
 
 // Store writes the fragment back to an 8×8 row-major tile (stride 8).
 func (f *FragC) Store(tile []float64) {
-	AddFragmentOps(1)
+	addFragmentOps(0, 1)
 	for t := 0; t < WarpSize; t++ {
 		r, c0, c1 := CElements(t)
 		tile[r*N+c0] = f[2*t]

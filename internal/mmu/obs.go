@@ -22,19 +22,19 @@ var (
 	metBMMAOps = metrics.NewShardedCounter("cubie_mmu_bmma_ops_total",
 		"Single-bit m8n8k128 AND+POPC MMA executions (×2048 for bit ops).")
 	metDMMAPanels = metrics.NewShardedCounter("cubie_mmu_dmma_panels_total",
-		"Fused panel k-sweeps executed (DMMAPanel/DMMAPanelDiag/DMMAPanelPair/DMMABatch calls).")
+		"Fused panel k-sweeps executed (DMMAPanel/DMMAPanelDiag/DMMAPanelPair/DMMABatch sweeps).")
 	metFragmentOps = metrics.NewShardedCounter("cubie_mmu_fragment_ops_total",
 		"Warp fragment load/store operations (FragA/FragB/FragC traffic).")
 )
 
-// AddFragmentOps records n fragment load/store operations in one batched
-// metrics update. The panel engine uses it to account a whole k-sweep's
+// addFragmentOps records n fragment load/store operations in one batched
+// metrics update on the shard hint h selects. The panel kernels pass their
+// output's address, as for the tile counters, to account a whole k-sweep's
 // operand staging (2 fragments per k-tile plus the resident accumulator's
-// load and store) with a single atomic add; explicit fragment users go
-// through the same entry point via the Frag Load/Store methods.
-func AddFragmentOps(n int) {
+// load and store); the Frag Load/Store methods pass 0.
+func addFragmentOps(h uintptr, n int) {
 	if n > 0 {
-		metFragmentOps.Add(uint64(n))
+		metFragmentOps.AddAt(h, uint64(n))
 	}
 }
 

@@ -180,7 +180,7 @@ func DMMAPanel(c, aPanel, bPanel []float64, kTiles int) {
 	metDMMAPanels.AddAt(h, 1)
 	// Operand staging traffic: one A and one B fragment per k-tile, plus the
 	// panel-resident C fragment load + store.
-	AddFragmentOps(2*kTiles + 2)
+	addFragmentOps(h, 2*kTiles+2)
 }
 
 // DMMAPanelDiag executes the k-sweep of DMMAPanel for a consumer that reads
@@ -194,8 +194,11 @@ func DMMAPanel(c, aPanel, bPanel []float64, kTiles int) {
 // kTiles) with b[i] = x[bIdx[i]]: each lane runs the same ascending-k FMA
 // chain from its C input, and no off-diagonal element ever feeds a diagonal
 // one, so even NaN, ±Inf and −0 come out bit-identical (pinned by
-// TestDMMAPanelDiagMatchesPanel and the chain vectors). The modeled device
-// still issues kTiles m8n8k4 MMAs, so the metrics updates are DMMAPanel's.
+// TestDMMAPanelDiagMatchesPanel and the chain vectors).
+//
+// DMMAPanelDiag updates no counters: the modeled device issues DMMAPanel's
+// kTiles MMAs, and the caller accounts a whole range of sweeps at once
+// through AddDiagSweeps.
 func DMMAPanelDiag(diag *[M]float64, aPanel, x []float64, bIdx []int32, kTiles int) {
 	if kTiles < 0 {
 		panic("mmu: negative kTiles")
@@ -203,29 +206,64 @@ func DMMAPanelDiag(diag *[M]float64, aPanel, x []float64, bIdx []int32, kTiles i
 	if len(aPanel) < kTiles*M*K || len(bIdx) < kTiles*K*N {
 		panic("mmu: operand panels shorter than kTiles tiles")
 	}
-	if kTiles == 0 {
-		return
-	}
-	// Tile-outer, lane-inner: the eight lane chains are independent, so
-	// their FMAs and gathers overlap.
-	d := *diag
+	// The eight lane accumulators are scalar locals so they stay in
+	// registers across the sweep: without GOAMD64=v3 every math.FMA carries
+	// a CPU-feature test and a fallback call, and an accumulator array would
+	// be reloaded and stored around each one. The tile body is written out
+	// k-outer so the eight independent chains interleave; each lane still
+	// runs its ascending-k chain.
+	d0, d1, d2, d3, d4, d5, d6, d7 := diag[0], diag[1], diag[2], diag[3], diag[4], diag[5], diag[6], diag[7]
 	for kt := 0; kt < kTiles; kt++ {
 		a := (*[M * K]float64)(aPanel[kt*M*K:])
 		ix := (*[K * N]int32)(bIdx[kt*K*N:])
-		for l := 0; l < M; l++ {
-			v := d[l]
-			v = math.FMA(a[l*K], x[ix[l]], v)
-			v = math.FMA(a[l*K+1], x[ix[N+l]], v)
-			v = math.FMA(a[l*K+2], x[ix[2*N+l]], v)
-			v = math.FMA(a[l*K+3], x[ix[3*N+l]], v)
-			d[l] = v
-		}
+		d0 = math.FMA(a[0], x[ix[0]], d0)
+		d1 = math.FMA(a[4], x[ix[1]], d1)
+		d2 = math.FMA(a[8], x[ix[2]], d2)
+		d3 = math.FMA(a[12], x[ix[3]], d3)
+		d4 = math.FMA(a[16], x[ix[4]], d4)
+		d5 = math.FMA(a[20], x[ix[5]], d5)
+		d6 = math.FMA(a[24], x[ix[6]], d6)
+		d7 = math.FMA(a[28], x[ix[7]], d7)
+
+		d0 = math.FMA(a[1], x[ix[N+0]], d0)
+		d1 = math.FMA(a[5], x[ix[N+1]], d1)
+		d2 = math.FMA(a[9], x[ix[N+2]], d2)
+		d3 = math.FMA(a[13], x[ix[N+3]], d3)
+		d4 = math.FMA(a[17], x[ix[N+4]], d4)
+		d5 = math.FMA(a[21], x[ix[N+5]], d5)
+		d6 = math.FMA(a[25], x[ix[N+6]], d6)
+		d7 = math.FMA(a[29], x[ix[N+7]], d7)
+
+		d0 = math.FMA(a[2], x[ix[2*N+0]], d0)
+		d1 = math.FMA(a[6], x[ix[2*N+1]], d1)
+		d2 = math.FMA(a[10], x[ix[2*N+2]], d2)
+		d3 = math.FMA(a[14], x[ix[2*N+3]], d3)
+		d4 = math.FMA(a[18], x[ix[2*N+4]], d4)
+		d5 = math.FMA(a[22], x[ix[2*N+5]], d5)
+		d6 = math.FMA(a[26], x[ix[2*N+6]], d6)
+		d7 = math.FMA(a[30], x[ix[2*N+7]], d7)
+
+		d0 = math.FMA(a[3], x[ix[3*N+0]], d0)
+		d1 = math.FMA(a[7], x[ix[3*N+1]], d1)
+		d2 = math.FMA(a[11], x[ix[3*N+2]], d2)
+		d3 = math.FMA(a[15], x[ix[3*N+3]], d3)
+		d4 = math.FMA(a[19], x[ix[3*N+4]], d4)
+		d5 = math.FMA(a[23], x[ix[3*N+5]], d5)
+		d6 = math.FMA(a[27], x[ix[3*N+6]], d6)
+		d7 = math.FMA(a[31], x[ix[3*N+7]], d7)
 	}
-	*diag = d
-	h := hintOf(unsafe.Pointer(diag))
-	metDMMATiles.AddAt(h, uint64(kTiles))
-	metDMMAPanels.AddAt(h, 1)
-	AddFragmentOps(2*kTiles + 2)
+	*diag = [M]float64{d0, d1, d2, d3, d4, d5, d6, d7}
+}
+
+// AddDiagSweeps accounts sweeps DMMAPanelDiag calls of tiles k-tiles in
+// total with one update per counter, each sweep counted as DMMAPanel's: its
+// k-tiles, one panel sweep, and one A and one B fragment per k-tile plus
+// the accumulator's load and store. A call with kTiles == 0 executes no
+// MMA, so it is left out of sweeps.
+func AddDiagSweeps(tiles, sweeps int) {
+	metDMMATiles.Add(uint64(tiles))
+	metDMMAPanels.Add(uint64(sweeps))
+	addFragmentOps(0, 2*tiles+2*sweeps)
 }
 
 // DMMAPanelPair executes the software-pipelined double-buffered k-sweep of
@@ -276,7 +314,7 @@ func DMMAPanelPair(cEven, cOdd, aPanel, bPanel []float64, kTiles int) {
 	h := hintOf(unsafe.Pointer(ce))
 	metDMMATiles.AddAt(h, uint64(kTiles))
 	metDMMAPanels.AddAt(h, 1)
-	AddFragmentOps(2*kTiles + 4) // A+B per tile, two C fragments in and out
+	addFragmentOps(h, 2*kTiles+4) // A+B per tile, two C fragments in and out
 }
 
 // DMMABatch executes n independent FP64 m8n8k4 MMAs from packed panels:
@@ -302,7 +340,7 @@ func DMMABatch(cPanel, aPanel, bPanel []float64, n int) {
 	h := hintOf(unsafe.Pointer(&cPanel[0]))
 	metDMMATiles.AddAt(h, uint64(n))
 	metDMMAPanels.AddAt(h, 1)
-	AddFragmentOps(4 * n) // A, B, C-in, C-out per product
+	addFragmentOps(h, 4*n) // A, B, C-in, C-out per product
 }
 
 // PackA packs the leading 8 rows of a row-major operand into kTiles

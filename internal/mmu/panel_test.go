@@ -53,11 +53,47 @@ func randomGather(seed int64, n, kTiles int) (x []float64, bIdx []int32) {
 	return x, bIdx
 }
 
+// diagOfPanel checks DMMAPanelDiag from diag(c) bitwise against the
+// diagonal of DMMAPanel over the gathered B panel (any NaN matching NaN).
+func diagOfPanel(t *testing.T, what string, c, aPanel, x []float64, bIdx []int32, kTiles int) {
+	t.Helper()
+	bPanel := make([]float64, len(bIdx))
+	for i, j := range bIdx {
+		bPanel[i] = x[j]
+	}
+	var diag [M]float64
+	for l := range diag {
+		diag[l] = c[l*N+l]
+	}
+	DMMAPanel(c, aPanel, bPanel, kTiles)
+	DMMAPanelDiag(&diag, aPanel, x, bIdx, kTiles)
+	for l := range diag {
+		want := c[l*N+l]
+		if math.IsNaN(want) {
+			if !math.IsNaN(diag[l]) {
+				t.Fatalf("%s kTiles=%d: lane %d = %v, want NaN", what, kTiles, l, diag[l])
+			}
+			continue
+		}
+		if math.Float64bits(diag[l]) != math.Float64bits(want) {
+			t.Fatalf("%s kTiles=%d: lane %d differs: %v != %v", what, kTiles, l, diag[l], want)
+		}
+	}
+}
+
 // TestDMMAPanelDiagMatchesPanel pins DMMAPanelDiag bitwise to the diagonal
-// of DMMAPanel over the gathered B panel, from a random accumulator, for
-// every kTiles in 0..17. At odd kTiles five x values are ±Inf, NaN, −0 and
-// a subnormal, so some off-diagonal elements of the full tile turn NaN or
-// Inf while the diagonal must still match.
+// of DMMAPanel over the gathered B panel, from a random accumulator.
+//
+// Random sweeps cover every kTiles in 0..17; at odd kTiles five x values are
+// ±Inf, NaN, −0 and a subnormal, so some off-diagonal elements of the full
+// tile turn NaN or Inf while the diagonal must still match.
+//
+// Padded sweeps cover kTiles 1..9 the way DASP lays out rows: lane l holds
+// 4·kTiles−1−l%3 distinct nonzeros, and its padded slots (A = 0) gather a
+// NaN, +Inf or −Inf (three lanes, rotating with kTiles, which turn NaN) or
+// −0 (the other five). The padded slots must still execute, and with
+// distinct values in every lane a swapped lane or a reordered FMA of the
+// written-out tile body changes some finite lane's bits.
 func TestDMMAPanelDiagMatchesPanel(t *testing.T) {
 	specials := []float64{math.Inf(1), math.Inf(-1), math.NaN(),
 		math.Copysign(0, -1), math.SmallestNonzeroFloat64}
@@ -69,28 +105,28 @@ func TestDMMAPanelDiagMatchesPanel(t *testing.T) {
 				x[i*11] = v
 			}
 		}
-		bPanel := make([]float64, len(bIdx))
+		diagOfPanel(t, "random", c, aPanel, x, bIdx, kTiles)
+	}
+
+	pads := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1)}
+	for kTiles := 1; kTiles <= 9; kTiles++ {
+		c, aPanel, _ := randomPanels(int64(kTiles)+1300, kTiles)
+		x, bIdx := randomGather(int64(kTiles)+1500, 61, kTiles)
+		copy(x, pads) // x[0..3] hold the pad values; random indices avoid them
 		for i, j := range bIdx {
-			bPanel[i] = x[j]
-		}
-		var diag [M]float64
-		for l := range diag {
-			diag[l] = c[l*N+l]
-		}
-		DMMAPanel(c, aPanel, bPanel, kTiles)
-		DMMAPanelDiag(&diag, aPanel, x, bIdx, kTiles)
-		for l := range diag {
-			want := c[l*N+l]
-			if math.IsNaN(want) {
-				if !math.IsNaN(diag[l]) {
-					t.Fatalf("kTiles=%d: lane %d = %v, want NaN", kTiles, l, diag[l])
-				}
-				continue
-			}
-			if math.Float64bits(diag[l]) != math.Float64bits(want) {
-				t.Fatalf("kTiles=%d: lane %d differs: %v != %v", kTiles, l, diag[l], want)
+			if j < int32(len(pads)) {
+				bIdx[i] = int32(len(pads)) + j
 			}
 		}
+		for l := 0; l < M; l++ {
+			pad := min((l+M-kTiles%M)%M, len(pads)-1) // lanes kTiles..kTiles+2 mod 8 gather NaN, +Inf, −Inf
+			for s := 4*kTiles - 1 - l%3; s < 4*kTiles; s++ {
+				kt, k := s/K, s%K
+				aPanel[kt*M*K+l*K+k] = 0
+				bIdx[kt*K*N+k*N+l] = int32(pad)
+			}
+		}
+		diagOfPanel(t, "padded", c, aPanel, x, bIdx, kTiles)
 	}
 }
 

@@ -74,6 +74,10 @@ func ReadLimited(r io.Reader, maxDim int) (*sparse.CSR, error) {
 	if rows > maxDim || cols > maxDim {
 		return nil, fmt.Errorf("mtx: dimensions %dx%d exceed the limit %d", rows, cols, maxDim)
 	}
+	if h.symmetry != "general" && rows != cols {
+		// The mirrored entry (j, i) would fall outside a non-square matrix.
+		return nil, fmt.Errorf("mtx: %s matrix is %dx%d, not square", h.symmetry, rows, cols)
+	}
 
 	coo := sparse.NewCOO(rows, cols)
 	read := 0

@@ -93,6 +93,8 @@ func TestReadErrors(t *testing.T) {
 		"bad value":        "%%MatrixMarket matrix coordinate real general\n1 1 1\n1 1 xyz\n",
 		"bad size":         "%%MatrixMarket matrix coordinate real general\nfoo bar baz\n",
 		"huge dims":        "%%MatrixMarket matrix coordinate real general\n999999999 999999999 1\n1 1 1\n",
+		"symmetric 7x1":    "%%MatrixMarket matrix coordinate real symmetric\n7 1 1\n2 1 0\n",
+		"skew 1x2":         "%%MatrixMarket matrix coordinate real skew-symmetric\n1 2 1\n1 2 1\n",
 	}
 	for name, in := range cases {
 		if _, err := Read(strings.NewReader(in)); err == nil {

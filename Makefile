@@ -36,8 +36,7 @@
 #                        a fresh worker off the shared store and require
 #                        zero workload executions (runs inside make test)
 #
-# The repository benchmark is bench/run.sh (see bench/README.md); the
-# go test -bench functions remain developer probes.
+# The repository benchmark is bench/run.sh (see bench/README.md).
 
 GO ?= go
 

@@ -26,7 +26,6 @@
 //	whatif     the §11 counterfactual: Blackwell with FP64 scaling preserved
 //	sweep      bandwidth / tensor-peak provisioning sweeps with knees
 //	trace      write a Chrome-trace timeline of the measurement campaign
-//	selfbench  time this repo's own compute paths (§6 methodology)
 //	explain    resource-level breakdown of one workload/case/variant
 //	run        execute workloads through the instrumented harness path
 //	serve      long-lived characterization daemon with an HTTP/JSON API
@@ -54,7 +53,6 @@ import (
 	"repro/cubie"
 	"repro/internal/advisor"
 	"repro/internal/harness"
-	"repro/internal/measure"
 	"repro/internal/runcache"
 	"repro/internal/server"
 	"repro/internal/trace"
@@ -199,24 +197,6 @@ func main() {
 		if err := tl.Write(os.Stdout); err != nil {
 			fatal(err)
 		}
-	case "selfbench":
-		fmt.Println("Timing this repo's own compute paths (2 warmups, 5 timed runs,")
-		fmt.Println("the paper's §6 methodology at reduced counts). These are Go")
-		fmt.Println("execution times of the functional MMA layer, NOT simulated GPU times.")
-		fmt.Println()
-		for _, w := range h.Suite.Workloads() {
-			w := w
-			c := w.Representative()
-			stats, err := measure.Run(func() {
-				if _, err := w.Run(c, cubie.TC); err != nil {
-					fatal(err)
-				}
-			}, 2, 5)
-			if err != nil {
-				fatal(err)
-			}
-			fmt.Printf("%-10s %s\n", w.Name(), stats)
-		}
 	case "sweep":
 		if err := h.RenderSweepSection(os.Stdout, spec); err != nil {
 			fatal(err)
@@ -326,7 +306,7 @@ commands:
   suite | specs | quadrants | dwarfs | observe | datasets | peaks
   perf | speedup [--of tc-vs-baseline|cc-vs-tc|cce-vs-tc]
   edp | power | error | roofline [--gpu A100|H200|B200]
-  coverage [--corpus N] | ablate | advise | whatif | sweep | trace | selfbench
+  coverage [--corpus N] | ablate | advise | whatif | sweep | trace
   explain <workload> [case] [variant]
   run [<workload> [case] [variant]]
   serve [--addr host:port] [--config file] [--addr-file file] [--max-inflight N]

@@ -1,9 +1,8 @@
 package graph
 
 import (
-	"sync"
-
 	"repro/internal/metrics"
+	"repro/internal/par"
 )
 
 // Shared-cache metrics: hits are requests served from the process-wide
@@ -16,52 +15,26 @@ var (
 		"Table 3 graph requests that synthesized a new instance.")
 )
 
-// graphFlight is one per-name synthesis: the first requester owns it,
-// later requesters block on done and share the outcome.
-type graphFlight struct {
-	done chan struct{}
-	g    *Graph
-	err  error
-}
-
-// shared caches synthesized Table 3 graphs process-wide. Synthesis is
-// deterministic, so every consumer sees the identical graph. Entries are
-// per-name singleflights rather than a lock held across synthesis, so
-// distinct graphs synthesize concurrently — the harness planner pre-warms
-// them in parallel while the kernel that needs one joins its flight.
-var shared = struct {
-	mu sync.Mutex
-	m  map[string]*graphFlight
-}{m: map[string]*graphFlight{}}
+// shared caches synthesized Table 3 graphs process-wide, one flight per
+// name, so distinct graphs synthesize concurrently.
+var shared par.Flights[string, *Graph]
 
 // SynthesizeShared returns the process-wide shared instance of the named
-// Table 3 graph, synthesizing it on first use. The returned Graph must be
-// treated as read-only: BFS and the harness coverage/ablation studies all
-// hold the same pointer (BFS's Relabel copies into a fresh graph, so the
-// cached instance stays pristine). Concurrent first callers for one name
-// do the work exactly once; a failed synthesis is evicted so a later
+// Table 3 graph, synthesizing it on first use under pprof labels
+// {workload: "graph", variant: name, phase: "synthesize"}. The returned
+// Graph must be treated as read-only: BFS and the harness coverage study
+// all hold the same pointer (BFS's Relabel copies into a fresh graph, so
+// the cached instance stays pristine). Concurrent first callers for one
+// name do the work exactly once; a failed synthesis is evicted so a later
 // caller can retry.
 func SynthesizeShared(name string) (*Graph, error) {
-	shared.mu.Lock()
-	if f, ok := shared.m[name]; ok {
-		shared.mu.Unlock()
-		<-f.done
-		if f.err == nil {
-			metCacheHits.Inc()
-		}
-		return f.g, f.err
+	g, err, joined := shared.Do(name, func() (g *Graph, err error) {
+		metCacheMisses.Inc()
+		par.DoLabeled("graph", name, "synthesize", func() { g, err = Synthesize(name) })
+		return g, err
+	})
+	if joined && err == nil {
+		metCacheHits.Inc()
 	}
-	f := &graphFlight{done: make(chan struct{})}
-	shared.m[name] = f
-	shared.mu.Unlock()
-
-	metCacheMisses.Inc()
-	f.g, f.err = Synthesize(name)
-	if f.err != nil {
-		shared.mu.Lock()
-		delete(shared.m, name)
-		shared.mu.Unlock()
-	}
-	close(f.done)
-	return f.g, f.err
+	return g, err
 }

@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"repro/internal/device"
-	graphpkg "repro/internal/graph"
 	"repro/internal/kernels/bfs"
 	"repro/internal/sim"
 	"repro/internal/sparse"
@@ -125,21 +124,26 @@ func AblateDASPPadding() ([]AblationRow, error) {
 // AblateBFSRelabel measures the BerryBees BFS-order relabeling: the number
 // of 8×128 bitmap blocks (the traversal's memory footprint) with and
 // without the preprocessing, per Table 3 graph. Without relabeling the
-// scattered neighborhoods inflate the slice set several-fold. Both arms
-// count the blocks (graph.BlockCount) without packing them.
-func AblateBFSRelabel() ([]AblationRow, error) {
+// scattered neighborhoods inflate the slice set several-fold. The enabled
+// arm is the BFS case's own slice set, so once the BFS cases ran, the
+// study synthesizes and relabels nothing; the ablated arm counts the
+// synthesized graph's blocks (graph.BlockCount) without packing them.
+func AblateBFSRelabel(h *Harness) ([]AblationRow, error) {
+	w, err := h.Suite.ByName("BFS")
+	if err != nil {
+		return nil, err
+	}
 	var rows []AblationRow
-	for _, d := range graphpkg.Table3() {
-		g, err := graphpkg.SynthesizeShared(d.Name)
+	for _, c := range w.Cases() {
+		relabeled, original, err := w.(*bfs.Workload).BlockCounts(c)
 		if err != nil {
 			return nil, err
 		}
-		rl, _ := bfs.Relabel(g, bfs.Hub(g))
 		rows = append(rows, AblationRow{
 			Study:    "bfs-relabel",
-			Subject:  d.Name,
-			Baseline: float64(graphpkg.BlockCount(rl)),
-			Ablated:  float64(graphpkg.BlockCount(g)),
+			Subject:  c.Dataset,
+			Baseline: float64(relabeled),
+			Ablated:  float64(original),
 			Metric:   "8x128 bitmap blocks",
 		})
 	}

@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"repro/internal/device"
+	"repro/internal/metrics"
+	"repro/internal/workload"
 )
 
 func TestAblateOverlap(t *testing.T) {
@@ -71,7 +73,7 @@ func TestAblateDASPPadding(t *testing.T) {
 }
 
 func TestAblateBFSRelabel(t *testing.T) {
-	rows, err := AblateBFSRelabel()
+	rows, err := AblateBFSRelabel(New())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,6 +90,39 @@ func TestAblateBFSRelabel(t *testing.T) {
 	// (the Mycielskian's dense wiring gains little).
 	if improved < 3 {
 		t.Errorf("relabeling only helped %d/5 graphs", improved)
+	}
+}
+
+// TestBFSRelabelMemoReadsCaseInputs: once the BFS cases are profiled, the
+// bfs-relabel memo reads their relabeled graphs and slice sets, so
+// computing it synthesizes and relabels nothing. Asking for a Table 3
+// graph at all would move the shared-synthesis counters.
+func TestBFSRelabelMemoReadsCaseInputs(t *testing.T) {
+	h := New()
+	w, err := h.Suite.ByName("BFS")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var keys []RunKey
+	for _, c := range w.Cases() {
+		keys = append(keys, RunKey{w.Name(), c.Name, workload.TC})
+	}
+	if err := h.Execute(keys); err != nil {
+		t.Fatal(err)
+	}
+	hitsC := metrics.NewCounter("cubie_graph_synthesize_hits_total", "")
+	missesC := metrics.NewCounter("cubie_graph_synthesize_misses_total", "")
+	hits, misses := hitsC.Value(), missesC.Value()
+	computed := metMemosComputed.Value()
+	rows, err := memo[[]AblationRow](h, "bfs-relabel")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 5 || metMemosComputed.Value()-computed != 1 {
+		t.Fatalf("%d rows from %d memo computations, want 5 from 1", len(rows), metMemosComputed.Value()-computed)
+	}
+	if dh, dm := hitsC.Value()-hits, missesC.Value()-misses; dh != 0 || dm != 0 {
+		t.Fatalf("computing the memo moved the graph synthesis hits by %d and misses by %d, want 0 and 0", dh, dm)
 	}
 }
 

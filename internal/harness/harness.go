@@ -8,14 +8,17 @@
 // A Harness is safe for concurrent use. Everything it computes is named by
 // a plan key (RunKey, plan.go): a workload execution, a case's CPU-serial
 // reference (RefVariant), or a memoized value (MemoVariant, memo.go). Each
-// key has at most one in-memory flight, and do is the one read-or-compute
-// path behind all of them: the first caller loads the value from the
-// persistent run cache or computes it, concurrent callers block on its
-// completion and share the outcome, and a failed computation is evicted so
-// a later caller can retry. Every figure driver first enumerates the keys
-// it needs (plan.go), executes the deduplicated plan on a bounded worker
-// set, then assembles its rows serially in deterministic grid order —
-// harness output is independent of scheduling (the same property
+// key has at most one in-memory flight in the harness's par.Flights table,
+// and do is the one read-or-compute path behind all of them: the first
+// caller loads the value from the persistent run cache or computes it,
+// concurrent callers join its flight and share the outcome, and a failed
+// computation is evicted so a later caller can retry. The inputs a run
+// reads (datasets, layouts) are flights of their own, in the dataset
+// packages and the kernels, built under phase "synthesize" or "layout"
+// whichever key reaches them first. Every figure driver first enumerates
+// the keys it needs (plan.go), executes the deduplicated plan on a bounded
+// worker set, then assembles its rows serially in deterministic grid
+// order — harness output is independent of scheduling (the same property
 // internal/par guarantees one level down).
 //
 // # Persistent run cache
@@ -81,29 +84,22 @@ func runSeconds(workloadName string) *metrics.Histogram {
 type Harness struct {
 	Suite *core.Suite
 
-	mu      sync.Mutex
-	flights map[RunKey]*flight
-	failed  map[RunKey]bool // keys whose last computation errored
+	// flights holds one flight per plan key: a run's *workload.Result, a
+	// reference's []float64, or a memo's value.
+	flights par.Flights[RunKey, any]
+
+	mu     sync.Mutex
+	failed map[RunKey]bool // keys whose last computation errored
 
 	rc *runcache.Cache // persistent run cache; nil = in-memory only
-}
-
-// flight is one plan key's in-memory entry: the first caller owns the
-// computation; later callers block on done and share the outcome. val is
-// a run's *workload.Result, a reference's []float64, or a memo's value.
-type flight struct {
-	done chan struct{}
-	val  any
-	err  error
 }
 
 // New creates a harness over a fresh suite, without a persistent cache
 // (AttachCache opts in).
 func New() *Harness {
 	return &Harness{
-		Suite:   core.NewSuite(),
-		flights: map[RunKey]*flight{},
-		failed:  map[RunKey]bool{},
+		Suite:  core.NewSuite(),
+		failed: map[RunKey]bool{},
 	}
 }
 
@@ -127,47 +123,40 @@ func (h *Harness) RunCache() *runcache.Cache {
 // exists, else from load (the run cache), else from compute. Concurrent
 // callers for k share one flight, so exactly one of them loads or
 // computes, and every caller gets the same value. A failed computation is
-// evicted before done closes, so a later caller retries. The run counters
-// see run and reference keys only; a memo counts itself (memoDef.run).
+// evicted before its joiners wake, so a later caller retries. The run
+// counters see run and reference keys only; a memo counts itself
+// (memoDef.run).
 func (h *Harness) do(k RunKey, load func() (any, bool), compute func() (any, error)) (any, error) {
 	isRun := k.Variant != MemoVariant
-	h.mu.Lock()
-	if f, ok := h.flights[k]; ok {
-		h.mu.Unlock()
-		if isRun {
-			metRunsDeduped.Inc()
-		}
-		<-f.done
-		return f.val, f.err
-	}
-	f := &flight{done: make(chan struct{})}
-	h.flights[k] = f
-	retry := h.failed[k]
-	delete(h.failed, k)
-	h.mu.Unlock()
-	defer close(f.done)
-
-	if v, ok := load(); ok {
-		if isRun {
-			metRunsCached.Inc()
-		}
-		f.val = v
-		return v, nil
-	}
-	if retry && isRun {
-		metRunsRetried.Inc()
-	}
-	f.val, f.err = compute()
-	if f.err != nil {
-		if isRun {
-			metRunsFailed.Inc()
-		}
+	v, err, joined := h.flights.Do(k, func() (any, error) {
 		h.mu.Lock()
-		delete(h.flights, k)
-		h.failed[k] = true
+		retry := h.failed[k]
+		delete(h.failed, k)
 		h.mu.Unlock()
+		if v, ok := load(); ok {
+			if isRun {
+				metRunsCached.Inc()
+			}
+			return v, nil
+		}
+		if retry && isRun {
+			metRunsRetried.Inc()
+		}
+		v, err := compute()
+		if err != nil {
+			if isRun {
+				metRunsFailed.Inc()
+			}
+			h.mu.Lock()
+			h.failed[k] = true
+			h.mu.Unlock()
+		}
+		return v, err
+	})
+	if joined && isRun {
+		metRunsDeduped.Inc()
 	}
-	return f.val, f.err
+	return v, err
 }
 
 // run returns the result of one workload/case/variant, computing it only

@@ -72,7 +72,7 @@ var memoDefs = map[string]memoDef{
 	"matrix-corpus": memoOf(runcache.KindFeatures, "coverage", 2,
 		func(_ *Harness, p []int64) ([][]float64, error) { return matrixCorpusFeatures(int(p[0]), p[1]), nil }),
 	"bfs-relabel": memoOf(runcache.KindAblation, "ablation", 0,
-		func(*Harness, []int64) ([]AblationRow, error) { return AblateBFSRelabel() }),
+		func(h *Harness, _ []int64) ([]AblationRow, error) { return AblateBFSRelabel(h) }),
 	"graph-corpus": memoOf(runcache.KindFeatures, "coverage", 2,
 		func(_ *Harness, p []int64) ([][]float64, error) { return graphCorpusFeatures(int(p[0]), p[1]), nil }),
 	"dasp-padding": memoOf(runcache.KindAblation, "ablation", 0,

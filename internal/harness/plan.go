@@ -5,7 +5,7 @@ package harness
 // CPU-serial reference (RefVariant), or a memoized value (MemoVariant,
 // memo.go: the Figure 10 feature matrices, the dataset-level ablation arms
 // and the Table 6 rows). Each key has one flight in the harness's flight
-// table, reached through do (harness.go). Each experiment (figure, table,
+// table (a par.Flights keyed by RunKey), reached through do (harness.go). Each experiment (figure, table,
 // sweep) states up front exactly which keys it needs — the grid is static
 // — so the harness deduplicates them, orders them and executes them on a
 // bounded worker pool (Execute); the figure then assembles its rows from
@@ -42,6 +42,7 @@ import (
 	"sync"
 
 	"repro/internal/metrics"
+	"repro/internal/par"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -247,19 +248,9 @@ func (h *Harness) PlanByName(name string) ([]RunKey, error) {
 // in flight, failed, or not yet started do not count.
 func (h *Harness) Progress(keys []RunKey) int {
 	done := 0
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	for _, k := range keys {
-		f, ok := h.flights[k]
-		if !ok {
-			continue
-		}
-		select {
-		case <-f.done:
-			if f.err == nil {
-				done++
-			}
-		default:
+		if h.flights.State(k) == par.Done {
+			done++
 		}
 	}
 	return done
@@ -437,19 +428,17 @@ func (h *Harness) Execute(keys []RunKey) error {
 func (h *Harness) jobs(keys []RunKey) ([]planJob, error) {
 	seen := map[RunKey]bool{}
 	var pending []RunKey
-	h.mu.Lock()
 	for _, k := range keys {
 		if seen[k] {
 			metPlanDuplicates.Inc()
 			continue
 		}
 		seen[k] = true
-		if _, ok := h.flights[k]; ok {
+		if h.flights.State(k) != par.Absent {
 			continue // in flight or done; a failed flight is evicted
 		}
 		pending = append(pending, k)
 	}
-	h.mu.Unlock()
 	var jobs []planJob
 	path := map[RunKey]float64{} // the cost of the memo reading a key
 	for i := 0; i < len(pending); i++ {
@@ -469,15 +458,13 @@ func (h *Harness) jobs(keys []RunKey) ([]planJob, error) {
 		if h.rc.Has(d.kind, j.key.Case) {
 			continue
 		}
-		h.mu.Lock()
 		for _, in := range d.inputs(h) {
 			path[in] += j.cost
-			if _, ok := h.flights[in]; !ok && !seen[in] {
+			if !seen[in] && h.flights.State(in) == par.Absent {
 				seen[in] = true
 				pending = append(pending, in)
 			}
 		}
-		h.mu.Unlock()
 	}
 	for i := range jobs {
 		jobs[i].cost += path[jobs[i].key]

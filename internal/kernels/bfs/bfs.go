@@ -12,28 +12,31 @@ package bfs
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/graph"
 	"repro/internal/mmu"
+	"repro/internal/par"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
-// Workload is the BFS kernel.
+// Workload is the BFS kernel. It builds each case's traversal input once,
+// in a flight of its own, so distinct cases build concurrently.
 type Workload struct {
-	mu    sync.Mutex
-	cache map[string]*caseData
+	cases par.Flights[string, *caseData]
 }
 
+// caseData is one case's traversal input: the graph as synthesized, its
+// BFS-order relabeling from the hub, and the relabeled graph's slice set.
 type caseData struct {
+	orig   *graph.Graph
 	g      *graph.Graph
 	slices *graph.SliceSet
 	source int
 }
 
 // New returns the BFS workload.
-func New() *Workload { return &Workload{cache: map[string]*caseData{}} }
+func New() *Workload { return &Workload{} }
 
 // Name implements workload.Workload.
 func (*Workload) Name() string { return "BFS" }
@@ -64,23 +67,38 @@ func (w *Workload) Representative() workload.Case { return w.Cases()[3] } // kro
 // Repeats implements workload.Workload (Figure 7 loop count).
 func (*Workload) Repeats() int { return 2000 }
 
+// data returns case c's traversal input, built by the first caller under
+// pprof labels {workload: "BFS", variant: c.Name, phase: "layout"}.
 func (w *Workload) data(c workload.Case) (*caseData, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if d, ok := w.cache[c.Dataset]; ok {
+	d, err, _ := w.cases.Do(c.Dataset, func() (*caseData, error) {
+		g0, err := graph.SynthesizeShared(c.Dataset)
+		if err != nil {
+			return nil, err
+		}
+		// BerryBees-style preprocessing: relabel vertices in BFS order from
+		// the hub so neighborhoods pack into nearby bitmap columns, raising
+		// the 8×128 block fill (part of the format construction, done once).
+		d := &caseData{orig: g0}
+		par.DoLabeled("BFS", c.Name, "layout", func() {
+			d.g, d.source = Relabel(g0, Hub(g0))
+			d.slices = graph.ToSliceSet(d.g)
+		})
 		return d, nil
-	}
-	g0, err := graph.SynthesizeShared(c.Dataset)
+	})
+	return d, err
+}
+
+// BlockCounts returns the number of 8×128 bitmap blocks case c's
+// traversal stores, and the number its graph would need without the BFS
+// relabeling: the two arms of the BerryBees preprocessing ablation. The
+// first reads the case's slice set; the second counts the synthesized
+// graph's blocks without packing them.
+func (w *Workload) BlockCounts(c workload.Case) (relabeled, original int, err error) {
+	d, err := w.data(c)
 	if err != nil {
-		return nil, err
+		return 0, 0, err
 	}
-	// BerryBees-style preprocessing: relabel vertices in BFS order from the
-	// hub so neighborhoods pack into nearby bitmap columns, raising the
-	// 8×128 block fill (part of the format construction, done once).
-	g, src := Relabel(g0, Hub(g0))
-	d := &caseData{g: g, slices: graph.ToSliceSet(g), source: src}
-	w.cache[c.Dataset] = d
-	return d, nil
+	return d.slices.BlockCount(), graph.BlockCount(d.orig), nil
 }
 
 // counters accumulates the measured work of one traversal.
@@ -196,8 +214,8 @@ func Hub(g *graph.Graph) int {
 
 // Relabel renumbers vertices by BFS visit order from src (unreached
 // vertices keep their relative order at the end) and returns the relabeled
-// graph plus the new source id (always 0). Exported for the ablation study
-// of the BerryBees preprocessing step.
+// graph plus the new source id (always 0). Exported so the relabeled
+// Table 3 graphs' digests can be pinned (internal/graph's digest test).
 //
 // g must be symmetric, as every Table 3 graph is (graph.Undirected builds
 // them): new row r then holds exactly the new ids u whose old vertex lists

@@ -9,7 +9,6 @@ package spgemm
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"repro/internal/mmu"
 	"repro/internal/par"
@@ -22,9 +21,10 @@ import (
 const computeBudget = 1 << 23
 
 // Workload is the SpGEMM kernel, computing C = A·A for the Table 4 matrices.
+// It builds each case's mBSR layout and symbolic counts once, in a flight
+// of its own, so distinct cases build concurrently.
 type Workload struct {
-	mu    sync.Mutex
-	cache map[string]*caseData
+	cases par.Flights[string, *caseData]
 }
 
 type caseData struct {
@@ -42,7 +42,7 @@ type symbolicStats struct {
 }
 
 // New returns the SpGEMM workload.
-func New() *Workload { return &Workload{cache: map[string]*caseData{}} }
+func New() *Workload { return &Workload{} }
 
 // Name implements workload.Workload.
 func (*Workload) Name() string { return "SpGEMM" }
@@ -73,20 +73,22 @@ func (w *Workload) Representative() workload.Case { return w.Cases()[0] }
 // Repeats implements workload.Workload (Figure 7 loop count).
 func (*Workload) Repeats() int { return 5000 }
 
+// data returns case c's input, built by the first caller under pprof
+// labels {workload: "SpGEMM", variant: c.Name, phase: "layout"}.
 func (w *Workload) data(c workload.Case) (*caseData, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if d, ok := w.cache[c.Dataset]; ok {
+	d, err, _ := w.cases.Do(c.Dataset, func() (*caseData, error) {
+		m, err := sparse.SynthesizeShared(c.Dataset)
+		if err != nil {
+			return nil, err
+		}
+		d := &caseData{mat: m}
+		par.DoLabeled("SpGEMM", c.Name, "layout", func() {
+			d.bsr = sparse.ToMBSR(m)
+			d.stat = symbolic(d)
+		})
 		return d, nil
-	}
-	m, err := sparse.SynthesizeShared(c.Dataset)
-	if err != nil {
-		return nil, err
-	}
-	d := &caseData{mat: m, bsr: sparse.ToMBSR(m)}
-	d.stat = symbolic(d)
-	w.cache[c.Dataset] = d
-	return d, nil
+	})
+	return d, err
 }
 
 // symbolicGrain is the fixed chunk size of the parallel symbolic pass;

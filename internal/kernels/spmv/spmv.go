@@ -7,7 +7,6 @@ package spmv
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/lcg"
 	"repro/internal/mmu"
@@ -17,24 +16,24 @@ import (
 	"repro/internal/workload"
 )
 
-// Workload is the SpMV kernel. It caches each synthesized Table 4 matrix
-// with its padded DASP slot count, which is all a profile reads of the
-// layout; the layout itself is built on the first Run that executes it and
-// kept for later runs.
+// Workload is the SpMV kernel. It builds each case's input once, in a
+// flight of its own, so distinct cases build concurrently: the
+// synthesized Table 4 matrix with its padded DASP slot count, which is all
+// a profile reads of the layout. The layout itself is a second per-case
+// flight, built by the first Run that executes it and kept for later runs.
 type Workload struct {
-	mu    sync.Mutex
-	cache map[string]*caseData
+	cases  par.Flights[string, *caseData]
+	layout par.Flights[string, *sparse.DASP]
 }
 
 type caseData struct {
 	mat   *sparse.CSR
 	x     []float64
-	slots int                 // sparse.DASPPaddedSlots(mat)
-	dasp  func() *sparse.DASP // the layout, built once on first call
+	slots int // sparse.DASPPaddedSlots(mat)
 }
 
 // New returns the SpMV workload.
-func New() *Workload { return &Workload{cache: map[string]*caseData{}} }
+func New() *Workload { return &Workload{} }
 
 // Name implements workload.Workload.
 func (*Workload) Name() string { return "SpMV" }
@@ -65,22 +64,32 @@ func (w *Workload) Representative() workload.Case { return w.Cases()[0] }
 // Repeats implements workload.Workload (Figure 7 loop count).
 func (*Workload) Repeats() int { return 1_000_000 }
 
+// data returns case c's input, built by the first caller under pprof
+// labels {workload: "SpMV", variant: c.Name, phase: "layout"}.
 func (w *Workload) data(c workload.Case) (*caseData, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if d, ok := w.cache[c.Dataset]; ok {
+	d, err, _ := w.cases.Do(c.Dataset, func() (*caseData, error) {
+		m, err := sparse.SynthesizeShared(c.Dataset)
+		if err != nil {
+			return nil, err
+		}
+		d := &caseData{mat: m, x: make([]float64, m.Cols)}
+		par.DoLabeled("SpMV", c.Name, "layout", func() {
+			lcg.New(int64(m.Cols)).Fill(d.x)
+			d.slots = sparse.DASPPaddedSlots(m)
+		})
 		return d, nil
-	}
-	m, err := sparse.SynthesizeShared(c.Dataset)
-	if err != nil {
-		return nil, err
-	}
-	x := make([]float64, m.Cols)
-	lcg.New(int64(m.Cols)).Fill(x)
-	d := &caseData{mat: m, x: x, slots: sparse.DASPPaddedSlots(m),
-		dasp: sync.OnceValue(func() *sparse.DASP { return sparse.ToDASP(m) })}
-	w.cache[c.Dataset] = d
-	return d, nil
+	})
+	return d, err
+}
+
+// dasp returns case c's DASP layout, built by the first caller under the
+// same labels as its input.
+func (w *Workload) dasp(c workload.Case, d *caseData) *sparse.DASP {
+	l, _, _ := w.layout.Do(c.Dataset, func() (l *sparse.DASP, _ error) {
+		par.DoLabeled("SpMV", c.Name, "layout", func() { l = sparse.ToDASP(d.mat) })
+		return l, nil
+	})
+	return l
 }
 
 // Profile implements workload.Workload: the profile of the case's DASP
@@ -122,9 +131,9 @@ func (w *Workload) Run(c workload.Case, v workload.Variant) (*workload.Result, e
 	d, _ := w.data(c)
 	switch v {
 	case workload.TC, workload.CC:
-		res.Output = ApplyDASP(d.dasp(), d.x) // CC: same algorithm on the vector unit
+		res.Output = ApplyDASP(w.dasp(c, d), d.x) // CC: same algorithm on the vector unit
 	case workload.CCE:
-		res.Output = computeEssential(d.dasp(), d.x)
+		res.Output = computeEssential(w.dasp(c, d), d.x)
 	case workload.Baseline:
 		res.Output = computeBaseline(d)
 	}

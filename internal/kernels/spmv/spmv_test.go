@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/device"
 	"repro/internal/metrics"
+	"repro/internal/par"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -156,20 +157,22 @@ func TestCacheReuse(t *testing.T) {
 	if _, err := w.Run(c, workload.TC); err != nil {
 		t.Fatal(err)
 	}
-	w.mu.Lock()
-	n := len(w.cache)
-	w.mu.Unlock()
-	if n != 1 {
-		t.Fatalf("cache has %d entries, want 1", n)
+	d, err := w.data(c)
+	if err != nil {
+		t.Fatal(err)
 	}
+	l := w.dasp(c, d)
 	if _, err := w.Run(c, workload.CC); err != nil {
 		t.Fatal(err)
 	}
-	w.mu.Lock()
-	n = len(w.cache)
-	w.mu.Unlock()
-	if n != 1 {
-		t.Fatal("second run should reuse cached data")
+	if d2, _ := w.data(c); d2 != d {
+		t.Fatal("second run should reuse the case's input")
+	}
+	if w.dasp(c, d) != l {
+		t.Fatal("second run should reuse the case's layout")
+	}
+	if s := w.cases.State(w.Cases()[1].Dataset); s != par.Absent {
+		t.Fatalf("a case no run asked for has state %v, want Absent", s)
 	}
 }
 

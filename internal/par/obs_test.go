@@ -5,6 +5,7 @@ import (
 	"math"
 	"runtime/pprof"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -191,4 +192,41 @@ func TestRangeHook(t *testing.T) {
 	if began.Load() != 0 {
 		t.Fatal("cleared hook still fired")
 	}
+}
+
+// TestDoLabeledNests: a DoLabeled inside another (an input build reached
+// from a run) leaves the caller under its own labels when it returns. The
+// goroutine profile prints each goroutine's labels beside its stack.
+func TestDoLabeledNests(t *testing.T) {
+	var labels string
+	DoLabeled("outer", "TC", "run", func() {
+		DoLabeled("inner", "TC", "layout", func() {})
+		labels = ownLabels(t)
+	})
+	if !strings.Contains(labels, `"workload":"outer"`) || !strings.Contains(labels, `"phase":"run"`) {
+		t.Fatalf("labels after a nested DoLabeled = %q, want the outer {outer, TC, run}", labels)
+	}
+}
+
+// ownLabels returns the "# labels:" line of the goroutine calling it.
+//
+//go:noinline
+func ownLabels(t *testing.T) string {
+	var buf bytes.Buffer
+	if err := pprof.Lookup("goroutine").WriteTo(&buf, 1); err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range strings.Split(buf.String(), "\n\n") {
+		if !strings.Contains(rec, "repro/internal/par.ownLabels") {
+			continue
+		}
+		for _, line := range strings.Split(rec, "\n") {
+			if strings.HasPrefix(line, "# labels:") {
+				return line
+			}
+		}
+		return ""
+	}
+	t.Fatal("own goroutine not in the goroutine profile")
+	return ""
 }

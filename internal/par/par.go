@@ -21,6 +21,9 @@
 //     floating-point reductions are reproducible across worker counts.
 //   - Scratch (scratch.go): sync.Pool-backed fixed-size scratch buffers for
 //     the fragment/tile temporaries kernels stage MMA operands in.
+//   - Flights (flight.go): the keyed compute-once table behind every value
+//     the suite builds once and shares — plan keys, datasets, case inputs
+//     and served figures.
 //
 // The worker count defaults to GOMAXPROCS and can be overridden with the
 // CUBIE_WORKERS environment variable or SetWorkers. Workers(1) disables
@@ -151,12 +154,31 @@ func SetRangeHook(h func(lo, hi int) func()) {
 // phase}. Goroutines started inside fn inherit the labels (the runtime/pprof
 // contract), so every tile range ForTiles fans out from fn is attributed to
 // this kernel in CPU profiles, whatever other kernels run concurrently.
-// The labels end when fn returns: the goroutine is left unlabeled, not with
-// the labels of an enclosing DoLabeled.
+// fn runs on a goroutine of its own and DoLabeled waits for it, so labels
+// nest: when fn returns, the caller is under its own labels again (say, a
+// run under phase "run" after an input build it reached under "layout").
+// A panic in fn is re-raised on the caller as *WorkerPanic.
 func DoLabeled(workload, variant, phase string, fn func()) {
-	pprof.Do(context.Background(), pprof.Labels(
-		"workload", workload, "variant", variant, "phase", phase),
-		func(context.Context) { fn() })
+	var wp *WorkerPanic
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		defer func() {
+			if r := recover(); r != nil {
+				var ok bool
+				if wp, ok = r.(*WorkerPanic); !ok {
+					wp = &WorkerPanic{Value: r, Stack: debug.Stack()}
+				}
+			}
+		}()
+		pprof.Do(context.Background(), pprof.Labels(
+			"workload", workload, "variant", variant, "phase", phase),
+			func(context.Context) { fn() })
+	}()
+	<-done
+	if wp != nil {
+		panic(wp)
+	}
 }
 
 // ForTiles executes fn over the index space [0, n), statically partitioned

@@ -99,8 +99,9 @@ func (s *Server) handleCampaignStart(w http.ResponseWriter, r *http.Request) {
 	// A campaign occupies one admission slot for its whole execution: it
 	// saturates the harness worker pool internally, so admitting campaigns
 	// beyond the slot bound would only stack load the machine cannot absorb.
-	release, ok := s.admit(w)
-	if !ok {
+	release, ref := s.admit()
+	if ref != nil {
+		s.refuse(w, ref)
 		return
 	}
 

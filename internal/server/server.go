@@ -10,17 +10,19 @@
 //
 // # Hot layer
 //
-// Rendered figures are memoized in memory (one singleflight per figure
-// name) above the harness's own singleflight run cache, which itself sits
-// above the persistent runcache: a warm figure request costs one map
-// lookup and one write, no run executions and no disk reads.
+// Rendered figures are memoized in memory, one flight per figure name in a
+// par.Flights table, above the harness's own flight table of plan keys,
+// which itself sits above the persistent runcache: a warm figure request
+// costs one map lookup and one write, no run executions and no disk reads.
 //
 // # Admission control
 //
 // Requests that may execute workload runs (POST /api/v1/runs, campaign
 // starts, cold figure renders) are admitted through a bounded slot pool
 // (Config.MaxInflightRuns). When the pool is saturated the daemon sheds
-// load: 429 with a Retry-After header instead of queueing unboundedly.
+// load: 429 with a Retry-After header instead of queueing unboundedly. A
+// cold figure render shed at admission finishes its flight with the
+// refusal, so a request that joined it gets the same 429 at once.
 // Warm figure fetches and the health/metrics endpoints bypass admission
 // entirely — a saturated daemon still observes and serves cached output.
 //
@@ -38,6 +40,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -50,6 +53,7 @@ import (
 	"repro/internal/device"
 	"repro/internal/harness"
 	"repro/internal/metrics"
+	"repro/internal/par"
 	"repro/internal/server/api"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -90,8 +94,7 @@ type Server struct {
 	inFlight atomic.Int64
 	draining atomic.Bool
 
-	figMu   sync.Mutex
-	figures map[string]*figFlight
+	figures par.Flights[string, []byte]
 
 	campMu    sync.Mutex
 	campaigns []*campaign
@@ -106,14 +109,6 @@ type Server struct {
 	ln   net.Listener
 }
 
-// figFlight is one memoized figure render: the first requester renders,
-// concurrent requesters block on done and share the bytes.
-type figFlight struct {
-	done chan struct{}
-	data []byte
-	err  error
-}
-
 // New creates a server over h with cfg (which must Validate).
 func New(h *harness.Harness, cfg Config) (*Server, error) {
 	if err := cfg.Validate(); err != nil {
@@ -124,7 +119,6 @@ func New(h *harness.Harness, cfg Config) (*Server, error) {
 		h:        h,
 		mux:      http.NewServeMux(),
 		runSlots: make(chan struct{}, cfg.MaxInflightRuns),
-		figures:  map[string]*figFlight{},
 	}
 	s.routes()
 	return s, nil
@@ -264,26 +258,40 @@ func writeError(w http.ResponseWriter, status int, code, format string, args ...
 	}})
 }
 
-// admit takes one run slot, or sheds the request. It returns a release
-// function and false when the daemon is saturated or draining (the
-// response has been written in that case).
-func (s *Server) admit(w http.ResponseWriter) (func(), bool) {
+// refusal is why admission shed a request: the status, error code and
+// message of its response.
+type refusal struct {
+	status int
+	code   string
+	msg    string
+}
+
+func (r *refusal) Error() string { return r.msg }
+
+// admit takes one run slot and returns its release function, or the
+// refusal when the daemon is draining or saturated (write it with refuse).
+func (s *Server) admit() (func(), *refusal) {
 	if s.draining.Load() {
-		writeError(w, http.StatusServiceUnavailable, api.CodeDraining,
-			"daemon is draining and admits no new work")
-		return nil, false
+		return nil, &refusal{http.StatusServiceUnavailable, api.CodeDraining,
+			"daemon is draining and admits no new work"}
 	}
 	select {
 	case s.runSlots <- struct{}{}:
-		return func() { <-s.runSlots }, true
+		return func() { <-s.runSlots }, nil
 	default:
+		return nil, &refusal{http.StatusTooManyRequests, api.CodeSaturated,
+			fmt.Sprintf("all %d run slots are busy; retry after %s seconds",
+				s.cfg.MaxInflightRuns, s.cfg.retryAfterSeconds())}
+	}
+}
+
+// refuse writes a refusal; a 429 carries Retry-After and counts as shed.
+func (s *Server) refuse(w http.ResponseWriter, ref *refusal) {
+	if ref.status == http.StatusTooManyRequests {
 		metHTTPRejected.Inc()
 		w.Header().Set("Retry-After", s.cfg.retryAfterSeconds())
-		writeError(w, http.StatusTooManyRequests, api.CodeSaturated,
-			"all %d run slots are busy; retry after %s seconds",
-			s.cfg.MaxInflightRuns, s.cfg.retryAfterSeconds())
-		return nil, false
 	}
+	writeError(w, ref.status, ref.code, "%s", ref.msg)
 }
 
 // await runs fn on a drain-tracked goroutine and waits for it, the
@@ -364,36 +372,33 @@ func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	s.figMu.Lock()
-	f, hot := s.figures[name]
-	if !hot {
-		f = &figFlight{done: make(chan struct{})}
-		s.figures[name] = f
-	}
-	s.figMu.Unlock()
-
-	if hot {
+	f, owner := s.figures.Join(name)
+	if !owner {
+		metFigureHits.Inc()
 		select {
-		case <-f.done:
-			// Rendered (or failed) already: serve from the hot layer.
-			metFigureHits.Inc()
+		case <-f.Done():
+			// Rendered (or refused) already: serve from the hot layer.
 			s.writeFigure(w, name, f)
-			return
 		default:
-			// A concurrent identical request is rendering; fall through and
-			// wait on it like a fresh request (no admission slot needed — the
-			// renderer holds one).
-			metFigureHits.Inc()
+			// A concurrent identical request is rendering: wait on it (no
+			// admission slot needed — the renderer holds one).
 			s.awaitFigure(w, r, name, f)
-			return
 		}
+		return
 	}
-
 	metFigureMisses.Inc()
-	release, ok := s.admit(w)
-	if !ok {
-		// Evict the placeholder so the next request retries.
-		s.evictFigure(name, f)
+	s.renderFigure(w, r, name, f)
+}
+
+// renderFigure is the owner's half of a cold figure request: it admits the
+// render and waits for it, or finishes the flight with the refusal.
+func (s *Server) renderFigure(w http.ResponseWriter, r *http.Request, name string, f *par.Flight[[]byte]) {
+	release, ref := s.admit()
+	if ref != nil {
+		// Finish the flight with the refusal: a request that joined it gets
+		// the same answer at once, and the next request retries.
+		s.figures.Finish(name, f, nil, ref)
+		s.refuse(w, ref)
 		return
 	}
 	s.work.Add(1)
@@ -402,22 +407,18 @@ func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
 		defer release()
 		var buf strings.Builder
 		err := s.h.RenderFigure(&buf, name)
-		f.data, f.err = []byte(buf.String()), err
-		if err != nil {
-			// Failed renders are evicted so a later request can retry.
-			s.evictFigure(name, f)
-		}
-		close(f.done)
+		// A failed render leaves the table, so a later request retries.
+		s.figures.Finish(name, f, []byte(buf.String()), err)
 	}()
 	s.awaitFigure(w, r, name, f)
 }
 
 // awaitFigure waits for a figure flight within the request timeout.
-func (s *Server) awaitFigure(w http.ResponseWriter, r *http.Request, name string, f *figFlight) {
+func (s *Server) awaitFigure(w http.ResponseWriter, r *http.Request, name string, f *par.Flight[[]byte]) {
 	timeout := time.NewTimer(time.Duration(s.cfg.RequestTimeout))
 	defer timeout.Stop()
 	select {
-	case <-f.done:
+	case <-f.Done():
 		s.writeFigure(w, name, f)
 	case <-timeout.C:
 		metHTTPTimeouts.Inc()
@@ -428,23 +429,21 @@ func (s *Server) awaitFigure(w http.ResponseWriter, r *http.Request, name string
 	}
 }
 
-func (s *Server) writeFigure(w http.ResponseWriter, name string, f *figFlight) {
-	if f.err != nil {
+// writeFigure writes a finished flight: the figure's bytes, the refusal
+// that shed its render, or its render error.
+func (s *Server) writeFigure(w http.ResponseWriter, name string, f *par.Flight[[]byte]) {
+	data, err := f.Result()
+	var ref *refusal
+	switch {
+	case errors.As(err, &ref):
+		s.refuse(w, ref)
+	case err != nil:
 		writeError(w, http.StatusInternalServerError, api.CodeInternal,
-			"figure %q: %v", name, f.err)
-		return
+			"figure %q: %v", name, err)
+	default:
+		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+		_, _ = w.Write(data)
 	}
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	_, _ = w.Write(f.data)
-}
-
-// evictFigure removes a flight if it is still the registered one.
-func (s *Server) evictFigure(name string, f *figFlight) {
-	s.figMu.Lock()
-	if s.figures[name] == f {
-		delete(s.figures, name)
-	}
-	s.figMu.Unlock()
 }
 
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
@@ -475,8 +474,9 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	release, ok := s.admit(w)
-	if !ok {
+	release, ref := s.admit()
+	if ref != nil {
+		s.refuse(w, ref)
 		return
 	}
 	var c workload.Case

@@ -173,11 +173,15 @@ func TestRunRequestsDedupeToOneExecution(t *testing.T) {
 }
 
 // TestSaturationSheds429: with every run slot busy, run-executing requests
-// get 429 + Retry-After, while warm figures and health stay servable.
+// get 429 + Retry-After, while warm figures and health stay servable. A
+// request that joined a cold figure's flight whose owner is then shed
+// gets the same 429 at once, not a 504 after the request timeout.
 func TestSaturationSheds429(t *testing.T) {
+	const requestTimeout = 20 * time.Second
 	s, ts := newTestServer(t, func(c *Config) {
 		c.MaxInflightRuns = 1
 		c.RetryAfter = Duration(3 * time.Second)
+		c.RequestTimeout = Duration(requestTimeout)
 	})
 
 	// Warm a figure while the slot is free.
@@ -217,6 +221,41 @@ func TestSaturationSheds429(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("saturated cold figure: HTTP %d, want 429", resp.StatusCode)
+	}
+
+	// A request joins a cold figure's flight before its owner reaches
+	// admission; the owner is shed, and the joiner gets its 429 at once.
+	f, owner := s.figures.Join("whatif")
+	if !owner {
+		t.Fatal("whatif: a shed render left its flight in the table")
+	}
+	hits := metFigureHits.Value()
+	type answer struct {
+		status int
+		after  time.Duration
+	}
+	joined := make(chan answer, 1)
+	t0 := time.Now()
+	go func() {
+		resp, err := http.Get(ts.URL + "/api/v1/figures/whatif")
+		if err != nil {
+			joined <- answer{-1, time.Since(t0)}
+			return
+		}
+		resp.Body.Close()
+		joined <- answer{resp.StatusCode, time.Since(t0)}
+	}()
+	for metFigureHits.Value() == hits {
+		time.Sleep(time.Millisecond) // until the request has joined
+	}
+	rec := httptest.NewRecorder()
+	s.renderFigure(rec, httptest.NewRequest("GET", "/api/v1/figures/whatif", nil), "whatif", f)
+	if rec.Code != http.StatusTooManyRequests {
+		t.Fatalf("shed owner: HTTP %d, want 429", rec.Code)
+	}
+	if a := <-joined; a.status != http.StatusTooManyRequests || a.after > requestTimeout/4 {
+		t.Fatalf("joiner of a shed render: HTTP %d after %s, want 429 well before %s",
+			a.status, a.after, requestTimeout)
 	}
 
 	// The warm figure and the probes bypass admission entirely.

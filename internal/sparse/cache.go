@@ -1,9 +1,8 @@
 package sparse
 
 import (
-	"sync"
-
 	"repro/internal/metrics"
+	"repro/internal/par"
 )
 
 // Shared-cache metrics: hits are requests served from the process-wide
@@ -16,53 +15,25 @@ var (
 		"Table 4 matrix requests that synthesized a new instance.")
 )
 
-// csrFlight is one per-name synthesis: the first requester owns it, later
-// requesters block on done and share the outcome.
-type csrFlight struct {
-	done chan struct{}
-	m    *CSR
-	err  error
-}
-
-// shared caches synthesized Table 4 matrices process-wide. Synthesis is
-// deterministic, so every consumer sees identical structure and values.
-// Entries are per-name singleflights rather than a lock held across
-// synthesis, so distinct matrices synthesize concurrently — the harness
-// planner pre-warms them in parallel while the kernel that needs one joins
-// its flight.
-var shared = struct {
-	mu sync.Mutex
-	m  map[string]*csrFlight
-}{m: map[string]*csrFlight{}}
+// shared caches synthesized Table 4 matrices process-wide, one flight per
+// name, so distinct matrices synthesize concurrently.
+var shared par.Flights[string, *CSR]
 
 // SynthesizeShared returns the process-wide shared instance of the named
-// Table 4 matrix, synthesizing it on first use. The returned CSR must be
-// treated as read-only: SpMV, SpGEMM, and the harness coverage/ablation
-// studies all hold the same pointer (previously each synthesized its own
-// copy — raefsky3 alone is ~1.5 M nonzeros built three times over).
-// Concurrent first callers for one name do the work exactly once; a failed
-// synthesis is evicted so a later caller can retry.
+// Table 4 matrix, synthesizing it on first use under pprof labels
+// {workload: "sparse", variant: name, phase: "synthesize"}. The returned
+// CSR must be treated as read-only: SpMV, SpGEMM, and the harness
+// coverage/ablation studies all hold the same pointer. Concurrent first
+// callers for one name do the work exactly once; a failed synthesis is
+// evicted so a later caller can retry.
 func SynthesizeShared(name string) (*CSR, error) {
-	shared.mu.Lock()
-	if f, ok := shared.m[name]; ok {
-		shared.mu.Unlock()
-		<-f.done
-		if f.err == nil {
-			metCacheHits.Inc()
-		}
-		return f.m, f.err
+	m, err, joined := shared.Do(name, func() (m *CSR, err error) {
+		metCacheMisses.Inc()
+		par.DoLabeled("sparse", name, "synthesize", func() { m, err = Synthesize(name) })
+		return m, err
+	})
+	if joined && err == nil {
+		metCacheHits.Inc()
 	}
-	f := &csrFlight{done: make(chan struct{})}
-	shared.m[name] = f
-	shared.mu.Unlock()
-
-	metCacheMisses.Inc()
-	f.m, f.err = Synthesize(name)
-	if f.err != nil {
-		shared.mu.Lock()
-		delete(shared.m, name)
-		shared.mu.Unlock()
-	}
-	close(f.done)
-	return f.m, f.err
+	return m, err
 }

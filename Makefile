@@ -169,15 +169,18 @@ fuzz:
 	  done; \
 	done
 
-# The fast half of make race: about 20 s together on 2 vCPUs, plus the
-# harness tests that drive its flight table and work queue concurrently,
-# and the concurrent requesters of sparse's shared-synthesis cache, the
-# package's one concurrent code path.
+# The fast half of make race: about 20 s together on 2 vCPUs (par's
+# flight-table tests among them: concurrent count-down releases an entry
+# once, an uncounted entry stays, a request after release rebuilds once),
+# plus the harness tests that drive its flight table and work queue
+# concurrently (TestExecuteReleasesInputs: two plans claim each key once
+# and release the operand they read), and the concurrent requesters of
+# sparse's shared-synthesis cache, the package's one concurrent code path.
 # spgemm (~25 s) and the whole harness (~290 s) under -race only run in
 # make race.
 RACE_QUICK = ./internal/par ./internal/runcache ./internal/server/... ./internal/mmu \
 	./internal/kernels/gemm ./internal/kernels/gemv ./internal/kernels/spmv
-RACE_QUICK_HARNESS = ^(TestRunSingleflight|TestRunRetriesAfterError|TestMemoOneFlightWithoutCache|TestWorkQueueDrainsToDone|TestWorkQueueDismissesEveryWorker)$$
+RACE_QUICK_HARNESS = ^(TestRunSingleflight|TestRunRetriesAfterError|TestMemoOneFlightWithoutCache|TestExecuteReleasesInputs|TestWorkQueueDrainsToDone|TestWorkQueueDismissesEveryWorker)$$
 RACE_QUICK_SPARSE = ^TestSynthesizeSharedConcurrent$$
 
 race-quick:

@@ -3,6 +3,7 @@ package graph
 import (
 	"repro/internal/metrics"
 	"repro/internal/par"
+	"repro/internal/trace"
 )
 
 // Shared-cache metrics: hits are requests served from the process-wide
@@ -20,17 +21,19 @@ var (
 var shared par.Flights[string, *Graph]
 
 // SynthesizeShared returns the process-wide shared instance of the named
-// Table 3 graph, synthesizing it on first use under pprof labels
-// {workload: "graph", variant: name, phase: "synthesize"}. The returned
+// Table 3 graph, synthesizing it on first use in an input span
+// (trace.BuildInput) under pprof labels {workload: "graph", variant: name,
+// phase: "synthesize"}. The returned
 // Graph must be treated as read-only: BFS and the harness coverage study
 // all hold the same pointer (BFS's Relabel copies into a fresh graph, so
 // the cached instance stays pristine). Concurrent first callers for one
 // name do the work exactly once; a failed synthesis is evicted so a later
-// caller can retry.
+// caller can retry. A plan that counted its uses (SharedInput) drops it
+// after the last.
 func SynthesizeShared(name string) (*Graph, error) {
 	g, err, joined := shared.Do(name, func() (g *Graph, err error) {
 		metCacheMisses.Inc()
-		par.DoLabeled("graph", name, "synthesize", func() { g, err = Synthesize(name) })
+		trace.BuildInput("graph", name, "synthesize", func() { g, err = Synthesize(name) })
 		return g, err
 	})
 	if joined && err == nil {
@@ -38,3 +41,8 @@ func SynthesizeShared(name string) (*Graph, error) {
 	}
 	return g, err
 }
+
+// SharedInput names the shared Table 3 graph for a plan to count
+// its uses. A computation that reads a case input built from the dataset
+// counts as a use of the dataset too, whether or not it builds that input.
+func SharedInput(name string) par.Input { return shared.Input(name) }

@@ -82,15 +82,17 @@ func FigureByName(name string) (Figure, bool) {
 }
 
 // RenderAll renders the whole campaign in paper order — the body of
-// `cubie all`. It prefetches the whole-campaign plan and renders at once,
-// so the prefetch's Execute and the first figure's own Execute run side
-// by side, each on its own slots over the one flight table. That second
-// Execute, not render overlap, is what the prefetch buys: executing the
-// plan synchronously before rendering was ~0.17 s slower cold (median of
-// 10 alternating rounds on a 2-vCPU Xeon), while a warm render of every
-// figure takes ~0.05 s.
+// `cubie all`. It executes the whole-campaign plan (PlanCampaign) as one
+// Execute, which counts every input's planned uses across the campaign and
+// drops each after its last, then renders: each figure's own Execute finds
+// every key done, and a render reads only results and memos, never an
+// input, so a cold trace shows one `harness-plan` span and the `render`
+// spans after it. A warm render of every figure takes ~0.05 s, so
+// rendering while the plan ran would buy nothing.
 func (h *Harness) RenderAll(w io.Writer) error {
-	h.Prefetch(h.PlanCampaign())
+	if err := h.Execute(h.PlanCampaign()); err != nil {
+		return err
+	}
 	first := true
 	for _, f := range catalog {
 		if !f.InAll {

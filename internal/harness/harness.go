@@ -85,7 +85,10 @@ type Harness struct {
 	Suite *core.Suite
 
 	// flights holds one flight per plan key: a run's *workload.Result, a
-	// reference's []float64, or a memo's value.
+	// reference's []float64, or a memo's value. Table 6 is the one reader of
+	// representative outputs and references, so a plan that computes it
+	// counts them, and after its last use a run keeps its result without
+	// Output and a reference leaves (spent).
 	flights par.Flights[RunKey, any]
 
 	mu     sync.Mutex
@@ -97,10 +100,23 @@ type Harness struct {
 // New creates a harness over a fresh suite, without a persistent cache
 // (AttachCache opts in).
 func New() *Harness {
-	return &Harness{
+	h := &Harness{
 		Suite:  core.NewSuite(),
 		failed: map[RunKey]bool{},
 	}
+	h.flights.Spent = spent
+	return h
+}
+
+// spent is what the harness's flight table keeps of a value after its
+// last planned use: every figure reads a run's result, so it stays,
+// without its Output; a reference leaves.
+func spent(v any) (any, bool) {
+	res, ok := v.(*workload.Result)
+	if !ok {
+		return nil, false
+	}
+	return cacheable(res), true
 }
 
 // AttachCache binds a persistent run cache (nil detaches) and returns h.
@@ -119,21 +135,37 @@ func (h *Harness) RunCache() *runcache.Cache {
 	return h.rc
 }
 
+// source is how to produce the value of one plan key: load it from the
+// run cache, else compute it.
+type source struct {
+	load    func() (any, bool)
+	compute func() (any, error)
+}
+
 // do returns the value of plan key k: from its in-memory flight when one
-// exists, else from load (the run cache), else from compute. Concurrent
-// callers for k share one flight, so exactly one of them loads or
-// computes, and every caller gets the same value. A failed computation is
-// evicted before its joiners wake, so a later caller retries. The run
-// counters see run and reference keys only; a memo counts itself
-// (memoDef.run).
-func (h *Harness) do(k RunKey, load func() (any, bool), compute func() (any, error)) (any, error) {
+// exists, else produced from src. Concurrent callers for k share one
+// flight, so exactly one of them loads or computes, and every caller gets
+// the same value.
+func (h *Harness) do(k RunKey, src source) (any, error) {
+	v, err, joined := h.flights.Do(k, h.produce(k, src))
+	if joined && k.Variant != MemoVariant {
+		metRunsDeduped.Inc()
+	}
+	return v, err
+}
+
+// produce returns the computation of k's flight: src's load, else its
+// compute. A failed computation is evicted before its joiners wake
+// (par.Flights), so a later caller retries. The run counters see run and
+// reference keys only; a memo counts itself (memoDef.run).
+func (h *Harness) produce(k RunKey, src source) func() (any, error) {
 	isRun := k.Variant != MemoVariant
-	v, err, joined := h.flights.Do(k, func() (any, error) {
+	return func() (any, error) {
 		h.mu.Lock()
 		retry := h.failed[k]
 		delete(h.failed, k)
 		h.mu.Unlock()
-		if v, ok := load(); ok {
+		if v, ok := src.load(); ok {
 			if isRun {
 				metRunsCached.Inc()
 			}
@@ -142,7 +174,7 @@ func (h *Harness) do(k RunKey, load func() (any, bool), compute func() (any, err
 		if retry && isRun {
 			metRunsRetried.Inc()
 		}
-		v, err := compute()
+		v, err := src.compute()
 		if err != nil {
 			if isRun {
 				metRunsFailed.Inc()
@@ -152,26 +184,34 @@ func (h *Harness) do(k RunKey, load func() (any, bool), compute func() (any, err
 			h.mu.Unlock()
 		}
 		return v, err
-	})
-	if joined && isRun {
-		metRunsDeduped.Inc()
 	}
-	return v, err
+}
+
+// executes reports whether a run of case c executes (w.Run) rather than
+// profiles: only Table 6 reads outputs, and only of representative cases.
+func executes(w workload.Workload, c workload.Case) bool {
+	return c.Name == w.Representative().Name
 }
 
 // run returns the result of one workload/case/variant, computing it only
-// when neither a flight nor the run cache has it. Only Table 6 reads
-// outputs, of representative cases, so a representative case executes
-// (w.Run) and keeps its Output in memory, and every other case is profiled
-// (w.Profile) and has none. A computed result is written through to the
-// run cache without its Output.
+// when neither a flight nor the run cache has it.
 func (h *Harness) run(w workload.Workload, c workload.Case, v workload.Variant) (*workload.Result, error) {
+	val, err := h.do(RunKey{w.Name(), c.Name, v}, h.runSource(w, c, v))
+	res, _ := val.(*workload.Result)
+	return res, err
+}
+
+// runSource produces one run: a representative case executes (w.Run) and
+// keeps its Output in memory until Table 6 has read it, and every other
+// case is profiled (w.Profile) and has none. A computed result is written
+// through to the run cache without its Output.
+func (h *Harness) runSource(w workload.Workload, c workload.Case, v workload.Variant) source {
 	k := RunKey{w.Name(), c.Name, v}
-	val, err := h.do(k, func() (any, bool) {
+	return source{func() (any, bool) {
 		return h.rc.GetResult(w.Name(), c.Name, string(v))
 	}, func() (any, error) {
 		compute := w.Profile
-		if c.Name == w.Representative().Name {
+		if executes(w, c) {
 			compute = w.Run
 		}
 		var res *workload.Result
@@ -184,9 +224,7 @@ func (h *Harness) run(w workload.Workload, c workload.Case, v workload.Variant) 
 			h.rc.PutResult(w.Name(), c.Name, string(v), cacheable(res))
 		})
 		return res, nil
-	})
-	res, _ := val.(*workload.Result)
-	return res, err
+	}}
 }
 
 // timed executes fn as one started execution of k: inside a harness-run
@@ -235,9 +273,16 @@ func (h *Harness) output(w workload.Workload, c workload.Case, v workload.Varian
 // persisted entries serve a Table 6 recomputed without that memo, and
 // readers of PlanAll's RefVariant keys.
 func (h *Harness) reference(w workload.Workload, c workload.Case) ([]float64, error) {
+	val, err := h.do(RunKey{w.Name(), c.Name, RefVariant}, h.refSource(w, c))
+	out, _ := val.([]float64)
+	return out, err
+}
+
+// refSource produces one reference, persisted to the run cache.
+func (h *Harness) refSource(w workload.Workload, c workload.Case) source {
 	k := RunKey{w.Name(), c.Name, RefVariant}
 	rcKey := runcache.ResultKey(w.Name(), c.Name, string(RefVariant))
-	val, err := h.do(k, func() (any, bool) {
+	return source{func() (any, bool) {
 		return h.rc.GetFloats(runcache.KindReference, rcKey)
 	}, func() (any, error) {
 		var out []float64
@@ -249,9 +294,7 @@ func (h *Harness) reference(w workload.Workload, c workload.Case) ([]float64, er
 			})
 		}
 		return out, err
-	})
-	out, _ := val.([]float64)
-	return out, err
+	}}
 }
 
 // RunOne executes a single (workload, case, variant) through the harness

@@ -38,16 +38,19 @@ var metMemosComputed = metrics.NewCounter("cubie_harness_memos_computed_total",
 
 // memoDef is one memoized value: the run-cache kind it persists under, its
 // host-span category (also the Workload of its plan key), how many integer
-// parameters its key carries after the name, the run keys it reads, and
-// how to read and compute it. Its cost is in the committed table
-// (memoSecs, costs.go).
+// parameters its key carries after the name, the run keys and the inputs
+// it reads, and how to read and compute it. Its cost is in the committed
+// table (memoSecs, costs.go).
 type memoDef struct {
 	kind, cat string
 	params    int
 	// inputs, when set, lists the run keys the memo reads. The plan
 	// executor starts such a memo after every run key, and runs its inputs
 	// as keys of their own when it must compute it (Execute).
-	inputs  func(h *Harness) []RunKey
+	inputs func(h *Harness) []RunKey
+	// shared, when set, lists the shared inputs the memo reads (datasets,
+	// case inputs), for Execute to count.
+	shared  func(h *Harness) []par.Input
 	get     func(rc *runcache.Cache, key string) (any, bool)
 	compute func(h *Harness, p []int64) (any, error)
 }
@@ -71,16 +74,20 @@ func memoOf[T any](kind, cat string, params int, compute func(h *Harness, p []in
 var memoDefs = map[string]memoDef{
 	"matrix-corpus": memoOf(runcache.KindFeatures, "coverage", 2,
 		func(_ *Harness, p []int64) ([][]float64, error) { return matrixCorpusFeatures(int(p[0]), p[1]), nil }),
-	"bfs-relabel": memoOf(runcache.KindAblation, "ablation", 0,
+	"bfs-relabel": withShared(memoOf(runcache.KindAblation, "ablation", 0,
 		func(h *Harness, _ []int64) ([]AblationRow, error) { return AblateBFSRelabel(h) }),
+		bfsCaseInputs),
 	"graph-corpus": memoOf(runcache.KindFeatures, "coverage", 2,
 		func(_ *Harness, p []int64) ([][]float64, error) { return graphCorpusFeatures(int(p[0]), p[1]), nil }),
-	"dasp-padding": memoOf(runcache.KindAblation, "ablation", 0,
+	"dasp-padding": withShared(memoOf(runcache.KindAblation, "ablation", 0,
 		func(*Harness, []int64) ([]AblationRow, error) { return AblateDASPPadding() }),
-	"matrix-reps": memoOf(runcache.KindFeatures, "coverage", 0,
+		table4Inputs),
+	"matrix-reps": withShared(memoOf(runcache.KindFeatures, "coverage", 0,
 		func(*Harness, []int64) ([][]float64, error) { return matrixRepFeatures() }),
-	"graph-reps": memoOf(runcache.KindFeatures, "coverage", 0,
+		table4Inputs),
+	"graph-reps": withShared(memoOf(runcache.KindFeatures, "coverage", 0,
 		func(*Harness, []int64) ([][]float64, error) { return graphRepFeatures() }),
+		table3Inputs),
 	"table6": withInputs(memoOf(runcache.KindAccuracy, "accuracy", 0,
 		func(h *Harness, _ []int64) ([]accuracy.Row, error) { return table6Rows(h) }),
 		(*Harness).keysTable6),
@@ -90,6 +97,60 @@ var memoDefs = map[string]memoDef{
 func withInputs(d memoDef, inputs func(h *Harness) []RunKey) memoDef {
 	d.inputs = inputs
 	return d
+}
+
+// withShared returns d reading the shared inputs shared lists.
+func withShared(d memoDef, shared func(h *Harness) []par.Input) memoDef {
+	d.shared = shared
+	return d
+}
+
+// reads lists everything d reads when it computes, for Execute to count:
+// its shared inputs, and the flights of its run keys (table6 reads their
+// outputs and references).
+func (d memoDef) reads(h *Harness) []par.Input {
+	var in []par.Input
+	if d.shared != nil {
+		in = d.shared(h)
+	}
+	if d.inputs != nil {
+		for _, k := range d.inputs(h) {
+			in = append(in, h.flights.Input(k))
+		}
+	}
+	return in
+}
+
+// table3Inputs lists the shared Table 3 graphs.
+func table3Inputs(*Harness) []par.Input {
+	var in []par.Input
+	for _, d := range graph.Table3() {
+		in = append(in, graph.SharedInput(d.Name))
+	}
+	return in
+}
+
+// table4Inputs lists the shared Table 4 matrices.
+func table4Inputs(*Harness) []par.Input {
+	var in []par.Input
+	for _, d := range sparse.Table4() {
+		in = append(in, sparse.SharedInput(d.Name))
+	}
+	return in
+}
+
+// bfsCaseInputs lists what the BFS cases' block counts read: each case's
+// traversal input and its graph (AblateBFSRelabel).
+func bfsCaseInputs(h *Harness) []par.Input {
+	w, err := h.Suite.ByName("BFS")
+	if err != nil {
+		return nil
+	}
+	var in []par.Input
+	for _, c := range w.Cases() {
+		in = append(in, workload.Inputs(w, c, "", workload.OpProfile)...)
+	}
+	return in
 }
 
 // corpusKey is the memo key of a Figure 10 corpus's feature matrix.
@@ -145,11 +206,20 @@ func memo[T any](h *Harness, key string) (T, error) {
 // memoValue returns the memo under key through its plan key's flight
 // (do): from memory, else from the run cache, else computed and stored.
 func (h *Harness) memoValue(key string) (any, error) {
-	d, p, err := parseMemoKey(key)
+	src, err := h.memoSource(key)
 	if err != nil {
 		return nil, err
 	}
-	return h.do(memoPlanKey(key), func() (any, bool) {
+	return h.do(memoPlanKey(key), src)
+}
+
+// memoSource produces the memo under key, stored to the run cache.
+func (h *Harness) memoSource(key string) (source, error) {
+	d, p, err := parseMemoKey(key)
+	if err != nil {
+		return source{}, err
+	}
+	return source{func() (any, bool) {
 		return d.get(h.rc, key)
 	}, func() (any, error) {
 		name, _, _ := strings.Cut(key, "|")
@@ -158,7 +228,7 @@ func (h *Harness) memoValue(key string) (any, error) {
 			par.DoLabeled(name, string(MemoVariant), "store", func() { h.rc.Put(d.kind, key, v) })
 		}
 		return v, err
-	})
+	}}, nil
 }
 
 // run computes one memo for h inside a host span of its category, named by

@@ -3,10 +3,17 @@ package harness
 import (
 	"bytes"
 	"cmp"
+	"flag"
+	"io"
+	"os"
+	"os/exec"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/metrics"
 )
 
 // TestPlanCampaignMemoKeys: the campaign plan holds exactly the seven memo
@@ -154,7 +161,7 @@ func TestMemoOneFlightWithoutCache(t *testing.T) {
 }
 
 // TestRenderAllComputesEachMemoOnce: with no run cache, a whole campaign
-// — the prefetched plan and the renderers together — computes each of the
+// — the campaign plan, then the renderers — computes each of the
 // seven memos exactly once, and Progress then counts every campaign key.
 func TestRenderAllComputesEachMemoOnce(t *testing.T) {
 	if testing.Short() {
@@ -179,5 +186,56 @@ func TestRenderAllComputesEachMemoOnce(t *testing.T) {
 	}
 	if got := h.Progress(distinct); got != len(distinct) {
 		t.Fatalf("Progress after RenderAll = %d, want %d", got, len(distinct))
+	}
+}
+
+var releaseChild = flag.Bool("release-child", false,
+	"run TestColdCampaignReleasesInputs's campaign in this process (its parent test starts it)")
+
+// TestColdCampaignReleasesInputs: a cold RenderAll on a fresh harness is one
+// plan (191 keys: 175 runs, 9 references and 7 memos) whose figures then
+// execute nothing, rebuilds no input, and leaves no input, dense operand,
+// representative output or reference live: once it returns and the GC
+// has run, the heap holds at most 64 MB while the harness stays reachable
+// (~449 MB when every input was kept until exit). The campaign runs in a
+// child process, so the shared datasets other tests leave cached (a build
+// no plan counts stays) neither count against the heap nor turn into
+// rebuilds.
+func TestColdCampaignReleasesInputs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("a whole cold campaign")
+	}
+	if !*releaseChild {
+		out, err := exec.Command(os.Args[0], "-test.run=^TestColdCampaignReleasesInputs$", "-test.v", "-release-child").CombinedOutput()
+		if err != nil {
+			t.Fatalf("%v\n%s", err, out)
+		}
+		t.Logf("%s", out)
+		return
+	}
+	h := New()
+	jobs, err := h.jobs(h.PlanCampaign())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rebuilds := metrics.NewCounter("cubie_input_rebuilds_total", "")
+	planned, rebuilt := metPlanKeys.Value(), rebuilds.Value()
+	if err := h.RenderAll(io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	if got := metPlanKeys.Value() - planned; got != uint64(len(jobs)) {
+		t.Errorf("cold RenderAll planned %d keys, want the campaign plan's %d", got, len(jobs))
+	}
+	if got := rebuilds.Value() - rebuilt; got != 0 {
+		t.Errorf("cold RenderAll rebuilt %d inputs, want 0", got)
+	}
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	runtime.KeepAlive(h)
+	const limit = 64 << 20
+	t.Logf("%d plan keys; live heap after RenderAll: %.1f MB", len(jobs), float64(ms.HeapAlloc)/(1<<20))
+	if ms.HeapAlloc > limit {
+		t.Errorf("live heap after RenderAll = %.1f MB, want at most %d MB", float64(ms.HeapAlloc)/(1<<20), limit>>20)
 	}
 }

@@ -5,19 +5,22 @@ package harness
 // CPU-serial reference (RefVariant), or a memoized value (MemoVariant,
 // memo.go: the Figure 10 feature matrices, the dataset-level ablation arms
 // and the Table 6 rows). Each key has one flight in the harness's flight
-// table (a par.Flights keyed by RunKey), reached through do (harness.go). Each experiment (figure, table,
-// sweep) states up front exactly which keys it needs — the grid is static
-// — so the harness deduplicates them, orders them and executes them on a
-// bounded worker pool (Execute); the figure then assembles its rows from
-// the flights in deterministic paper order. `cubie all` unions every
-// experiment's keys into one whole-campaign plan (PlanCampaign) and
-// prefetches it in the background (Prefetch) while the figures render, so
-// the prefetch's Execute and the first figure's own Execute run at once
-// (RenderAll says why that, not render overlap, is the gain). Planner and
-// figure pulls meet in the same flight: whichever reaches a key first
-// computes it, the other joins. Output stays byte-identical regardless of
-// scheduling — assembly order is fixed, and every run and memo is
-// deterministic.
+// table (a par.Flights keyed by RunKey), reached through do (harness.go).
+// Each experiment (figure, table, sweep) states up front exactly which
+// keys it needs — the grid is static — so the harness deduplicates them,
+// claims their flights, orders them and executes them on a bounded worker
+// pool (Execute); the figure then assembles its rows from the flights in
+// deterministic paper order. `cubie all` unions every experiment's keys
+// into one whole-campaign plan (PlanCampaign), executes it as one Execute,
+// and only then renders (RenderAll): each figure's own Execute finds every
+// key done. Output stays byte-identical regardless of scheduling —
+// assembly order is fixed, and every run and memo is deterministic.
+//
+// A plan also knows everything its jobs read: the Table 3/4 datasets, each
+// case's layout and dense operand, and (for the table6 memo) the
+// representative runs' outputs and the references. Execute counts those
+// uses before it starts anything and releases each as its reader finishes,
+// so an input leaves memory after its last planned reader (par.Flights).
 //
 // One cost model in seconds ranks every job: a memo by its name, a run by
 // its workload and kind (a representative case executes, any other case
@@ -26,13 +29,9 @@ package harness
 // costliest job starts first; a job the table6 memo reads ranks by its
 // cost plus the memo's; the memo itself, which reads runs, starts last, so
 // its pool slot never waits on a run that has not started. A cold
-// `cubie all` runs two Executes at once, Prefetch's (191 keys) and
-// figure3's (175 keys), each on GOMAXPROCS slots. Traced cold on a 2-vCPU
-// Xeon, four jobs therefore start at 0 s: matrix-corpus (~0.45–0.6 s) and
-// bfs-relabel (~0.35–0.4 s) on the prefetch's slots, and the BFS Kronecker
-// runs (~0.3 s) on figure3's. graph-corpus takes the first prefetch slot
-// they free, the CPU-serial FFT reference the next, at ~0.47–0.62 s, and
-// the last span ends ~0.03 s after the last grid run, at ~1.5–1.65 s.
+// `cubie all` shows one `harness-plan` span ("execute 191 keys") from 0 s,
+// with the costliest jobs (matrix-corpus, bfs-relabel, the BFS Kronecker
+// runs) starting at 0 s, and the `render` spans after it.
 
 import (
 	"fmt"
@@ -256,14 +255,6 @@ func (h *Harness) Progress(keys []RunKey) int {
 	return done
 }
 
-// Prefetch starts executing a plan in the background and returns
-// immediately. Errors are dropped here on purpose: a figure that needs a
-// failed key will retry it (failed runs are evicted) and surface the
-// error with full context on its own pull path.
-func (h *Harness) Prefetch(keys []RunKey) {
-	go func() { _ = h.Execute(keys) }()
-}
-
 // resolveKey resolves one run key against the suite.
 func (h *Harness) resolveKey(k RunKey) (workload.Workload, workload.Case, error) {
 	w, err := h.Suite.ByName(k.Workload)
@@ -295,6 +286,34 @@ func (h *Harness) resolveJob(k RunKey) (planJob, error) {
 	return j, nil
 }
 
+// source returns how to produce job j's value.
+func (h *Harness) source(j planJob) (source, error) {
+	switch j.key.Variant {
+	case MemoVariant:
+		return h.memoSource(j.key.Case)
+	case RefVariant:
+		return h.refSource(j.w, j.c), nil
+	}
+	return h.runSource(j.w, j.c, j.key.Variant), nil
+}
+
+// reads lists the inputs job j reads, for Execute to count: a memo's from
+// its definition, a run's or reference's from its workload.
+func (h *Harness) reads(j planJob) []par.Input {
+	switch j.key.Variant {
+	case MemoVariant:
+		d, _ := resolveMemo(j.key)
+		return d.reads(h)
+	case RefVariant:
+		return workload.Inputs(j.w, j.c, "", workload.OpReference)
+	}
+	op := workload.OpProfile
+	if executes(j.w, j.c) {
+		op = workload.OpRun
+	}
+	return workload.Inputs(j.w, j.c, j.key.Variant, op)
+}
+
 // ExecuteKey runs one plan key through the harness caches — the unit of
 // work a distributed worker executes. A RefVariant key computes the case's
 // CPU-serial reference, a MemoVariant key reads or computes a memo, and
@@ -311,16 +330,17 @@ func (h *Harness) ExecuteKey(k RunKey) error {
 	return h.execute(j)
 }
 
-// execute runs one resolved job.
+// execute runs one resolved job: in the flight its plan claimed for it
+// (Execute), else in the key's own (do).
 func (h *Harness) execute(j planJob) error {
-	var err error
-	switch j.key.Variant {
-	case MemoVariant:
-		_, err = h.memoValue(j.key.Case)
-	case RefVariant:
-		_, err = h.reference(j.w, j.c)
-	default:
-		_, err = h.run(j.w, j.c, j.key.Variant)
+	src, err := h.source(j)
+	switch {
+	case j.flight != nil && err != nil:
+		h.flights.Finish(j.key, j.flight, nil, err) // its joiners wake
+	case j.flight != nil:
+		_, err = h.flights.Compute(j.key, j.flight, h.produce(j.key, src))
+	case err == nil:
+		_, err = h.do(j.key, src)
 	}
 	if err != nil {
 		return fmt.Errorf("%s/%s/%s: %w", j.key.Workload, j.key.Case, j.key.Variant, err)
@@ -330,11 +350,12 @@ func (h *Harness) execute(j planJob) error {
 
 // planJob is one resolved plan entry. Memo jobs leave w and c unset.
 type planJob struct {
-	key   RunKey
-	w     workload.Workload
-	c     workload.Case
-	reads bool    // a memo that reads runs (table6)
-	cost  float64 // traced seconds (cost), plus those of a memo that reads it (jobs)
+	key    RunKey
+	w      workload.Workload
+	c      workload.Case
+	reads  bool             // a memo that reads runs (table6)
+	cost   float64          // traced seconds (cost), plus those of a memo that reads it (jobs)
+	flight *par.Flight[any] // the key's flight, once Execute claimed it
 }
 
 // runCost is one workload's traced seconds per plan key of each kind: an
@@ -354,7 +375,7 @@ func cost(j planJob) float64 {
 	case RefVariant:
 		return runSecs[j.key.Workload].reference
 	}
-	if j.c.Name == j.w.Representative().Name {
+	if executes(j.w, j.c) {
 		return runSecs[j.key.Workload].executes
 	}
 	return runSecs[j.key.Workload].profiles
@@ -375,21 +396,44 @@ func before(a, b planJob) bool {
 	return a.key.String() < b.key.String()
 }
 
-// Execute runs a plan: resolve its jobs (jobs), order them (before), and
-// run them on a worker pool bounded by the host's cores, started strictly
-// in that order. The first error in plan order is returned with its key
-// context. Execute composes with concurrent figure pulls through the
-// flight table, and re-executing an already-satisfied plan costs one map
-// lookup per key.
+// planSlots is how many jobs Execute runs at once: three per core, the
+// smallest width no other was faster than. Campaign-cold `bench/run.sh`
+// runs on a 2-vCPU Xeon, eight rounds alternating the widths (seeds
+// 11–18, 20 s each, medians): `sample_s` 1.40 s at 1×, 1.45 s at 2× and
+// 1.34 s at 3× GOMAXPROCS, 3× faster than 1× in each of the 7 rounds
+// no build ran beside. More slots keep more inputs live at once:
+// `peak_rss_mb` 412, 443 and 466 MB.
+func planSlots() int { return 3 * runtime.GOMAXPROCS(0) }
+
+// Execute runs a plan: resolve its jobs (jobs), claim their flights
+// (claim), count the inputs they read, order them (before), and run them
+// on planSlots workers, started strictly in that order. Each input's
+// planned uses are counted before any job runs, and each job releases its
+// reads when it finishes, so an input leaves its flight table after its
+// last planned reader (par.Flights). The first error in plan order is
+// returned with its key context. Execute composes with concurrent plans and
+// figure pulls through the flight table: a key another caller reached
+// first is theirs to compute and count, and re-executing an
+// already-satisfied plan costs one map lookup per key.
 func (h *Harness) Execute(keys []RunKey) error {
 	jobs, err := h.jobs(keys)
-	if err != nil || len(jobs) == 0 {
+	if err != nil {
 		return err
+	}
+	if jobs = h.claim(jobs); len(jobs) == 0 {
+		return nil
 	}
 	metPlanKeys.Add(uint64(len(jobs)))
 	endSpan := trace.HostSpan("harness-plan", fmt.Sprintf("execute %d keys", len(jobs)))
 	defer endSpan()
 
+	reads := make([][]par.Input, len(jobs))
+	for i, j := range jobs {
+		reads[i] = h.reads(j)
+		for _, in := range reads[i] {
+			in.Expect(1)
+		}
+	}
 	order := make([]int, len(jobs))
 	for i := range order {
 		order[i] = i
@@ -398,7 +442,7 @@ func (h *Harness) Execute(keys []RunKey) error {
 
 	errs := make([]error, len(jobs))
 	var wg sync.WaitGroup
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
+	sem := make(chan struct{}, planSlots())
 	for _, i := range order {
 		sem <- struct{}{} // acquire here, so jobs start in order
 		wg.Add(1)
@@ -406,6 +450,9 @@ func (h *Harness) Execute(keys []RunKey) error {
 			defer wg.Done()
 			defer func() { <-sem }()
 			errs[i] = h.execute(jobs[i])
+			for _, in := range reads[i] {
+				in.Release()
+			}
 		}()
 	}
 	wg.Wait()
@@ -416,6 +463,21 @@ func (h *Harness) Execute(keys []RunKey) error {
 		}
 	}
 	return nil
+}
+
+// claim takes each job's flight, before any job runs, and drops the jobs
+// whose key another caller reached first: that caller computes it, and the
+// assembly pull joins its flight. So two concurrent plans never both count
+// or run one key.
+func (h *Harness) claim(jobs []planJob) []planJob {
+	mine := jobs[:0]
+	for _, j := range jobs {
+		if f, owner := h.flights.Join(j.key); owner {
+			j.flight = f
+			mine = append(mine, j)
+		}
+	}
+	return mine
 }
 
 // jobs resolves the jobs a plan must run, in first-seen plan order (error

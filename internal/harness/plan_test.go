@@ -3,8 +3,10 @@ package harness
 import (
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
+	"repro/internal/metrics"
 	"repro/internal/workload"
 )
 
@@ -56,6 +58,62 @@ func TestExecuteDedupsAndRunsOnce(t *testing.T) {
 	}
 	if got := metRunsStarted.Value() - started; got != 2 {
 		t.Fatal("assembly pull after Execute must not start a run")
+	}
+}
+
+// TestExecuteReleasesInputs: two concurrent Executes of one plan claim
+// each key once, so its keys are counted and run once; the plan counts
+// the reads of the case's shared operand and drops it after the last, so
+// the next plan that reads it builds it again (one counted rebuild); a key
+// executed outside any plan (ExecuteKey) counts no use, so the operand it
+// builds stays.
+func TestExecuteReleasesInputs(t *testing.T) {
+	h := New()
+	w, err := h.Suite.ByName("GEMV")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := w.Representative().Name
+	keys := []RunKey{{"GEMV", c, workload.TC}, {"GEMV", c, workload.CC}, {"GEMV", c, RefVariant}}
+	rebuilds := metrics.NewCounter("cubie_input_rebuilds_total", "")
+	started, planned, rebuilt := metRunsStarted.Value(), metPlanKeys.Value(), rebuilds.Value()
+
+	var wg sync.WaitGroup
+	for range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := h.Execute(keys); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	if got := metPlanKeys.Value() - planned; got != 3 {
+		t.Fatalf("two concurrent plans counted %d keys, want 3 (each claimed once)", got)
+	}
+	if got := metRunsStarted.Value() - started; got != 3 {
+		t.Fatalf("two concurrent plans started %d executions, want 3", got)
+	}
+	if got := rebuilds.Value() - rebuilt; got != 0 {
+		t.Fatalf("%d rebuilds inside one plan, want 0", got)
+	}
+
+	if err := h.Execute([]RunKey{{"GEMV", c, workload.Baseline}}); err != nil {
+		t.Fatal(err)
+	}
+	if got := rebuilds.Value() - rebuilt; got != 1 {
+		t.Fatalf("a plan after the operand's last planned use rebuilt %d inputs, want 1", got)
+	}
+	// Uncounted, the operand ExecuteKey builds stays for the next reader.
+	if err := h.ExecuteKey(RunKey{"GEMV", c, workload.CCE}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Reference(w.Representative()); err != nil {
+		t.Fatal(err)
+	}
+	if got := rebuilds.Value() - rebuilt; got != 2 {
+		t.Fatalf("%d rebuilds, want 2: one for ExecuteKey, none for the reader after it", got)
 	}
 }
 

@@ -17,6 +17,7 @@ import (
 	"repro/internal/mmu"
 	"repro/internal/par"
 	"repro/internal/sim"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -67,8 +68,9 @@ func (w *Workload) Representative() workload.Case { return w.Cases()[3] } // kro
 // Repeats implements workload.Workload (Figure 7 loop count).
 func (*Workload) Repeats() int { return 2000 }
 
-// data returns case c's traversal input, built by the first caller under
-// pprof labels {workload: "BFS", variant: c.Name, phase: "layout"}.
+// data returns case c's traversal input, built by the first caller in an
+// input span under pprof labels {workload: "BFS", variant: c.Name, phase:
+// "layout"} (trace.BuildInput).
 func (w *Workload) data(c workload.Case) (*caseData, error) {
 	d, err, _ := w.cases.Do(c.Dataset, func() (*caseData, error) {
 		g0, err := graph.SynthesizeShared(c.Dataset)
@@ -79,13 +81,19 @@ func (w *Workload) data(c workload.Case) (*caseData, error) {
 		// the hub so neighborhoods pack into nearby bitmap columns, raising
 		// the 8×128 block fill (part of the format construction, done once).
 		d := &caseData{orig: g0}
-		par.DoLabeled("BFS", c.Name, "layout", func() {
+		trace.BuildInput("BFS", c.Name, "layout", func() {
 			d.g, d.source = Relabel(g0, Hub(g0))
 			d.slices = graph.ToSliceSet(d.g)
 		})
 		return d, nil
 	})
 	return d, err
+}
+
+// Inputs implements workload.InputReader: every computation of case c
+// reads its traversal input and the Table 3 graph it is built from.
+func (w *Workload) Inputs(c workload.Case, _ workload.Variant, _ workload.Op) []par.Input {
+	return []par.Input{w.cases.Input(c.Dataset), graph.SharedInput(c.Dataset)}
 }
 
 // BlockCounts returns the number of 8×128 bitmap blocks case c's

@@ -3,11 +3,13 @@ package bfs
 import (
 	"fmt"
 	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/device"
 	"repro/internal/graph"
 	"repro/internal/sim"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -255,5 +257,41 @@ func TestUnknownVariantAndCase(t *testing.T) {
 	}
 	if _, err := w.Run(workload.Case{Dataset: "zzz"}, workload.TC); err == nil {
 		t.Error("unknown dataset accepted")
+	}
+}
+
+// TestCaseBuildOneInputSpan: concurrent first runs of a case build its
+// traversal input once, in one host span of category "input" of its own,
+// beside at most one for the Table 3 graph it is built from (none when
+// another test left the graph cached).
+func TestCaseBuildOneInputSpan(t *testing.T) {
+	w := New()
+	c := w.Cases()[0]
+	trace.StartHost()
+	var wg sync.WaitGroup
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := w.Profile(c, workload.TC); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	rec := trace.StopHost()
+	spans := map[string]int{}
+	for _, e := range rec.Events() {
+		if e.Category == "input" {
+			spans[e.Name]++
+		}
+	}
+	layout, graph := "layout BFS|"+c.Name, "synthesize graph|"+c.Dataset
+	if spans[graph] > 1 {
+		t.Fatalf("%d %q spans, want at most one", spans[graph], graph)
+	}
+	delete(spans, graph)
+	if len(spans) != 1 || spans[layout] != 1 {
+		t.Fatalf("input spans %v, want one %q", spans, layout)
 	}
 }

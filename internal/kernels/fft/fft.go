@@ -30,7 +30,9 @@ const Batch = 2048
 // sampleImages is how many images are executed numerically per run.
 const sampleImages = 2
 
-// Workload is the FFT kernel.
+// Workload is the FFT kernel. Every variant and the Reference transform
+// their sampled images in place, so each synthesizes its own copy: there
+// is no operand to share.
 type Workload struct{}
 
 // New returns the FFT workload.

@@ -2,6 +2,7 @@ package gemm
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/device"
@@ -200,5 +201,29 @@ func TestMultiplyMMARectangular(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestOperandSharedReadOnly: every variant's Run and the Reference of the
+// representative case read one shared operand, and none writes it.
+func TestOperandSharedReadOnly(t *testing.T) {
+	w := New()
+	c := w.Representative()
+	a, b := w.operands(c)
+	wantA, wantB := slices.Clone(a.Data), slices.Clone(b.Data)
+	for _, v := range w.Variants() {
+		if _, err := w.Run(c, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := w.Reference(c); err != nil {
+		t.Fatal(err)
+	}
+	a2, b2 := w.operands(c)
+	if a2 != a || b2 != b {
+		t.Fatal("the runs of a case must share its operand")
+	}
+	if !slices.Equal(a.Data, wantA) || !slices.Equal(b.Data, wantB) {
+		t.Fatal("a run or the reference wrote the shared operand")
 	}
 }

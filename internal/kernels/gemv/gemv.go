@@ -16,8 +16,18 @@ import (
 	"repro/internal/workload"
 )
 
-// Workload is the GEMV kernel.
-type Workload struct{}
+// Workload is the GEMV kernel. Each case's A and x are synthesized once
+// and shared read-only by every variant's Run and by the Reference: every
+// product only reads them.
+type Workload struct {
+	operand workload.Operand[gemvOperands]
+}
+
+// gemvOperands is one case's A and x.
+type gemvOperands struct {
+	a *tensor.Matrix
+	x []float64
+}
 
 // New returns the GEMV workload.
 func New() *Workload { return &Workload{} }
@@ -64,6 +74,24 @@ func dims(c workload.Case) (m, n int, err error) {
 	return c.Dims[0], c.Dims[1], nil
 }
 
+// operands returns case c's shared A and x.
+func (w *Workload) operands(c workload.Case) (*tensor.Matrix, []float64) {
+	o := w.operand.Get("GEMV", c, func() gemvOperands {
+		a, x := inputs(c.Dims[0], c.Dims[1])
+		return gemvOperands{a, x}
+	})
+	return o.a, o.x
+}
+
+// Inputs implements workload.InputReader: Run and Reference read the
+// case's operands; Profile reads nothing.
+func (w *Workload) Inputs(c workload.Case, _ workload.Variant, op workload.Op) []par.Input {
+	if op == workload.OpProfile {
+		return nil
+	}
+	return []par.Input{w.operand.Input(c)}
+}
+
 func inputs(m, n int) (*tensor.Matrix, []float64) {
 	g := lcg.New(int64(m)*31 + int64(n))
 	a := tensor.NewMatrix(m, n)
@@ -108,7 +136,7 @@ func (w *Workload) Run(c workload.Case, v workload.Variant) (*workload.Result, e
 	if err != nil {
 		return nil, err
 	}
-	a, x := inputs(c.Dims[0], c.Dims[1])
+	a, x := w.operands(c)
 	switch v {
 	case workload.TC, workload.CC:
 		res.Output = computeMMA(a, x) // CC: identical algorithm on the vector unit
@@ -127,7 +155,7 @@ func (w *Workload) Reference(c workload.Case) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	a, x := inputs(m, n)
+	a, x := w.operands(c)
 	y := make([]float64, m)
 	for i := 0; i < m; i++ {
 		var acc float64

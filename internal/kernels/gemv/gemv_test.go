@@ -2,6 +2,7 @@ package gemv
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/device"
@@ -179,5 +180,29 @@ func TestGEMVZeroVector(t *testing.T) {
 		if v != 0 {
 			t.Fatalf("A·0 nonzero at %d: %v", i, v)
 		}
+	}
+}
+
+// TestOperandSharedReadOnly: every variant's Run and the Reference of the
+// representative case read one shared operand, and none writes it.
+func TestOperandSharedReadOnly(t *testing.T) {
+	w := New()
+	c := w.Representative()
+	a, x := w.operands(c)
+	wantA, wantX := slices.Clone(a.Data), slices.Clone(x)
+	for _, v := range w.Variants() {
+		if _, err := w.Run(c, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := w.Reference(c); err != nil {
+		t.Fatal(err)
+	}
+	a2, x2 := w.operands(c)
+	if a2 != a || &x2[0] != &x[0] {
+		t.Fatal("the runs of a case must share its operand")
+	}
+	if !slices.Equal(a.Data, wantA) || !slices.Equal(x, wantX) {
+		t.Fatal("a run or the reference wrote the shared operand")
 	}
 }

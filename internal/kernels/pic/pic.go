@@ -32,7 +32,9 @@ const (
 	bz = 1.0
 )
 
-// Workload is the PiC kernel.
+// Workload is the PiC kernel. Every variant and the Reference push their
+// particle state in place, so each synthesizes its own copy: there is no
+// operand to share.
 type Workload struct{}
 
 // New returns the PiC workload.

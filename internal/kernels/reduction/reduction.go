@@ -27,8 +27,12 @@ const Batch = 65536
 // sampleElems caps the numerically-executed portion of a case.
 const sampleElems = 1 << 20
 
-// Workload is the Reduction kernel.
-type Workload struct{}
+// Workload is the Reduction kernel. Each case's sampled segments are
+// synthesized once and shared read-only by every variant's Run and by the
+// Reference: no computation writes its input.
+type Workload struct {
+	operand workload.Operand[[]float64]
+}
 
 // New returns the Reduction workload.
 func New() *Workload { return &Workload{} }
@@ -78,6 +82,20 @@ func sampleSegments(s int) int {
 		n = 1
 	}
 	return n
+}
+
+// data returns case c's shared input.
+func (w *Workload) data(c workload.Case) []float64 {
+	return w.operand.Get("Reduction", c, func() []float64 { return input(c.Dims[0]) })
+}
+
+// Inputs implements workload.InputReader: Run and Reference read the
+// case's operand; Profile reads nothing.
+func (w *Workload) Inputs(c workload.Case, _ workload.Variant, op workload.Op) []par.Input {
+	if op == workload.OpProfile {
+		return nil
+	}
+	return []par.Input{w.operand.Input(c)}
 }
 
 func input(s int) []float64 {
@@ -152,7 +170,7 @@ func (w *Workload) Run(c workload.Case, v workload.Variant) (*workload.Result, e
 		return nil, err
 	}
 	s := c.Dims[0]
-	data := input(s)
+	data := w.data(c)
 	switch v {
 	case workload.TC, workload.CC:
 		res.Output = computeMMAReduce(data, s)
@@ -170,7 +188,7 @@ func (w *Workload) Reference(c workload.Case) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	data := input(s)
+	data := w.data(c)
 	out := make([]float64, len(data)/s)
 	par.ForTiles(len(out), func(lo, hi int) {
 		for seg := lo; seg < hi; seg++ {

@@ -2,6 +2,7 @@ package reduction
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/device"
@@ -150,5 +151,29 @@ func TestUnknownVariantAndBadCase(t *testing.T) {
 	}
 	if _, err := w.Run(workload.Case{Name: "bad"}, workload.TC); err == nil {
 		t.Error("malformed case accepted")
+	}
+}
+
+// TestOperandSharedReadOnly: every variant's Run and the Reference of the
+// representative case read one shared operand, and none writes it.
+func TestOperandSharedReadOnly(t *testing.T) {
+	w := New()
+	c := w.Representative()
+	data := w.data(c)
+	want := slices.Clone(data)
+	for _, v := range w.Variants() {
+		if _, err := w.Run(c, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := w.Reference(c); err != nil {
+		t.Fatal(err)
+	}
+	again := w.data(c)
+	if &again[0] != &data[0] {
+		t.Fatal("the runs of a case must share its operand")
+	}
+	if !slices.Equal(data, want) {
+		t.Fatal("a run or the reference wrote the shared operand")
 	}
 }

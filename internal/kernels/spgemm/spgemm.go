@@ -14,6 +14,7 @@ import (
 	"repro/internal/par"
 	"repro/internal/sim"
 	"repro/internal/sparse"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -73,8 +74,9 @@ func (w *Workload) Representative() workload.Case { return w.Cases()[0] }
 // Repeats implements workload.Workload (Figure 7 loop count).
 func (*Workload) Repeats() int { return 5000 }
 
-// data returns case c's input, built by the first caller under pprof
-// labels {workload: "SpGEMM", variant: c.Name, phase: "layout"}.
+// data returns case c's input, built by the first caller in an input span
+// under pprof labels {workload: "SpGEMM", variant: c.Name, phase:
+// "layout"} (trace.BuildInput).
 func (w *Workload) data(c workload.Case) (*caseData, error) {
 	d, err, _ := w.cases.Do(c.Dataset, func() (*caseData, error) {
 		m, err := sparse.SynthesizeShared(c.Dataset)
@@ -82,13 +84,19 @@ func (w *Workload) data(c workload.Case) (*caseData, error) {
 			return nil, err
 		}
 		d := &caseData{mat: m}
-		par.DoLabeled("SpGEMM", c.Name, "layout", func() {
+		trace.BuildInput("SpGEMM", c.Name, "layout", func() {
 			d.bsr = sparse.ToMBSR(m)
 			d.stat = symbolic(d)
 		})
 		return d, nil
 	})
 	return d, err
+}
+
+// Inputs implements workload.InputReader: every computation of case c
+// reads its input and the Table 4 matrix it is built from.
+func (w *Workload) Inputs(c workload.Case, _ workload.Variant, _ workload.Op) []par.Input {
+	return []par.Input{w.cases.Input(c.Dataset), sparse.SharedInput(c.Dataset)}
 }
 
 // symbolicGrain is the fixed chunk size of the parallel symbolic pass;

@@ -13,6 +13,7 @@ import (
 	"repro/internal/par"
 	"repro/internal/sim"
 	"repro/internal/sparse"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -64,8 +65,9 @@ func (w *Workload) Representative() workload.Case { return w.Cases()[0] }
 // Repeats implements workload.Workload (Figure 7 loop count).
 func (*Workload) Repeats() int { return 1_000_000 }
 
-// data returns case c's input, built by the first caller under pprof
-// labels {workload: "SpMV", variant: c.Name, phase: "layout"}.
+// data returns case c's input, built by the first caller in an input span
+// under pprof labels {workload: "SpMV", variant: c.Name, phase: "layout"}
+// (trace.BuildInput).
 func (w *Workload) data(c workload.Case) (*caseData, error) {
 	d, err, _ := w.cases.Do(c.Dataset, func() (*caseData, error) {
 		m, err := sparse.SynthesizeShared(c.Dataset)
@@ -73,7 +75,7 @@ func (w *Workload) data(c workload.Case) (*caseData, error) {
 			return nil, err
 		}
 		d := &caseData{mat: m, x: make([]float64, m.Cols)}
-		par.DoLabeled("SpMV", c.Name, "layout", func() {
+		trace.BuildInput("SpMV", c.Name, "layout", func() {
 			lcg.New(int64(m.Cols)).Fill(d.x)
 			d.slots = sparse.DASPPaddedSlots(m)
 		})
@@ -82,14 +84,25 @@ func (w *Workload) data(c workload.Case) (*caseData, error) {
 	return d, err
 }
 
-// dasp returns case c's DASP layout, built by the first caller under the
-// same labels as its input.
+// dasp returns case c's DASP layout, built by the first caller in an input
+// span under the same labels as its input.
 func (w *Workload) dasp(c workload.Case, d *caseData) *sparse.DASP {
 	l, _, _ := w.layout.Do(c.Dataset, func() (l *sparse.DASP, _ error) {
-		par.DoLabeled("SpMV", c.Name, "layout", func() { l = sparse.ToDASP(d.mat) })
+		trace.BuildInput("SpMV", c.Name, "layout", func() { l = sparse.ToDASP(d.mat) })
 		return l, nil
 	})
 	return l
+}
+
+// Inputs implements workload.InputReader: every computation of case c
+// reads its input and the Table 4 matrix it is built from, and a TC, CC
+// or CC-E Run reads its DASP layout too.
+func (w *Workload) Inputs(c workload.Case, v workload.Variant, op workload.Op) []par.Input {
+	in := []par.Input{w.cases.Input(c.Dataset), sparse.SharedInput(c.Dataset)}
+	if op == workload.OpRun && v != workload.Baseline {
+		in = append(in, w.layout.Input(c.Dataset))
+	}
+	return in
 }
 
 // Profile implements workload.Workload: the profile of the case's DASP

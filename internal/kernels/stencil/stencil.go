@@ -30,8 +30,12 @@ const (
 	wSide   = 0.12 // each of the 4 (2D) or 6 (3D) neighbors
 )
 
-// Workload is the Stencil kernel.
-type Workload struct{}
+// Workload is the Stencil kernel. The grid of each 2D case within the
+// compute budget is synthesized once and shared read-only by every
+// variant's Run and by the Reference: no sweep writes its input.
+type Workload struct {
+	operand workload.Operand[*tensor.Matrix]
+}
 
 // New returns the Stencil workload.
 func New() *Workload { return &Workload{} }
@@ -77,6 +81,20 @@ func points(c workload.Case) (float64, error) {
 		p *= float64(d)
 	}
 	return p, nil
+}
+
+// grid returns 2D case c's shared input grid.
+func (w *Workload) grid(c workload.Case) *tensor.Matrix {
+	return w.operand.Get("Stencil", c, func() *tensor.Matrix { return input2D(c.Dims[0], c.Dims[1]) })
+}
+
+// Inputs implements workload.InputReader: Run and Reference of a 2D case
+// within the compute budget read its grid; nothing else reads one.
+func (w *Workload) Inputs(c workload.Case, _ workload.Variant, op workload.Op) []par.Input {
+	if pts, err := points(c); op == workload.OpProfile || err != nil || len(c.Dims) != 2 || pts > computeBudget {
+		return nil
+	}
+	return []par.Input{w.operand.Input(c)}
 }
 
 func input2D(nx, ny int) *tensor.Matrix {
@@ -126,7 +144,7 @@ func (w *Workload) Run(c workload.Case, v workload.Variant) (*workload.Result, e
 	}
 	pts, _ := points(c)
 	if len(c.Dims) == 2 && pts <= computeBudget {
-		u := input2D(c.Dims[0], c.Dims[1])
+		u := w.grid(c)
 		switch v {
 		case workload.TC, workload.CC, workload.CCE:
 			res.Output = sweepMMA(u).Data
@@ -147,7 +165,7 @@ func (w *Workload) Reference(c workload.Case) ([]float64, error) {
 	if len(c.Dims) != 2 || pts > computeBudget {
 		return nil, fmt.Errorf("stencil: case %q exceeds the compute budget", c.Name)
 	}
-	u := input2D(c.Dims[0], c.Dims[1])
+	u := w.grid(c)
 	out := tensor.NewMatrix(u.Rows, u.Cols)
 	at := func(i, j int) float64 {
 		if i < 0 || i >= u.Rows || j < 0 || j >= u.Cols {

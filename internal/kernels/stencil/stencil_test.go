@@ -2,6 +2,7 @@ package stencil
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/device"
@@ -166,5 +167,29 @@ func TestUnknownVariantAndBadCase(t *testing.T) {
 	}
 	if _, err := w.Reference(w.Cases()[4]); err == nil {
 		t.Error("3D reference should exceed budget")
+	}
+}
+
+// TestOperandSharedReadOnly: every variant's Run and the Reference of the
+// representative case read one shared operand, and none writes it.
+func TestOperandSharedReadOnly(t *testing.T) {
+	w := New()
+	c := w.Representative()
+	u := w.grid(c)
+	want := slices.Clone(u.Data)
+	for _, v := range w.Variants() {
+		if _, err := w.Run(c, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := w.Reference(c); err != nil {
+		t.Fatal(err)
+	}
+	again := w.grid(c)
+	if again != u {
+		t.Fatal("the runs of a case must share its operand")
+	}
+	if !slices.Equal(u.Data, want) {
+		t.Fatal("a run or the reference wrote the shared operand")
 	}
 }

@@ -156,3 +156,95 @@ func TestFlightsPanicFinishes(t *testing.T) {
 		t.Fatalf("call after panic: %d, %v", v, err)
 	}
 }
+
+// TestFlightsReleaseDropsOnce: concurrent releases of a counted entry's
+// planned uses drop it exactly once, at the last, and not before.
+func TestFlightsReleaseDropsOnce(t *testing.T) {
+	var spent atomic.Int64
+	tab := Flights[string, *int]{Spent: func(*int) (*int, bool) {
+		spent.Add(1)
+		return nil, false
+	}}
+	const uses = 64
+	in := tab.Input("k")
+	in.Expect(uses)
+	if _, err, _ := tab.Do("k", func() (*int, error) { return new(int), nil }); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < uses-1; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			in.Release()
+		}()
+	}
+	wg.Wait()
+	if s := tab.State("k"); s != Done || spent.Load() != 0 {
+		t.Fatalf("after %d of %d releases: state %v, %d drops; want Done, 0", uses-1, uses, s, spent.Load())
+	}
+	var last sync.WaitGroup
+	for i := 0; i < 8; i++ { // one planned release and seven surplus ones
+		last.Add(1)
+		go func() {
+			defer last.Done()
+			in.Release()
+		}()
+	}
+	last.Wait()
+	if s := tab.State("k"); s != Absent || spent.Load() != 1 {
+		t.Fatalf("after the last release: state %v, %d drops; want Absent, 1", s, spent.Load())
+	}
+}
+
+// TestFlightsUncountedStays: an entry with no planned use is never
+// dropped, however often it is released, and Spent's residue replaces a
+// counted value it keeps.
+func TestFlightsUncountedStays(t *testing.T) {
+	tab := Flights[string, int]{Spent: func(v int) (int, bool) { return -v, true }}
+	tab.Do("free", func() (int, error) { return 1, nil })
+	for i := 0; i < 3; i++ {
+		tab.Release("free")
+	}
+	if _, _, joined := tab.Do("free", func() (int, error) { t.Fatal("rebuilt an uncounted entry"); return 0, nil }); !joined {
+		t.Fatal("an uncounted entry must stay in the table")
+	}
+	tab.Expect("kept", 1)
+	tab.Do("kept", func() (int, error) { return 5, nil })
+	tab.Release("kept")
+	if v, _, joined := tab.Do("kept", func() (int, error) { return 0, nil }); !joined || v != -5 {
+		t.Fatalf("after its last use: %d, joined=%v; want Spent's residue -5, joined", v, joined)
+	}
+}
+
+// TestFlightsRebuildAfterRelease: a request after the last planned use
+// released an entry builds it again and counts one rebuild; the rebuilt,
+// uncounted entry then stays.
+func TestFlightsRebuildAfterRelease(t *testing.T) {
+	var tab Flights[string, int]
+	builds := 0
+	build := func() (int, error) { builds++; return builds, nil }
+	tab.Expect("k", 1)
+	tab.Do("k", build)
+	tab.Release("k")
+	rebuilds := metRebuilds.Value()
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			tab.Do("k", build)
+		}()
+	}
+	wg.Wait()
+	if builds != 2 {
+		t.Fatalf("built %d times, want 2 (once, then once after release)", builds)
+	}
+	if got := metRebuilds.Value() - rebuilds; got != 1 {
+		t.Fatalf("counted %d rebuilds, want 1", got)
+	}
+	tab.Release("k")
+	if _, _, joined := tab.Do("k", build); !joined || metRebuilds.Value()-rebuilds != 1 {
+		t.Fatal("a rebuilt entry no plan counts must stay")
+	}
+}

@@ -3,6 +3,7 @@ package sparse
 import (
 	"repro/internal/metrics"
 	"repro/internal/par"
+	"repro/internal/trace"
 )
 
 // Shared-cache metrics: hits are requests served from the process-wide
@@ -20,16 +21,18 @@ var (
 var shared par.Flights[string, *CSR]
 
 // SynthesizeShared returns the process-wide shared instance of the named
-// Table 4 matrix, synthesizing it on first use under pprof labels
-// {workload: "sparse", variant: name, phase: "synthesize"}. The returned
+// Table 4 matrix, synthesizing it on first use in an input span
+// (trace.BuildInput) under pprof labels {workload: "sparse", variant: name,
+// phase: "synthesize"}. The returned
 // CSR must be treated as read-only: SpMV, SpGEMM, and the harness
 // coverage/ablation studies all hold the same pointer. Concurrent first
 // callers for one name do the work exactly once; a failed synthesis is
-// evicted so a later caller can retry.
+// evicted so a later caller can retry. A plan that counted its uses
+// (SharedInput) drops it after the last.
 func SynthesizeShared(name string) (*CSR, error) {
 	m, err, joined := shared.Do(name, func() (m *CSR, err error) {
 		metCacheMisses.Inc()
-		par.DoLabeled("sparse", name, "synthesize", func() { m, err = Synthesize(name) })
+		trace.BuildInput("sparse", name, "synthesize", func() { m, err = Synthesize(name) })
 		return m, err
 	})
 	if joined && err == nil {
@@ -37,3 +40,8 @@ func SynthesizeShared(name string) (*CSR, error) {
 	}
 	return m, err
 }
+
+// SharedInput names the shared Table 4 matrix for a plan to count
+// its uses. A computation that reads a case input built from the dataset
+// counts as a use of the dataset too, whether or not it builds that input.
+func SharedInput(name string) par.Input { return shared.Input(name) }

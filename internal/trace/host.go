@@ -85,6 +85,16 @@ func HostSpan(category, name string) func() {
 	return rec.Span(category, name)
 }
 
+// BuildInput runs fn, the build of one input a workload reads (a Table 3/4
+// dataset, a case's layout, a dense operand), in a leaf host span of
+// category "input" named "<phase> <workload>|<variant>", under pprof labels
+// {workload, variant, phase}. The span is the build's own, whichever run
+// reached the input first.
+func BuildInput(workload, variant, phase string, fn func()) {
+	defer HostSpan("input", phase+" "+workload+"|"+variant)()
+	par.DoLabeled(workload, variant, phase, fn)
+}
+
 // Span records one wall-clock span: the lane is claimed now, the span's
 // timestamps run from now until the returned closer is called, and the
 // event is appended at close time. The closer must be called exactly once.

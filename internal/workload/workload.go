@@ -7,7 +7,9 @@ package workload
 import (
 	"fmt"
 
+	"repro/internal/par"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // Variant identifies one of the paper's algorithmic implementation variants
@@ -115,3 +117,54 @@ func HasVariant(w Workload, v Variant) bool {
 	}
 	return false
 }
+
+// Op is one computation a Workload performs on a case.
+type Op int
+
+const (
+	OpProfile   Op = iota // Workload.Profile
+	OpRun                 // Workload.Run
+	OpReference           // Workload.Reference
+)
+
+// InputReader is implemented by a workload whose computations read inputs
+// built once and shared: a case's layout or dense operand, and the Table
+// 3/4 dataset a layout is built from. A plan counts the uses of each input
+// its computations will read and releases each after the last
+// (par.Flights), so an input lives only as long as the plan needs it.
+type InputReader interface {
+	// Inputs lists what one computation of case c reads: op of variant v
+	// (v is ignored for OpReference).
+	Inputs(c Case, v Variant, op Op) []par.Input
+}
+
+// Inputs returns what op of (c, v) on w reads: w's InputReader list, or
+// none when w builds nothing it shares.
+func Inputs(w Workload, c Case, v Variant, op Op) []par.Input {
+	if r, ok := w.(InputReader); ok {
+		return r.Inputs(c, v, op)
+	}
+	return nil
+}
+
+// Operand is a workload's per-case table of one synthesized dense input,
+// built once and shared read-only by every run of the case and by its
+// reference. A kernel whose computation writes its operand in place must
+// synthesize its own copy instead.
+type Operand[V any] struct {
+	flights par.Flights[string, V]
+}
+
+// Get returns case c's operand, built by the first caller with build in an
+// input span under pprof labels {workload: name, variant: c.Name, phase:
+// "synthesize"} (trace.BuildInput).
+func (o *Operand[V]) Get(name string, c Case, build func() V) V {
+	v, _, _ := o.flights.Do(c.Name, func() (v V, _ error) {
+		trace.BuildInput(name, c.Name, "synthesize", func() { v = build() })
+		return v, nil
+	})
+	return v
+}
+
+// Input names case c's operand, for a plan to count its uses.
+func (o *Operand[V]) Input(c Case) par.Input { return o.flights.Input(c.Name) }

@@ -103,7 +103,7 @@ type QueueStatus struct {
 // All methods are safe for concurrent use.
 type WorkQueue struct {
 	mu       sync.Mutex
-	pending  []planJob // unleased keys, in Execute's start order (before)
+	pending  []planJob // unleased keys, in Execute's start order (schedule)
 	leases   map[string]*distLease
 	attempts map[RunKey]int // reported execution failures per key
 	reissues map[RunKey]int // expired leases per key
@@ -125,28 +125,30 @@ type WorkQueue struct {
 // NewWorkQueue builds the queue for a key set: deduplicate, resolve each
 // key — a run key against the suite, a memo key against the memo table
 // (unknown keys are coordinator-side errors — a worker should never
-// discover them) — and order the keys by before: costliest first, then
-// the table6 memo, which reads runs. The queue does not add a memo's
-// inputs: the worker that computes it reads or runs them itself. A
-// leaseTimeout of 0 selects DefaultLeaseTimeout.
+// discover them) — and order the keys as Execute starts them (schedule):
+// by rank, the costliest reader of what a job reads, then by cost, and
+// the table6 memo, which reads runs, last. The queue leases only its own
+// keys: the worker that computes a memo reads or runs its inputs itself,
+// though they rank the keys as they do in Execute. A leaseTimeout of 0
+// selects DefaultLeaseTimeout.
 func (h *Harness) NewWorkQueue(keys []RunKey, leaseTimeout time.Duration) (*WorkQueue, error) {
 	if leaseTimeout <= 0 {
 		leaseTimeout = DefaultLeaseTimeout
 	}
-	seen := map[RunKey]bool{}
-	var items []planJob
-	for _, k := range keys {
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
-		j, err := h.resolveJob(k)
-		if err != nil {
-			return nil, err
-		}
-		items = append(items, j)
+	jobs, err := h.schedule(keys)
+	if err != nil {
+		return nil, err
 	}
-	sort.SliceStable(items, func(a, b int) bool { return before(items[a], items[b]) })
+	mine := map[RunKey]bool{}
+	for _, k := range keys {
+		mine[k] = true
+	}
+	var items []planJob
+	for _, j := range jobs {
+		if mine[j.key] {
+			items = append(items, j)
+		}
+	}
 	q := &WorkQueue{
 		pending:  items,
 		leases:   map[string]*distLease{},

@@ -7,6 +7,7 @@ import (
 	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -106,6 +107,32 @@ func TestWorkQueueOrdersLongestFirst(t *testing.T) {
 		if j.key == keys[2] {
 			break
 		}
+	}
+}
+
+// TestWorkQueueLeasesInStartOrder: the campaign's queue leases its keys
+// in the order a cold Execute of the campaign starts them, less the
+// table6 memo's references, which the queue leaves to the worker that
+// computes the memo.
+func TestWorkQueueLeasesInStartOrder(t *testing.T) {
+	keys := New().PlanCampaign()
+	q, _ := newTestQueue(t, keys, time.Minute)
+	var leased []RunKey
+	for g := q.Lease("w1"); g.State == LeaseGranted; g = q.Lease("w1") {
+		leased = append(leased, g.Key)
+	}
+	mine := map[RunKey]bool{}
+	for _, k := range keys {
+		mine[k] = true
+	}
+	var want []RunKey
+	for _, j := range campaignOrder(t) {
+		if mine[j.key] {
+			want = append(want, j.key)
+		}
+	}
+	if !slices.Equal(leased, want) {
+		t.Fatalf("queue leased %d keys in another order than Execute starts them (%d)", len(leased), len(want))
 	}
 }
 

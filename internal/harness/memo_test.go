@@ -9,11 +9,12 @@ import (
 	"os/exec"
 	"runtime"
 	"slices"
-	"strings"
 	"sync"
+	"syscall"
 	"testing"
 
 	"repro/internal/metrics"
+	"repro/internal/par"
 )
 
 // TestPlanCampaignMemoKeys: the campaign plan holds exactly the seven memo
@@ -64,41 +65,37 @@ func TestPlanCampaignMemoKeys(t *testing.T) {
 }
 
 // TestExecuteStartsLongestFirst: a cold campaign brings the table6 memo's
-// inputs in as jobs of their own, each ranked by its cost plus the memo's.
-// It starts the four costliest jobs of the committed cost table first, in
-// the table's order with the executor's tie-break (so a regenerated table
-// reorders them without failing the test), and the table6 memo, which
-// reads runs, after every run.
+// inputs in as jobs of their own, each costing its own cost plus the
+// memo's. It starts the costliest job first, and each input's costliest
+// reader before its other readers (so a regenerated cost table reorders
+// them without failing the test), and the table6 memo, which reads runs,
+// after every run.
 func TestExecuteStartsLongestFirst(t *testing.T) {
 	h := New()
-	jobs := startOrder(t, h, h.PlanCampaign())
+	jobs := campaignOrder(t)
 	inTable6 := map[RunKey]bool{}
 	for _, k := range h.keysTable6() {
 		inTable6[k] = true
 	}
-	ranked := make([]planJob, len(jobs))
-	for i, j := range jobs {
-		j.cost = cost(j)
-		if inTable6[j.key] {
-			j.cost += memoSecs["table6"]
-		}
-		ranked[i] = j
+	costliest := slices.MaxFunc(jobs, func(a, b planJob) int { return cmp.Compare(a.cost, b.cost) })
+	if jobs[0].cost != costliest.cost {
+		t.Fatalf("first job = %s (%v s), want the costliest job, %s (%v s)", jobs[0].key, jobs[0].cost, costliest.key, costliest.cost)
 	}
-	slices.SortFunc(ranked, func(a, b planJob) int {
-		if a.cost != b.cost {
-			return cmp.Compare(b.cost, a.cost)
-		}
-		return strings.Compare(a.key.String(), b.key.String())
-	})
-	const prefix = 4
-	for i := range jobs[:prefix] {
-		if jobs[i].key != ranked[i].key {
-			t.Fatalf("job %d started = %s (%v s), want %s, ranked %v s by the cost table",
-				i, jobs[i].key, jobs[i].cost, ranked[i].key, ranked[i].cost)
+	top := map[par.Input]float64{}
+	for _, j := range jobs {
+		for _, in := range j.in {
+			top[in] = max(top[in], j.cost)
 		}
 	}
+	started := map[par.Input]bool{}
 	refs := 0
 	for _, j := range jobs {
+		for _, in := range j.in {
+			if !started[in] && j.cost != top[in] {
+				t.Errorf("%s (%v s) starts ahead of the costliest reader (%v s) of an input it reads", j.key, j.cost, top[in])
+			}
+			started[in] = true
+		}
 		if j.key.Variant == RefVariant {
 			refs++
 		}
@@ -206,15 +203,21 @@ func TestColdCampaignReleasesInputs(t *testing.T) {
 		t.Skip("a whole cold campaign")
 	}
 	if !*releaseChild {
-		out, err := exec.Command(os.Args[0], "-test.run=^TestColdCampaignReleasesInputs$", "-test.v", "-release-child").CombinedOutput()
+		cmd := exec.Command(os.Args[0], "-test.run=^TestColdCampaignReleasesInputs$", "-test.v", "-release-child")
+		out, err := cmd.CombinedOutput()
 		if err != nil {
 			t.Fatalf("%v\n%s", err, out)
 		}
 		t.Logf("%s", out)
+		// Peak RSS depends on the host, so it is reported, not asserted
+		// (Maxrss is in kilobytes on Linux).
+		if ru, ok := cmd.ProcessState.SysUsage().(*syscall.Rusage); ok {
+			t.Logf("child peak RSS (getrusage maxrss): %.1f MB", float64(ru.Maxrss)/1024)
+		}
 		return
 	}
 	h := New()
-	jobs, err := h.jobs(h.PlanCampaign())
+	jobs, err := h.schedule(h.pending(h.PlanCampaign()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,13 +25,16 @@ package harness
 // One cost model in seconds ranks every job: a memo by its name, a run by
 // its workload and kind (a representative case executes, any other case
 // is profiled, or the CPU-serial reference), from a table folded out of
-// traced cold campaigns (costs.go, regenerated by TestCostTable). The
-// costliest job starts first; a job the table6 memo reads ranks by its
-// cost plus the memo's; the memo itself, which reads runs, starts last, so
-// its pool slot never waits on a run that has not started. A cold
-// `cubie all` shows one `harness-plan` span ("execute 191 keys") from 0 s,
-// with the costliest jobs (matrix-corpus, bfs-relabel, the BFS Kronecker
-// runs) starting at 0 s, and the `render` spans after it.
+// traced cold campaigns (costs.go, regenerated by TestCostTable); a job
+// the table6 memo reads adds the memo's cost. A job starts by its rank,
+// the highest cost among the jobs that read anything it reads (schedule),
+// so the readers of one input start together, beside its costliest
+// reader, and the input is released soon after it is built rather than
+// held until a cheap reader's turn comes. The table6 memo, which reads
+// runs, starts last, so its pool slot never waits on a run that has not
+// started. A cold `cubie all` shows one `harness-plan` span ("execute 191
+// keys") from 0 s, with the costliest jobs (matrix-corpus, bfs-relabel
+// with the BFS runs) starting at 0 s, and the `render` spans after it.
 
 import (
 	"fmt"
@@ -354,7 +357,9 @@ type planJob struct {
 	w      workload.Workload
 	c      workload.Case
 	reads  bool             // a memo that reads runs (table6)
-	cost   float64          // traced seconds (cost), plus those of a memo that reads it (jobs)
+	cost   float64          // traced seconds (cost), plus those of a memo that reads it (schedule)
+	rank   float64          // the highest cost among the readers of what it reads (schedule)
+	in     []par.Input      // what it reads (Harness.reads)
 	flight *par.Flight[any] // the key's flight, once Execute claimed it
 }
 
@@ -383,12 +388,17 @@ func cost(j planJob) float64 {
 
 // before reports whether job a starts ahead of job b: a memo that reads
 // runs goes last, after every run it reads has started; otherwise the
-// costlier job first, then key order. One cost in seconds ranks memos,
-// runs and references against each other, so a long CPU-serial reference
-// starts beside the long memos rather than behind them.
+// higher rank first, then the costlier job, then key order. One cost in
+// seconds ranks memos, runs and references against each other, so a long
+// CPU-serial reference starts beside the long memos rather than behind
+// them, and a cheap reader of a shared input starts beside the costly
+// one that builds it.
 func before(a, b planJob) bool {
 	if a.reads != b.reads {
 		return b.reads
+	}
+	if a.rank != b.rank {
+		return a.rank > b.rank
 	}
 	if a.cost != b.cost {
 		return a.cost > b.cost
@@ -399,24 +409,25 @@ func before(a, b planJob) bool {
 // planSlots is how many jobs Execute runs at once: three per core, the
 // smallest width no other was faster than. Campaign-cold `bench/run.sh`
 // runs on a 2-vCPU Xeon, eight rounds alternating the widths (seeds
-// 11–18, 20 s each, medians): `sample_s` 1.40 s at 1×, 1.45 s at 2× and
-// 1.34 s at 3× GOMAXPROCS, 3× faster than 1× in each of the 7 rounds
-// no build ran beside. More slots keep more inputs live at once:
-// `peak_rss_mb` 412, 443 and 466 MB.
+// 11–18, 20 s each, medians): `sample_s` 1.716 s at 1×, 1.529 s at 2× and
+// 1.447 s at 3× GOMAXPROCS, 3× faster than 1× in all eight rounds and
+// than 2× in six. With the readers of one input started together
+// (schedule), a wider pool holds no more inputs at once: `peak_rss_mb`
+// 358, 243 and 245 MB.
 func planSlots() int { return 3 * runtime.GOMAXPROCS(0) }
 
-// Execute runs a plan: resolve its jobs (jobs), claim their flights
-// (claim), count the inputs they read, order them (before), and run them
-// on planSlots workers, started strictly in that order. Each input's
-// planned uses are counted before any job runs, and each job releases its
-// reads when it finishes, so an input leaves its flight table after its
-// last planned reader (par.Flights). The first error in plan order is
-// returned with its key context. Execute composes with concurrent plans and
-// figure pulls through the flight table: a key another caller reached
+// Execute runs a plan: resolve, rank and order its jobs (schedule), claim
+// their flights (claim), count the inputs they read, and run them on
+// planSlots workers, started strictly in that order. Each input's planned
+// uses are counted before any job runs, and each job releases its reads
+// when it finishes, so an input leaves its flight table after its last
+// planned reader (par.Flights). The first error in start order is
+// returned with its key context. Execute composes with concurrent plans
+// and figure pulls through the flight table: a key another caller reached
 // first is theirs to compute and count, and re-executing an
 // already-satisfied plan costs one map lookup per key.
 func (h *Harness) Execute(keys []RunKey) error {
-	jobs, err := h.jobs(keys)
+	jobs, err := h.schedule(h.pending(keys))
 	if err != nil {
 		return err
 	}
@@ -427,30 +438,22 @@ func (h *Harness) Execute(keys []RunKey) error {
 	endSpan := trace.HostSpan("harness-plan", fmt.Sprintf("execute %d keys", len(jobs)))
 	defer endSpan()
 
-	reads := make([][]par.Input, len(jobs))
-	for i, j := range jobs {
-		reads[i] = h.reads(j)
-		for _, in := range reads[i] {
+	for _, j := range jobs {
+		for _, in := range j.in {
 			in.Expect(1)
 		}
 	}
-	order := make([]int, len(jobs))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool { return before(jobs[order[a]], jobs[order[b]]) })
-
 	errs := make([]error, len(jobs))
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, planSlots())
-	for _, i := range order {
+	for i, j := range jobs {
 		sem <- struct{}{} // acquire here, so jobs start in order
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			defer func() { <-sem }()
-			errs[i] = h.execute(jobs[i])
-			for _, in := range reads[i] {
+			errs[i] = h.execute(j)
+			for _, in := range j.in {
 				in.Release()
 			}
 		}()
@@ -480,14 +483,10 @@ func (h *Harness) claim(jobs []planJob) []planJob {
 	return mine
 }
 
-// jobs resolves the jobs a plan must run, in first-seen plan order (error
-// reporting is deterministic in plan order, independent of pool
-// scheduling): it deduplicates the keys, drops the ones whose flight
-// already exists (in flight or completed — the assembly pull joins those),
-// and adds the inputs of every memo that must be computed. A job such a
-// memo reads ranks by the path through it, its cost plus the memo's, so
-// the memo's inputs do not trail jobs nothing waits on.
-func (h *Harness) jobs(keys []RunKey) ([]planJob, error) {
+// pending deduplicates a plan's keys, counting the duplicates, and drops
+// the ones whose flight already exists (in flight or completed — the
+// assembly pull joins those), in first-seen plan order.
+func (h *Harness) pending(keys []RunKey) []RunKey {
 	seen := map[RunKey]bool{}
 	var pending []RunKey
 	for _, k := range keys {
@@ -496,10 +495,31 @@ func (h *Harness) jobs(keys []RunKey) ([]planJob, error) {
 			continue
 		}
 		seen[k] = true
-		if h.flights.State(k) != par.Absent {
-			continue // in flight or done; a failed flight is evicted
+		if h.flights.State(k) == par.Absent { // a failed flight is evicted
+			pending = append(pending, k)
 		}
-		pending = append(pending, k)
+	}
+	return pending
+}
+
+// schedule is the one start order of a plan, for Execute and the
+// distributed queue alike. It resolves the jobs of keys in first-seen
+// order, dropping duplicates, and adds the inputs of every memo that must
+// be computed; a job such a memo reads costs its own cost plus the
+// memo's, so the memo's inputs do not trail jobs nothing waits on. It
+// lists what each job reads (reads) and ranks each job by the highest
+// cost among the jobs that read anything it reads, its own included, then
+// sorts the jobs by before. Every shared input (a Table 3/4 dataset, a
+// case's layout or dense operand) is read directly by all its readers, so
+// one hop puts them in one rank.
+func (h *Harness) schedule(keys []RunKey) ([]planJob, error) {
+	seen := map[RunKey]bool{}
+	var pending []RunKey
+	for _, k := range keys {
+		if !seen[k] {
+			seen[k] = true
+			pending = append(pending, k)
+		}
 	}
 	var jobs []planJob
 	path := map[RunKey]float64{} // the cost of the memo reading a key
@@ -528,8 +548,20 @@ func (h *Harness) jobs(keys []RunKey) ([]planJob, error) {
 			}
 		}
 	}
+	top := map[par.Input]float64{} // the costliest reader of each input
 	for i := range jobs {
 		jobs[i].cost += path[jobs[i].key]
+		jobs[i].in = h.reads(jobs[i])
+		for _, in := range jobs[i].in {
+			top[in] = max(top[in], jobs[i].cost)
+		}
 	}
+	for i := range jobs {
+		jobs[i].rank = jobs[i].cost
+		for _, in := range jobs[i].in {
+			jobs[i].rank = max(jobs[i].rank, top[in])
+		}
+	}
+	sort.Slice(jobs, func(a, b int) bool { return before(jobs[a], jobs[b]) })
 	return jobs, nil
 }

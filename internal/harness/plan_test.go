@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/metrics"
+	"repro/internal/par"
 	"repro/internal/workload"
 )
 
@@ -217,23 +218,15 @@ func TestPlanAllCoversCampaign(t *testing.T) {
 	}
 }
 
-// startOrder returns the jobs Execute would run for keys on h, in the
-// order it starts them.
-func startOrder(t *testing.T, h *Harness, keys []RunKey) []planJob {
+// campaignOrder returns the jobs a cold campaign's Execute on a fresh
+// harness runs, in the order it starts them.
+func campaignOrder(t *testing.T) []planJob {
 	t.Helper()
-	jobs, err := h.jobs(keys)
+	h := New()
+	jobs, err := h.schedule(h.pending(h.PlanCampaign()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	slices.SortStableFunc(jobs, func(a, b planJob) int {
-		if before(a, b) {
-			return -1
-		}
-		if before(b, a) {
-			return 1
-		}
-		return 0
-	})
 	return jobs
 }
 
@@ -246,8 +239,9 @@ func profileOnly(j planJob) bool {
 // TestCostOrdering: a run costs its workload's executes entry on the
 // representative case and its profiles entry on any other case, a
 // reference its reference entry and a memo its own. In a cold campaign's
-// start order costs never rise, the table6 memo starts last, and the FFT
-// reference starts ahead of every profile-only run.
+// start order ranks never rise, costs never rise within one rank, the
+// table6 memo starts last, and the FFT reference starts ahead of every
+// profile-only run of lower rank.
 func TestCostOrdering(t *testing.T) {
 	h := New()
 	w, err := h.Suite.ByName("GEMM")
@@ -272,23 +266,73 @@ func TestCostOrdering(t *testing.T) {
 		}
 	}
 
-	jobs := startOrder(t, h, h.PlanCampaign())
+	jobs := campaignOrder(t)
 	if last := jobs[len(jobs)-1].key; last != memoPlanKey("table6") {
 		t.Fatalf("last job = %s, want the table6 memo", last)
 	}
 	fft := -1
 	for i, j := range jobs[:len(jobs)-1] {
-		if i > 0 && j.cost > jobs[i-1].cost {
-			t.Fatalf("job %d (%s, %vs) starts after the cheaper %s (%vs)", i, j.key, j.cost, jobs[i-1].key, jobs[i-1].cost)
+		if i > 0 {
+			prev := jobs[i-1]
+			if j.rank > prev.rank {
+				t.Fatalf("job %d (%s, rank %vs) starts after %s of lower rank %vs", i, j.key, j.rank, prev.key, prev.rank)
+			}
+			if j.rank == prev.rank && j.cost > prev.cost {
+				t.Fatalf("job %d (%s, %vs) starts after the cheaper %s (%vs) of its rank", i, j.key, j.cost, prev.key, prev.cost)
+			}
 		}
 		if j.key.Workload == "FFT" && j.key.Variant == RefVariant {
 			fft = i
 		}
-		if profileOnly(j) && fft < 0 {
-			t.Fatalf("profile-only run %s starts ahead of the FFT reference", j.key)
-		}
 	}
 	if fft < 0 {
 		t.Fatal("cold campaign does not start the FFT reference")
+	}
+	for _, j := range jobs[:fft] {
+		if profileOnly(j) && j.rank < jobs[fft].rank {
+			t.Fatalf("profile-only run %s of rank %vs starts ahead of the FFT reference (%vs)", j.key, j.rank, jobs[fft].rank)
+		}
+	}
+}
+
+// openInputs walks a start order: an input is open from its first
+// reader's start position up to its last reader's. It returns the open
+// positions summed over every input, and the most inputs open at once.
+func openInputs(jobs []planJob) (sum, peak int) {
+	first, last := map[par.Input]int{}, map[par.Input]int{}
+	for i, j := range jobs {
+		for _, in := range j.in {
+			if _, ok := first[in]; !ok {
+				first[in] = i
+			}
+			last[in] = i
+		}
+	}
+	open := make([]int, len(jobs)+1) // inputs opening minus closing at each position
+	for in, f := range first {
+		sum += last[in] - f
+		open[f]++
+		open[last[in]]--
+	}
+	n := 0
+	for _, d := range open {
+		n += d
+		peak = max(peak, n)
+	}
+	return sum, peak
+}
+
+// TestScheduleStartsReadersTogether: a cold campaign starts the readers of
+// each shared input close together, so few inputs are built and waiting
+// for a reader at once. Ranked by cost alone (the readers of a Table 3/4
+// dataset or BFS case input behind dasp-padding and bfs-relabel, which
+// build them first), the 191 jobs held 71 inputs open over 1,119 positions
+// in all, 17 at the peak; ranked with each input's costliest reader, 376
+// and 10.
+func TestScheduleStartsReadersTogether(t *testing.T) {
+	sum, peak := openInputs(campaignOrder(t))
+	t.Logf("open inputs: %d positions in all, %d at the peak", sum, peak)
+	if sum > 400 || peak > 10 {
+		t.Fatalf("open inputs: %d positions in all (want ≤ 400), %d at the peak (want ≤ 10)", sum, peak)
 	}
 }

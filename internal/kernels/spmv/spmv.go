@@ -85,10 +85,11 @@ func (w *Workload) data(c workload.Case) (*caseData, error) {
 }
 
 // dasp returns case c's DASP layout, built by the first caller in an input
-// span under the same labels as its input.
+// span under pprof labels {workload: "SpMV", variant: c.Name+"/dasp",
+// phase: "layout"}, so a trace tells it from the case's input.
 func (w *Workload) dasp(c workload.Case, d *caseData) *sparse.DASP {
 	l, _, _ := w.layout.Do(c.Dataset, func() (l *sparse.DASP, _ error) {
-		trace.BuildInput("SpMV", c.Name, "layout", func() { l = sparse.ToDASP(d.mat) })
+		trace.BuildInput("SpMV", c.Name+"/dasp", "layout", func() { l = sparse.ToDASP(d.mat) })
 		return l, nil
 	})
 	return l

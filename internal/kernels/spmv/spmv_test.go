@@ -9,6 +9,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/par"
 	"repro/internal/sim"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -246,5 +247,30 @@ func TestLayoutBuiltOnFirstRun(t *testing.T) {
 		wg.Wait()
 	}); n != 1 {
 		t.Fatalf("four concurrent runs of one case built %d layouts, want 1", n)
+	}
+}
+
+// TestRunOpensDistinctInputSpans: a cold TC run of the representative
+// case builds its input and its DASP layout, each in an input span of its
+// own name, beside at most one for the Table 4 matrix (none when another
+// test left it cached).
+func TestRunOpensDistinctInputSpans(t *testing.T) {
+	w := New()
+	c := w.Representative()
+	trace.StartHost()
+	_, err := w.Run(c, workload.TC)
+	rec := trace.StopHost()
+	if err != nil {
+		t.Fatal(err)
+	}
+	spans := map[string]int{}
+	for _, e := range rec.Events() {
+		if e.Category == "input" && e.Name != "synthesize sparse|"+c.Dataset {
+			spans[e.Name]++
+		}
+	}
+	data, dasp := "layout SpMV|"+c.Name, "layout SpMV|"+c.Name+"/dasp"
+	if len(spans) != 2 || spans[data] != 1 || spans[dasp] != 1 {
+		t.Fatalf("input spans %v, want one %q and one %q", spans, data, dasp)
 	}
 }
